@@ -61,13 +61,9 @@ from .errors import (
     TripleDegeneracy,
 )
 from .linalg import (
-    CholeskyFactor,
     EigenPair,
-    cholesky,
-    coalescence_residual,
     eig2x2_pencil,
     gen_eig_ordered,
-    matrix_bandwidth,
     spd_sqrt,
     spd_sqrt_series,
     sqrt_derivative,

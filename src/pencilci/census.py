@@ -19,7 +19,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -140,6 +140,9 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         d = dict(d)
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown experiment spec keys: {', '.join(unknown)}")
         params = d.get("pencil_params", {})
         if isinstance(params, dict):
             d["pencil_params"] = tuple(sorted(params.items()))

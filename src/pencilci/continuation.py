@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import (
     StepUnderflow,
     TripleDegeneracy,
 )
-from .linalg import EigenPair, eig2x2_pencil, gen_eig_ordered, symmetrize
+from .linalg import eig2x2_pencil, gen_eig_ordered, symmetrize
 
 __all__ = [
     "EigenPoint",
@@ -63,6 +63,9 @@ RHO_ACCEPT = 1.5
 GROWTH_CAP = 2.0
 # Relative-gap threshold below which a pair counts as close to veering.
 TOLDIST = 1e6 * _EPS
+# A relative gap at or below this makes the divided differences of predict
+# meaningless; a trace can neither start nor predict from such a point.
+MIN_REL_GAP = 10.0 * _EPS
 # Leave veering mode only once the gap exceeds this multiple of TOLDIST.
 VEERING_EXIT_FACTOR = 10.0
 # Sign decisions with overlap below this are unreliable; reject the step.
@@ -162,15 +165,17 @@ def init_decomposition(pencil, path, t: float = 0.0) -> EigenPoint:
     Raises
     ------
     DegenerateStart
-        If eigenvalues tie at the starting point.
+        If some adjacent pair's relative gap is at or below MIN_REL_GAP, the
+        rule :func:`predict` applies, so every trace start can be stepped from.
     """
     x, y = path.point(t)
     A, B = pencil.eval(x, y)
     ep = gen_eig_ordered(A, B)
-    if ep.degenerate:
+    close = np.flatnonzero(_rel_gaps(ep.values) <= MIN_REL_GAP)
+    if close.size:
         raise DegenerateStart(
-            f"eigenvalue tie at pairs {tuple(p + 1 for p in ep.degenerate_pairs)} "
-            f"at t = {t:.12g}"
+            f"adjacent eigenvalues of pairs {tuple(int(p) + 1 for p in close)} "
+            f"closer than 10*eps at t = {t:.12g}"
         )
     return EigenPoint(t=t, V=_canonical_signs(ep.vectors), lam=ep.values, h_next=0.0)
 
@@ -194,14 +199,14 @@ def predict(
     Raises
     ------
     GapTooSmall
-        If adjacent eigenvalues are closer than 10*eps relative; the divided
+        If some adjacent relative gap is at or below MIN_REL_GAP; the divided
         differences in H are then meaningless and veering handling must take
         over.
     """
     V = state.V
     lam = state.lam
     n = lam.size
-    if n > 1 and float(np.min(_rel_gaps(lam))) <= 10.0 * _EPS:
+    if n > 1 and float(np.min(_rel_gaps(lam))) <= MIN_REL_GAP:
         raise GapTooSmall(f"adjacent eigenvalues closer than 10*eps at t = {state.t:.12g}")
     A_V = symmetrize(V.T @ A_next @ V)
     B_V = symmetrize(V.T @ B_next @ V)

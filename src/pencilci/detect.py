@@ -15,10 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,15 +189,15 @@ def _trace_box(pencil, rect, h0):
     return decode_signature(res.D), ""
 
 
-def _attempt_shift(seed: int, attempt: int, dx: float, dy: float) -> tuple[float, float]:
-    """Deterministic perimeter offset shared by every box at this attempt."""
-    ss = np.random.SeedSequence([seed, _SHIFT_TAG, attempt])
+def _retry_shift(key: list[int], frac: float, sx: float, sy: float) -> tuple[float, float]:
+    """Deterministic retry offset of up to frac * (sx, sy), keyed by key."""
+    ss = np.random.SeedSequence(key)
     rng = np.random.Generator(np.random.Philox(ss))
     mag = rng.uniform(0.25, 1.0, size=2)
     sign = 2.0 * rng.integers(0, 2, size=2) - 1.0
     return (
-        float(mag[0] * sign[0] * _SHIFT_FRAC * dx),
-        float(mag[1] * sign[1] * _SHIFT_FRAC * dy),
+        float(mag[0] * sign[0] * frac * sx),
+        float(mag[1] * sign[1] * frac * sy),
     )
 
 
@@ -236,7 +235,8 @@ def sweep_grid(
             if attempt == 0:
                 shift = (0.0, 0.0)
             else:
-                shift = _attempt_shift(seed, attempt, grid.dx, grid.dy)
+                # One offset shared by every box of this attempt.
+                shift = _retry_shift([seed, _SHIFT_TAG, attempt], _SHIFT_FRAC, grid.dx, grid.dy)
             rects = []
             for r, c in pending:
                 x0, x1, y0, y1 = grid.box(r, c)
@@ -249,26 +249,16 @@ def sweep_grid(
             for (r, c), rect, (pairs, msg) in zip(pending, rects, outcomes):
                 if pairs is None:
                     still_failing.append((r, c))
-                    results[(r, c)] = BoxResult(
-                        row=r,
-                        col=c,
-                        center=(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3])),
-                        pairs=(),
-                        status="unresolved",
-                        attempts=attempt + 1,
-                        shift=shift,
-                        message=msg,
-                    )
-                else:
-                    results[(r, c)] = BoxResult(
-                        row=r,
-                        col=c,
-                        center=(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3])),
-                        pairs=pairs,
-                        status="ok",
-                        attempts=attempt + 1,
-                        shift=shift,
-                    )
+                results[(r, c)] = BoxResult(
+                    row=r,
+                    col=c,
+                    center=(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3])),
+                    pairs=pairs or (),
+                    status="ok" if pairs is not None else "unresolved",
+                    attempts=attempt + 1,
+                    shift=shift,
+                    message=msg,
+                )
             pending = still_failing
     finally:
         if pool is not None:
@@ -287,17 +277,6 @@ class CIEstimate:
     pair: int
     depth: int
     rect: tuple[float, float, float, float]
-
-
-def _center_shift(seed: int, depth: int, attempt: int, sx: float, sy: float):
-    ss = np.random.SeedSequence([seed, _CENTER_TAG, depth, attempt])
-    rng = np.random.Generator(np.random.Philox(ss))
-    mag = rng.uniform(0.25, 1.0, size=2)
-    sign = 2.0 * rng.integers(0, 2, size=2) - 1.0
-    return (
-        float(mag[0] * sign[0] * _CENTER_SHIFT_FRAC * sx),
-        float(mag[1] * sign[1] * _CENTER_SHIFT_FRAC * sy),
-    )
 
 
 def refine_box(
@@ -334,7 +313,12 @@ def refine_box(
             if attempt == 0:
                 shift = (0.0, 0.0)
             else:
-                shift = _center_shift(seed, level, attempt, 0.5 * (x1 - x0), 0.5 * (y1 - y0))
+                shift = _retry_shift(
+                    [seed, _CENTER_TAG, level, attempt],
+                    _CENTER_SHIFT_FRAC,
+                    0.5 * (x1 - x0),
+                    0.5 * (y1 - y0),
+                )
             cx = 0.5 * (x0 + x1) + shift[0]
             cy = 0.5 * (y0 + y1) + shift[1]
             children = [

@@ -1,9 +1,9 @@
 """Dense symmetric and symmetric-definite kernels.
 
-Cholesky factorization with a positivity floor, the SPD square root (spectral
-route plus a series-based cross-check), the Lyapunov derivative of the square
-root, ordered generalized eigendecompositions with B-orthonormal eigenvectors,
-and closed-form treatment of 2x2 pencils.
+The SPD square root (spectral route plus a series-based cross-check), the
+Lyapunov derivative of the square root, ordered generalized
+eigendecompositions with B-orthonormal eigenvectors, and closed-form
+treatment of 2x2 pencils.
 
 Matrices are plain float ndarrays; the symmetric ones are kept exactly
 symmetric by construction via :func:`symmetrize`.
@@ -20,28 +20,20 @@ import scipy.linalg
 from .errors import NotPositiveDefinite, SeriesDiverged
 
 __all__ = [
-    "CholeskyFactor",
     "EigenPair",
     "symmetrize",
-    "matrix_bandwidth",
-    "cholesky",
     "spd_sqrt",
     "spd_sqrt_series",
     "sqrt_derivative",
     "gen_eig_ordered",
     "eig2x2_pencil",
-    "coalescence_residual",
 ]
 
 _EPS = np.finfo(float).eps
 
-# Relative pivot floor: a Cholesky pivot at or below 1e3*eps*max(diag) is
-# treated as a positive-definiteness violation rather than ground through.
+# Relative positivity floor: an eigenvalue of B at or below 1e3*eps times
+# the largest one is treated as a positive-definiteness violation.
 PIVOT_FLOOR_FACTOR = 1e3 * _EPS
-
-# Adjacent eigenvalues closer than 4*eps (relative to the larger magnitude)
-# are flagged as ties; callers decide whether that means veering or failure.
-TIE_RTOL = 4 * _EPS
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
@@ -50,93 +42,20 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def matrix_bandwidth(M: np.ndarray) -> int:
-    """Smallest b such that M[i, j] == 0 whenever |i - j| > b."""
-    M = np.asarray(M)
-    n = M.shape[0]
-    for d in range(n - 1, 0, -1):
-        if np.any(np.diag(M, -d) != 0.0) or np.any(np.diag(M, d) != 0.0):
-            return d
-    return 0
-
-
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor with positive diagonal, L @ L.T = B."""
-
-    L: np.ndarray
-    bandwidth: int
-
-    @property
-    def n(self) -> int:
-        return self.L.shape[0]
-
-
 @dataclass(frozen=True)
 class EigenPair:
     """Ordered eigendecomposition of a symmetric-definite pencil (A, B).
 
     values are sorted decreasing and vectors' columns satisfy V.T @ B @ V = I.
-    Adjacent values agreeing to TIE_RTOL (relative to the larger magnitude)
-    are not reordered or rejected; their 0-based positions are reported in
-    degenerate_pairs. Column signs are unspecified; callers normalize.
+    Column signs are unspecified; callers normalize.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    degenerate_pairs: tuple[int, ...] = ()
 
     @property
     def n(self) -> int:
         return self.values.size
-
-    @property
-    def degenerate(self) -> bool:
-        return bool(self.degenerate_pairs)
-
-
-def _tie_pairs(values: np.ndarray) -> tuple[int, ...]:
-    """0-based positions i where values[i] and values[i+1] tie to 4*eps.
-
-    The scale uses the larger of the two magnitudes so an exact double zero
-    (difference 0, scale 0) still counts as a tie.
-    """
-    diffs = values[:-1] - values[1:]
-    scale = np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
-    return tuple(int(i) for i in np.flatnonzero(diffs <= TIE_RTOL * scale))
-
-
-def cholesky(B: np.ndarray) -> CholeskyFactor:
-    """Factor an SPD matrix as B = L @ L.T, L lower triangular, diag(L) > 0.
-
-    The elimination touches only entries inside B's band, so the factor's
-    bandwidth equals the bandwidth of B.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If an elimination pivot falls at or below PIVOT_FLOOR_FACTOR times
-        the largest diagonal entry of B.
-    """
-    B = np.asarray(B, dtype=float)
-    n = B.shape[0]
-    bw = matrix_bandwidth(B)
-    pivot_floor = PIVOT_FLOOR_FACTOR * float(np.max(np.diag(B)))
-    L = np.zeros_like(B)
-    for j in range(n):
-        lo = max(0, j - bw)
-        pivot = B[j, j] - L[j, lo:j] @ L[j, lo:j]
-        if pivot <= pivot_floor:
-            raise NotPositiveDefinite(
-                f"Cholesky pivot {pivot:.6e} at index {j} is at or below the "
-                f"floor {pivot_floor:.6e}"
-            )
-        L[j, j] = math.sqrt(pivot)
-        hi = min(n, j + bw + 1)
-        if hi > j + 1:
-            rows = slice(j + 1, hi)
-            L[rows, j] = (B[rows, j] - L[rows, lo:j] @ L[j, lo:j]) / L[j, j]
-    return CholeskyFactor(L=L, bandwidth=bw)
 
 
 def _eigh_spd(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,9 +153,9 @@ def gen_eig_ordered(A: np.ndarray, B: np.ndarray) -> EigenPair:
     """Ordered eigendecomposition of the symmetric-definite pencil (A, B).
 
     Returns eigenvalues sorted decreasing and B-orthonormal eigenvectors
-    (V.T @ B @ V = I), computed by Cholesky reduction to a standard symmetric
-    problem through a proven dense solver. Ties between adjacent eigenvalues
-    are flagged on the result, not raised.
+    (V.T @ B @ V = I), computed by scipy.linalg.eigh, which reduces the pencil
+    to a standard symmetric problem. Close or equal adjacent eigenvalues
+    are returned as they are; callers judge closeness.
 
     Raises
     ------
@@ -251,7 +170,7 @@ def gen_eig_ordered(A: np.ndarray, B: np.ndarray) -> EigenPair:
         raise NotPositiveDefinite(f"B is not positive definite: {exc}") from None
     w = w[::-1].copy()
     V = V[:, ::-1].copy()
-    return EigenPair(values=w, vectors=V, degenerate_pairs=_tie_pairs(w))
+    return EigenPair(values=w, vectors=V)
 
 
 def eig2x2_pencil(
@@ -291,13 +210,3 @@ def eig2x2_pencil(
     shift = 0.5 * (at + ct)
     return mu1, mu2, mu1 + shift, mu2 + shift
 
-
-def coalescence_residual(
-    a: float, b: float, c: float, alpha: float, beta: float, gamma: float
-) -> tuple[float, float]:
-    """The pair (a*gamma - alpha*c, b*gamma - beta*c).
-
-    Both components vanish exactly when the 2x2 pencil
-    ([[a,b],[b,c]], [[alpha,beta],[beta,gamma]]) has a double eigenvalue.
-    """
-    return a * gamma - alpha * c, b * gamma - beta * c

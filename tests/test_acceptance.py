@@ -33,6 +33,17 @@ from pencilci.pencil import (
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "reference_counts.csv")
 
+# the desk-scale study of criterion 4, shipped as scripts/desk_census.json
+DESK_CENSUS_SPEC = ExperimentSpec(
+    seed=0,
+    n_list=(10, 15, 20, 25, 30),
+    b_list=("full",),
+    delta_list=(0.45,),
+    realizations=10,
+    rows=16,
+    cols=32,
+)
+
 # power-law fits of the bundled reference counts, pinned offline: (p, c, rmsd)
 REFERENCE_FITS = {
     "3": (2.5855, 0.1347, 4.5564e-3),
@@ -127,15 +138,7 @@ def test_criterion_3_reference_count_fit():
 
 def test_criterion_4_desk_scale_census(tmp_path):
     t_start = time.perf_counter()
-    spec = ExperimentSpec(
-        seed=0,
-        n_list=(10, 15, 20, 25, 30),
-        b_list=("full",),
-        delta_list=(0.45,),
-        realizations=10,
-        rows=16,
-        cols=32,
-    )
+    spec = DESK_CENSUS_SPEC
     workers = min(8, os.cpu_count() or 1)
     report = run_census(spec, tmp_path, workers=workers)
     write_report(report, tmp_path)

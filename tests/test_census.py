@@ -18,6 +18,7 @@ from pencilci.census import (
     write_report,
 )
 from pencilci.errors import NonPositiveCount
+from test_acceptance import DESK_CENSUS_SPEC
 
 TINY_ANALYTIC = dict(
     seed=0,
@@ -62,6 +63,8 @@ def test_spec_validation():
         ExperimentSpec(n_list=(10,), rows=0)
     with pytest.raises(ValueError):
         ExperimentSpec(n_list=(10,), pencil_kind="nope")
+    with pytest.raises(ValueError, match="colls, realisations"):  # misspelt keys
+        ExperimentSpec.from_dict({"n_list": [10], "realisations": 3, "colls": 8})
 
 
 def test_spec_json_roundtrip(tmp_path):
@@ -80,6 +83,11 @@ def test_spec_json_roundtrip(tmp_path):
     spec2.to_json(tmp_path / "spec2.json")
     assert ExperimentSpec.from_json(tmp_path / "spec2.json") == spec2
     assert ExperimentSpec.from_dict(spec2.to_dict()) == spec2
+
+
+def test_desk_census_spec_file_matches_acceptance():
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "desk_census.json")
+    assert ExperimentSpec.from_json(path) == DESK_CENSUS_SPEC
 
 
 def test_spec_cell_order_deterministic():

@@ -1,10 +1,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pencilci
 from pencilci.census import ExperimentSpec, fit_power_law
 from pencilci.cli import main
 from pencilci.pencil import (
@@ -194,6 +197,21 @@ def test_census_cli(tmp_path, capfd):
     with open(out / "census_counts.csv") as fh:
         lines = fh.read().splitlines()
     assert len(lines) == 2 and lines[1].endswith(",1,0")
+
+
+def test_census_rejects_unknown_spec_key(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"n_list": [2], "pencil_kind": "analytic_ci", "realisations": 2}')
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pencilci.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pencilci.cli", "census", "--spec", str(spec_path),
+         "--workers", "1", "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "realisations" in lines[0]
 
 
 def test_fit_matches_library(tmp_path, capfd):

@@ -58,8 +58,11 @@ def test_init_decomposition_canonical_signs():
 
 def test_init_decomposition_degenerate_start():
     pen = analytic_ci_pencil(0.0)
-    with pytest.raises(DegenerateStart):
-        init_decomposition(pen, segment((0.0, 0.0), (1.0, 0.0)), 0.0)
+    # exactly on the intersection (a double zero eigenvalue), and 1e-16 off
+    # it, where the gap is tiny but not zero and predict would refuse to step
+    for x0 in (0.0, 1e-16):
+        with pytest.raises(DegenerateStart):
+            init_decomposition(pen, segment((x0, 0.0), (1.0, 0.0)), 0.0)
 
 
 def test_predict_local_orders():

@@ -94,17 +94,20 @@ def test_sweep_flags_single_interior_box():
 
 
 def test_sweep_corner_coalescence_uses_retry():
-    # coalescence exactly on a grid corner: the shared shift must rescue it
+    # coalescence exactly on a grid corner, then with the grid shifted so the
+    # corner sits about 1e-16 off it: the shared shift must rescue both
     pen = analytic_ci_pencil(0.0)
-    grid = GridSpec(rows=4, cols=4, x_range=(-1.0, 1.0), y_range=(-1.0, 1.0))
-    sw = sweep_grid(pen, grid, seed=0)
-    assert len(sw.flagged) == 1
-    assert not sw.unresolved
-    box = sw.flagged[0]
-    assert box.attempts > 1
-    assert box.shift != (0.0, 0.0)
-    x0, x1, y0, y1 = sw.rect_of(box)
-    assert x0 < 0.0 < x1 and y0 < 0.0 < y1
+    for off in (0.0, 1e-16):
+        grid = GridSpec(rows=4, cols=4, x_range=(-1.0 + off, 1.0 + off), y_range=(-1.0, 1.0))
+        assert abs(grid.box(2, 2)[0] - off) <= 0.2 * off  # vertex next to the intersection
+        sw = sweep_grid(pen, grid, seed=0)
+        assert len(sw.flagged) == 1, off
+        assert not sw.unresolved, off
+        box = sw.flagged[0]
+        assert box.attempts > 1
+        assert box.shift != (0.0, 0.0)
+        x0, x1, y0, y1 = sw.rect_of(box)
+        assert x0 < 0.0 < x1 and y0 < 0.0 < y1
 
 
 def test_sweep_worker_count_does_not_change_result():
