@@ -44,12 +44,12 @@ from .detect import (
     write_sweep_summary,
 )
 from .errors import (
-    AmbiguousSign,
     BandwidthOutOfRange,
     DegenerateStart,
     DispersionOutOfRange,
     GapTooSmall,
     LoopUnresolvable,
+    NonFiniteInput,
     NonPositiveCount,
     NotPositiveDefinite,
     OddSignCount,

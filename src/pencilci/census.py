@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 import warnings
@@ -85,9 +86,13 @@ class ExperimentSpec:
     y_range: tuple[float, float] = (0.0, 2.0 * math.pi)
     pencil_kind: str = "sgplus"
     pencil_params: tuple = ()
-    h0: float | None = None
 
     def __post_init__(self):
+        for name in ("seed", "realizations", "rows", "cols"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(
             self, "b_list", tuple("full" if b == "full" else int(b) for b in self.b_list)
@@ -159,9 +164,9 @@ class ExperimentSpec:
             return cls.from_dict(json.load(fh))
 
 
-def _make_pencil(spec_kind: str, params: dict, n: int, b, delta: float, seed: int):
-    if spec_kind == "analytic_ci":
-        return AnalyticCIPencil(eps=float(params.get("eps", 0.0)))
+def _make_pencil(spec: ExperimentSpec, b, delta: float, n: int, seed: int):
+    if spec.pencil_kind == "analytic_ci":
+        return AnalyticCIPencil(eps=float(dict(spec.pencil_params).get("eps", 0.0)))
     b_val = n - 1 if b == "full" else int(b)
     return sgplus_pencil(sgplus_generate(n, b_val, delta, seed))
 
@@ -179,43 +184,30 @@ def _cell_valid(path: str) -> bool:
         return False
 
 
-def _run_cell(task: dict) -> str:
-    """Sweep one cell and persist its JSON atomically; returns the path."""
-    seed = cell_seed(
-        task["seed0"], task["b"], task["delta_index"], task["n"], task["realization"]
-    )
-    pencil = _make_pencil(
-        task["pencil_kind"],
-        dict(task["pencil_params"]),
-        task["n"],
-        task["b"],
-        task["delta"],
-        seed,
-    )
-    grid = GridSpec(
-        rows=task["rows"],
-        cols=task["cols"],
-        x_range=tuple(task["x_range"]),
-        y_range=tuple(task["y_range"]),
-    )
+def _run_cell(task: tuple) -> str:
+    """Sweep one cell and persist its JSON atomically; returns the path.
+
+    task is (spec, (b, delta_index, n, realization), out_path, sweep_workers).
+    """
+    spec, (b, delta_index, n, realization), out_path, sweep_workers = task
+    seed = cell_seed(spec.seed, b, delta_index, n, realization)
+    delta = spec.delta_list[delta_index]
+    pencil = _make_pencil(spec, b, delta, n, seed)
     start = time.perf_counter()
-    result = sweep_grid(
-        pencil, grid, seed=seed, workers=task["sweep_workers"], h0=task["h0"]
-    )
+    result = sweep_grid(pencil, spec.grid, seed=seed, workers=sweep_workers)
     wall = time.perf_counter() - start
     payload = {
-        "b": task["b"],
-        "delta": task["delta"],
-        "delta_index": task["delta_index"],
-        "n": task["n"],
-        "realization": task["realization"],
+        "b": b,
+        "delta": delta,
+        "delta_index": delta_index,
+        "n": n,
+        "realization": realization,
         "seed": seed,
         "count": result.total_count,
         "pair_counts": {str(k): v for k, v in result.pair_counts().items()},
         "n_unresolved": len(result.unresolved),
         "wall_time": wall,
     }
-    out_path = task["out_path"]
     tmp = f"{out_path}.tmp{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -273,14 +265,6 @@ class CensusReport:
     means: dict  # (b_token, delta_index, n) -> mean count
     fits: dict  # (b_token, delta_index) -> PowerLawFit | None
 
-    def mean_counts(self, b, delta_index: int = 0) -> list[tuple[int, float]]:
-        token = _b_token(b)
-        return [
-            (n, self.means[(token, delta_index, n)])
-            for n in self.spec.n_list
-            if (token, delta_index, n) in self.means
-        ]
-
 
 def _assemble_report(spec: ExperimentSpec, cell_dir: str) -> CensusReport:
     cells = []
@@ -311,12 +295,8 @@ def _assemble_report(spec: ExperimentSpec, cell_dir: str) -> CensusReport:
                 for n in spec.n_list
                 if (token, di, n) in means and means[(token, di, n)] > 0.0
             ]
-            if len({n for n, _ in pts}) >= 2:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", NonPositiveCount)
-                    fits[(token, di)] = fit_power_law(pts)
-            else:
-                fits[(token, di)] = None
+            # pts holds positive means only, so the fit drops nothing
+            fits[(token, di)] = fit_power_law(pts) if len({n for n, _ in pts}) >= 2 else None
     return CensusReport(spec=spec, cells=cells, means=means, fits=fits)
 
 
@@ -334,36 +314,18 @@ def run_census(
     out_dir = str(out_dir)
     cell_dir = os.path.join(out_dir, "cells")
     os.makedirs(cell_dir, exist_ok=True)
-    tasks = []
-    for b, di, n, r in spec.cells():
-        out_path = os.path.join(cell_dir, _cell_filename(b, di, n, r))
-        if resume and _cell_valid(out_path):
-            continue
-        tasks.append(
-            {
-                "seed0": spec.seed,
-                "b": b,
-                "delta": spec.delta_list[di],
-                "delta_index": di,
-                "n": n,
-                "realization": r,
-                "rows": spec.rows,
-                "cols": spec.cols,
-                "x_range": list(spec.x_range),
-                "y_range": list(spec.y_range),
-                "h0": spec.h0,
-                "pencil_kind": spec.pencil_kind,
-                "pencil_params": list(spec.pencil_params),
-                "sweep_workers": 1,
-                "out_path": out_path,
-            }
-        )
-    if workers > 1 and len(tasks) > 1:
+    pending = []
+    for key in spec.cells():
+        out_path = os.path.join(cell_dir, _cell_filename(*key))
+        if not (resume and _cell_valid(out_path)):
+            pending.append((key, out_path))
+    parallel = workers > 1 and len(pending) > 1
+    tasks = [(spec, key, out_path, 1 if parallel else workers) for key, out_path in pending]
+    if parallel:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             list(pool.map(_run_cell, tasks))
     else:
         for task in tasks:
-            task["sweep_workers"] = workers
             _run_cell(task)
     return _assemble_report(spec, cell_dir)
 

@@ -118,7 +118,7 @@ def _cmd_trace(args) -> int:
     path = _parse_loop(args.loop)
     outputs = ["trace.csv"]
     if path.closed:
-        result = trace_loop(pencil, path, h0=args.h0)
+        result = trace_loop(pencil, path)
         sig = {
             "D": [int(v) for v in result.D],
             "pairs": [int(p) for p in decode_signature(result.D)],
@@ -131,7 +131,7 @@ def _cmd_trace(args) -> int:
         print("D =", " ".join(str(v) for v in result.D))
         print("flagged pairs:", " ".join(str(p) for p in sig["pairs"]) or "none")
     else:
-        result = trace(pencil, path, h0=args.h0)
+        result = trace(pencil, path)
     write_trace_csv(result, os.path.join(args.out_dir, "trace.csv"))
     stats = result.step_stats
     log.info(
@@ -153,14 +153,7 @@ def _cmd_sweep(args) -> int:
         x_range=tuple(args.x_range),
         y_range=tuple(args.y_range),
     )
-    result = sweep_grid(
-        pencil,
-        grid,
-        seed=args.seed,
-        workers=args.workers,
-        h0=args.h0,
-        max_attempts=args.max_attempts,
-    )
+    result = sweep_grid(pencil, grid, seed=args.seed, workers=args.workers)
     write_ci_csv(result, os.path.join(args.out_dir, "ci_boxes.csv"))
     write_sweep_summary(result, os.path.join(args.out_dir, "sweep_summary.json"))
     _write_manifest(args.out_dir, "sweep", vars(args), ["ci_boxes.csv", "sweep_summary.json"])
@@ -268,7 +261,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("trace", parents=[common], help="trace a path, report the signature")
     p.add_argument("--pencil", required=True, help="pencil descriptor JSON")
     p.add_argument("--loop", required=True, help="loop spec JSON (inline or @file)")
-    p.add_argument("--h0", type=float, default=None, help="initial stepsize")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("sweep", parents=[common], help="sweep a box grid for coalescences")
@@ -277,8 +269,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--x-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
     p.add_argument("--y-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    p.add_argument("--h0", type=float, default=None)
-    p.add_argument("--max-attempts", type=int, default=4)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("census", parents=[common], help="run an ensemble census")

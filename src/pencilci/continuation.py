@@ -19,17 +19,16 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    AmbiguousSign,
     DegenerateStart,
     GapTooSmall,
     LoopUnresolvable,
+    PencilError,
     StepUnderflow,
     TripleDegeneracy,
 )
@@ -70,10 +69,10 @@ MIN_REL_GAP = 10.0 * _EPS
 VEERING_EXIT_FACTOR = 10.0
 # Sign decisions with overlap below this are unreliable; reject the step.
 AMBIGUOUS_OVERLAP = 0.1
-# Default initial stepsize and stepsize cap, as fractions of the path span.
+# Initial stepsize, stepsize cap and stepsize floor, as fractions of the path
+# span t = 0 -> 1.
 H0_FRAC = 1.0 / 64.0
 H_MAX_FRAC = 1.0 / 16.0
-# Stepsize floor as a fraction of the path span.
 H_MIN_FRAC = 1e-14
 # Signature entries must sit within this distance of +-1 (diagonal) and 0
 # (off-diagonal) before rounding.
@@ -228,20 +227,12 @@ def sign_correct(
     The sign matrix S = diag(sign(diag(V_raw.T B_next V_pred))) minimizes
     || S V_raw.T B_next V_pred - I ||_F over diagonal sign matrices. Returns
     (V_raw S, S diagonal, smallest overlap magnitude). Exact zero overlaps
-    resolve to +1 and, like any overlap below AMBIGUOUS_OVERLAP, emit an
-    AmbiguousSign warning; callers treat that as a step rejection.
+    resolve to +1; :func:`trace` rejects any step whose smallest overlap is
+    below AMBIGUOUS_OVERLAP.
     """
     d = np.einsum("ij,ij->j", V_raw, B_next @ V_pred)
     s = np.where(d >= 0.0, 1.0, -1.0)
-    min_overlap = float(np.min(np.abs(d)))
-    if min_overlap < AMBIGUOUS_OVERLAP:
-        warnings.warn(
-            f"sign overlap {min_overlap:.3e} below {AMBIGUOUS_OVERLAP}; "
-            "prediction too poor to trust",
-            AmbiguousSign,
-            stacklevel=2,
-        )
-    return V_raw * s, s, min_overlap
+    return V_raw * s, s, float(np.min(np.abs(d)))
 
 
 def step_control(
@@ -251,7 +242,6 @@ def step_control(
     V_pred: np.ndarray,
     B_new: np.ndarray,
     h: float,
-    h_min: float | None = None,
 ) -> StepDecision:
     """Accept/reject an attempted step and propose the next stepsize.
 
@@ -260,11 +250,6 @@ def step_control(
     prediction quality; rho = max(rho_lambda, rho_V) / TOLSTEP. The step is
     accepted when rho <= RHO_ACCEPT and the new stepsize is h / rho, with
     growth capped at GROWTH_CAP * h.
-
-    Raises
-    ------
-    StepUnderflow
-        If h_min is given and the proposed stepsize falls below it.
     """
     n = lam_new.size
     rho_lambda = float(np.max(np.abs(lam_new - lam_pred) / (np.abs(lam_new) + 1.0)))
@@ -272,18 +257,13 @@ def step_control(
     rho_V = math.sqrt(max(float(np.trace(E.T @ B_new @ E)), 0.0) / n)
     rho = max(rho_lambda, rho_V) / TOLSTEP
     h_new = h / max(rho, 1.0 / GROWTH_CAP)
-    if h_min is not None and h_new < h_min:
-        raise StepUnderflow(f"proposed stepsize {h_new:.3e} below floor {h_min:.3e}")
     return StepDecision(
         rho=rho, h_new=h_new, accept=rho <= RHO_ACCEPT, rho_lambda=rho_lambda, rho_V=rho_V
     )
 
 
 def secant_guard(
-    lam_prev: np.ndarray,
-    lam_new: np.ndarray,
-    h: float,
-    h_taken: float | None = None,
+    lam_prev: np.ndarray, lam_new: np.ndarray, h: float, h_taken: float
 ) -> float:
     """Cap h so secant extrapolation predicts no eigenvalue-ordering violation.
 
@@ -293,8 +273,6 @@ def secant_guard(
     predicted crossing time gap_i / (slope_{i+1} - slope_i) over the
     violating pairs.
     """
-    if h_taken is None:
-        h_taken = h
     slopes = (lam_new - lam_prev) / h_taken
     sec = lam_new + h * slopes
     viol = sec[:-1] < sec[1:]
@@ -338,9 +316,8 @@ def veering_traverse(
     pencil,
     path,
     pair: int,
-    h_entry: float | None = None,
-    t_end: float = 1.0,
-    h_min: float | None = None,
+    h_entry: float,
+    h_min: float,
 ) -> _VeeringResult:
     """Advance past a veering interval of the 1-based pair (pair, pair+1).
 
@@ -353,7 +330,7 @@ def veering_traverse(
 
     On exit (relative gap at least VEERING_EXIT_FACTOR * TOLDIST) the pair is
     re-resolved inside its 2-dim subspace with the closed-form 2x2 solve,
-    signs matched to the tracked basis. Reaching t_end still inside the zone
+    signs matched to the tracked basis. Reaching t = 1 still inside the zone
     terminates the traversal there; downstream signature checks decide
     whether the result is usable.
 
@@ -369,24 +346,20 @@ def veering_traverse(
     n = state.lam.size
     if not 0 <= i < n - 1:
         raise ValueError(f"pair must be in 1..{n - 1}, got {pair}")
-    if h_entry is None:
-        h_entry = state.h_next if state.h_next > 0 else (t_end - state.t) * H0_FRAC
-    if h_min is None:
-        h_min = H_MIN_FRAC * max(t_end, 1.0)
     t_enter = state.t
     t = state.t
     V_prev = state.V
-    h_v = min(h_entry, t_end - t)
+    h_v = min(h_entry, 1.0 - t)
     points: list[EigenPoint] = []
     records: list[StepRecord] = []
     outer = np.array([k for k in range(n) if k not in (i, i + 1)], dtype=int)
     pair_ix = np.array([i, i + 1], dtype=int)
 
     for _ in range(_MAX_SUBSTEPS):
-        if t >= t_end:
+        if t >= 1.0:
             break
-        h_step = min(h_v, t_end - t)
-        t_new = t_end if t_end - t <= h_v else t + h_step
+        h_step = min(h_v, 1.0 - t)
+        t_new = 1.0 if 1.0 - t <= h_v else t + h_step
         x, y = path.point(t_new)
         A_new, B_new = pencil.eval(x, y)
         ep = gen_eig_ordered(A_new, B_new)
@@ -442,14 +415,8 @@ def veering_traverse(
     return _VeeringResult(out, (t_enter, t, pair), points, records)
 
 
-def trace(
-    pencil,
-    path,
-    h0: float | None = None,
-    t0: float = 0.0,
-    t1: float = 1.0,
-) -> TraceResult:
-    """Smooth ordered eigendecomposition of a pencil along a path.
+def trace(pencil, path) -> TraceResult:
+    """Smooth ordered eigendecomposition of a pencil along a path, t = 0 -> 1.
 
     Predictor-corrector stepping with sign correction and adaptive stepsize;
     veering intervals are detected at the candidate point (relative gap below
@@ -460,30 +427,22 @@ def trace(
     ------
     DegenerateStart, StepUnderflow, TripleDegeneracy
         Propagated from the starting decomposition and the stepping modes.
+    NotPositiveDefinite, NonFiniteInput
+        Propagated from the eigensolve at any evaluated point.
     """
-    if t1 <= t0:
-        raise ValueError("need t1 > t0")
-    span = t1 - t0
-    h_min = H_MIN_FRAC * span
-    h_max = H_MAX_FRAC * span
-    state = init_decomposition(pencil, path, t0)
-    h = min(h0 if h0 is not None else H0_FRAC * span, h_max)
-    if h <= 0:
-        raise ValueError("initial stepsize must be positive")
-
+    state = init_decomposition(pencil, path)
+    h = H0_FRAC
     points = [state]
     records: list[StepRecord] = []
     events: list[tuple[float, float, int]] = []
     accepted = 0
     rejected = 0
-    h_lo = math.inf
-    h_hi = 0.0
 
-    while state.t < t1:
-        remaining = t1 - state.t
+    while state.t < 1.0:
+        remaining = 1.0 - state.t
         clamped = remaining <= h
         h_try = remaining if clamped else h
-        t_next = t1 if clamped else state.t + h_try
+        t_next = 1.0 if clamped else state.t + h_try
         x, y = path.point(t_next)
         A_next, B_next = pencil.eval(x, y)
         ep = gen_eig_ordered(A_next, B_next)
@@ -495,59 +454,43 @@ def trace(
                     f"{flagged.size} pairs simultaneously near-degenerate at t = {t_next:.12g}"
                 )
             vr = veering_traverse(
-                state,
-                pencil,
-                path,
-                pair=int(flagged[0]) + 1,
-                h_entry=h_try,
-                t_end=t1,
-                h_min=h_min,
+                state, pencil, path, pair=int(flagged[0]) + 1, h_entry=h_try, h_min=H_MIN_FRAC
             )
             events.append(vr.event)
             points.extend(vr.points)
             records.extend(vr.records)
             accepted += len(vr.points)
             state = vr.state
-            h = min(state.h_next, h_max)
+            h = min(state.h_next, H_MAX_FRAC)
             continue
         lam_pred, V_pred = predict(state, A_next, B_next, h_try)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AmbiguousSign)
-            V_corr, _, min_overlap = sign_correct(ep.vectors, B_next, V_pred)
+        V_corr, _, min_overlap = sign_correct(ep.vectors, B_next, V_pred)
         dec = step_control(ep.values, lam_pred, V_corr, V_pred, B_next, h_try)
         if dec.accept and min_overlap >= AMBIGUOUS_OVERLAP:
-            h_next = min(dec.h_new, h_max)
+            h_next = min(dec.h_new, H_MAX_FRAC)
             h_next = secant_guard(state.lam, ep.values, h_next, h_taken=h_try)
             state = EigenPoint(t=t_next, V=V_corr, lam=ep.values, h_next=h_next)
             points.append(state)
             records.append(StepRecord(t_next, h_try, dec.rho_lambda, dec.rho_V, False))
             accepted += 1
-            h_lo = min(h_lo, h_try)
-            h_hi = max(h_hi, h_try)
             h = h_next
         else:
             rejected += 1
             h = dec.h_new
             if min_overlap < AMBIGUOUS_OVERLAP:
                 h = min(h, h_try / 2.0)
-        if h < h_min and state.t < t1:
+        if h < H_MIN_FRAC and state.t < 1.0:
             raise StepUnderflow(
-                f"stepsize {h:.3e} below floor {h_min:.3e} at t = {state.t:.12g}"
+                f"stepsize {h:.3e} below floor {H_MIN_FRAC:.3e} at t = {state.t:.12g}"
             )
 
-    stats = {
-        "accepted": accepted,
-        "rejected": rejected,
-        "h_min": h_lo if accepted else math.nan,
-        "h_max": h_hi if accepted else math.nan,
-        "veering_events": len(events),
-    }
+    stats = {"accepted": accepted, "rejected": rejected, "veering_events": len(events)}
     return TraceResult(
         points=points, records=records, veering_events=events, step_stats=stats
     )
 
 
-def trace_loop(pencil, loop, h0: float | None = None) -> TraceResult:
+def trace_loop(pencil, loop) -> TraceResult:
     """Trace a closed loop and extract the sign signature D.
 
     D is computed as the rounded diagonal of V(0).T B(0) V(1); pre-rounding
@@ -557,15 +500,15 @@ def trace_loop(pencil, loop, h0: float | None = None) -> TraceResult:
     Raises
     ------
     LoopUnresolvable
-        On StepUnderflow, TripleDegeneracy or DegenerateStart inside the
-        trace, or when the signature fails the cleanliness checks.
+        On any PencilError inside the trace (the message starts with its
+        class name), or when the signature fails the cleanliness checks.
     """
     if not getattr(loop, "closed", False):
         raise ValueError("trace_loop requires a closed path")
     try:
-        tr = trace(pencil, loop, h0=h0)
-    except (StepUnderflow, TripleDegeneracy, DegenerateStart) as exc:
-        raise LoopUnresolvable(str(exc)) from exc
+        tr = trace(pencil, loop)
+    except PencilError as exc:
+        raise LoopUnresolvable(f"{type(exc).__name__}: {exc}") from exc
     V0 = tr.points[0].V
     V1 = tr.points[-1].V
     x, y = loop.point(0.0)
@@ -582,14 +525,7 @@ def trace_loop(pencil, loop, h0: float | None = None) -> TraceResult:
     D = np.where(d > 0.0, 1, -1).astype(int)
     if int(np.prod(D)) != 1:
         raise LoopUnresolvable("signature has an odd number of -1 entries")
-    return TraceResult(
-        points=tr.points,
-        records=tr.records,
-        veering_events=tr.veering_events,
-        step_stats=tr.step_stats,
-        D=D,
-        signature_raw=d,
-    )
+    return replace(tr, D=D, signature_raw=d)
 
 
 def write_trace_csv(result: TraceResult, path) -> None:

@@ -42,9 +42,13 @@ __all__ = [
 # local tiling among all boxes retried at the same attempt.
 _SHIFT_FRAC = 1e-3
 _SHIFT_TAG = 0xA11E
+# Attempts per box in sweep_grid, the first one unshifted.
+_SWEEP_ATTEMPTS = 4
 # Subdivision-center retry offsets in refine_box, as a fraction of child side.
 _CENTER_SHIFT_FRAC = 1e-2
 _CENTER_TAG = 0xC1
+# Subdivision attempts per level in refine_box, the first one unshifted.
+_REFINE_ATTEMPTS = 3
 
 
 def decode_signature(D: np.ndarray) -> tuple[int, ...]:
@@ -178,12 +182,12 @@ class SweepResult:
         )
 
 
-def _trace_box(pencil, rect, h0):
+def _trace_box(pencil, rect):
     """Loop signature of one box perimeter: (pairs, error message)."""
     x0, x1, y0, y1 = rect
     loop = box_perimeter(x0, y0, x1 - x0, y1 - y0)
     try:
-        res = trace_loop(pencil, loop, h0=h0)
+        res = trace_loop(pencil, loop)
     except LoopUnresolvable as exc:
         return None, str(exc)
     return decode_signature(res.D), ""
@@ -201,35 +205,28 @@ def _retry_shift(key: list[int], frac: float, sx: float, sy: float) -> tuple[flo
     )
 
 
-def sweep_grid(
-    pencil,
-    grid: GridSpec,
-    seed: int = 0,
-    workers: int = 1,
-    h0: float | None = None,
-    max_attempts: int = 4,
-) -> SweepResult:
+def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> SweepResult:
     """Trace every box perimeter of the grid and collect flagged pairs.
 
     A perimeter through (or numerically through) a coalescence is
     unresolvable; such boxes are retried with their perimeter rigidly shifted
     by a small deterministic offset. All boxes failing at the same attempt
     share one offset, so their shifted perimeters still tile and a corner
-    coalescence lands strictly inside exactly one shifted box. Boxes failing
-    every attempt are reported with status "unresolved" and no pairs.
+    coalescence lands strictly inside exactly one shifted box. Any
+    PencilError inside a trace (a non-definite B or a non-finite value, say)
+    fails only that box. Boxes failing all _SWEEP_ATTEMPTS attempts are
+    reported with status "unresolved", no pairs, and the cause as message.
 
     With workers > 1 the boxes of each attempt round run in a process pool;
     the pencil must then be picklable. Results are assembled in (row, col)
     order regardless of completion order.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
     cells = [(r, c) for r in range(grid.rows) for c in range(grid.cols)]
     results: dict[tuple[int, int], BoxResult] = {}
     pending = cells
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for attempt in range(max_attempts):
+        for attempt in range(_SWEEP_ATTEMPTS):
             if not pending:
                 break
             if attempt == 0:
@@ -242,9 +239,9 @@ def sweep_grid(
                 x0, x1, y0, y1 = grid.box(r, c)
                 rects.append((x0 + shift[0], x1 + shift[0], y0 + shift[1], y1 + shift[1]))
             if pool is not None:
-                outcomes = list(pool.map(_trace_box, [pencil] * len(rects), rects, [h0] * len(rects)))
+                outcomes = list(pool.map(_trace_box, [pencil] * len(rects), rects))
             else:
-                outcomes = [_trace_box(pencil, rect, h0) for rect in rects]
+                outcomes = [_trace_box(pencil, rect) for rect in rects]
             still_failing = []
             for (r, c), rect, (pairs, msg) in zip(pending, rects, outcomes):
                 if pairs is None:
@@ -285,8 +282,6 @@ def refine_box(
     pair: int,
     depth: int = 10,
     seed: int = 0,
-    h0: float | None = None,
-    max_attempts: int = 3,
 ) -> CIEstimate:
     """Pin a coalescence inside a flagged box by recursive 2x2 subdivision.
 
@@ -309,7 +304,7 @@ def refine_box(
     x0, x1, y0, y1 = rect
     for level in range(depth):
         done = False
-        for attempt in range(max_attempts):
+        for attempt in range(_REFINE_ATTEMPTS):
             if attempt == 0:
                 shift = (0.0, 0.0)
             else:
@@ -330,7 +325,7 @@ def refine_box(
             flagged = []
             failed = False
             for child in children:
-                pairs, _ = _trace_box(pencil, child, h0)
+                pairs, _ = _trace_box(pencil, child)
                 if pairs is None:
                     failed = True
                     break
@@ -343,7 +338,7 @@ def refine_box(
         if not done:
             raise RefinementInconsistent(
                 f"no subdivision of ({x0:.6g}, {x1:.6g}) x ({y0:.6g}, {y1:.6g}) "
-                f"isolated pair {pair} after {max_attempts} attempts at level {level}"
+                f"isolated pair {pair} after {_REFINE_ATTEMPTS} attempts at level {level}"
             )
     half_diag = 0.5 * math.hypot(x1 - x0, y1 - y0)
     return CIEstimate(
@@ -369,7 +364,7 @@ def write_ci_csv(result: SweepResult, path) -> None:
 
 
 def write_sweep_summary(result: SweepResult, path) -> None:
-    """JSON summary: box counts, per-pair totals, retry and failure counts."""
+    """JSON summary: box counts, per-pair totals, retries, unresolved boxes and causes."""
     attempts: Counter = Counter(b.attempts for b in result.boxes)
     summary = {
         "rows": result.grid.rows,
@@ -382,7 +377,7 @@ def write_sweep_summary(result: SweepResult, path) -> None:
         "total_count": result.total_count,
         "pair_counts": {str(k): v for k, v in result.pair_counts().items()},
         "attempts_histogram": {str(k): v for k, v in sorted(attempts.items())},
-        "unresolved_boxes": [[b.row, b.col] for b in result.unresolved],
+        "unresolved_boxes": [[b.row, b.col, b.message] for b in result.unresolved],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

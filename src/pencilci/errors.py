@@ -9,6 +9,10 @@ class NotPositiveDefinite(PencilError):
     """A matrix required to be symmetric positive definite is not."""
 
 
+class NonFiniteInput(PencilError):
+    """A pencil evaluation produced a NaN or infinite entry."""
+
+
 class SeriesDiverged(PencilError):
     """Square-root series terms stopped contracting.
 
@@ -69,10 +73,6 @@ class OddSignCount(PencilError):
 
 class RefinementInconsistent(PencilError):
     """Child box flags contradict the parent flag parity during refinement."""
-
-
-class AmbiguousSign(UserWarning):
-    """Sign-correction overlap too weak to be decided reliably."""
 
 
 class NonPositiveCount(UserWarning):

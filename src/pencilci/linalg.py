@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NotPositiveDefinite, SeriesDiverged
+from .errors import NonFiniteInput, NotPositiveDefinite, SeriesDiverged
 
 __all__ = [
     "EigenPair",
@@ -161,13 +161,19 @@ def gen_eig_ordered(A: np.ndarray, B: np.ndarray) -> EigenPair:
     ------
     NotPositiveDefinite
         If B is not positive definite.
+    NonFiniteInput
+        If A or B has a NaN or infinite entry.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     try:
         w, V = scipy.linalg.eigh(A, B)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"B is not positive definite: {exc}") from None
+    except ValueError as exc:  # scipy's LinAlgError is a ValueError too
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            raise NonFiniteInput(f"pencil has non-finite entries: {exc}") from None
+        if isinstance(exc, scipy.linalg.LinAlgError):
+            raise NotPositiveDefinite(f"B is not positive definite: {exc}") from None
+        raise
     w = w[::-1].copy()
     V = V[:, ::-1].copy()
     return EigenPair(values=w, vectors=V)

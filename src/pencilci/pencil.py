@@ -326,9 +326,6 @@ def embed_2x2(
     return EmbeddedPencil(inner=inner, dim=n, j=j, outer_spectrum=tuple(outer_spectrum))
 
 
-_PENCIL_KINDS: dict[str, Callable[[dict], ParametricPencil]] = {}
-
-
 def pencil_from_descriptor(desc: dict) -> ParametricPencil:
     """Reconstruct a pencil from its descriptor dictionary."""
     kind = desc.get("kind")

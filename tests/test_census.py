@@ -65,6 +65,10 @@ def test_spec_validation():
         ExperimentSpec(n_list=(10,), pencil_kind="nope")
     with pytest.raises(ValueError, match="colls, realisations"):  # misspelt keys
         ExperimentSpec.from_dict({"n_list": [10], "realisations": 3, "colls": 8})
+    for name in ("rows", "cols", "realizations", "seed"):  # non-integer values
+        for bad in ("3", 3.0, True):
+            with pytest.raises(ValueError, match=name):
+                ExperimentSpec.from_dict({"n_list": [10], name: bad})
 
 
 def test_spec_json_roundtrip(tmp_path):

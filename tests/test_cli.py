@@ -199,9 +199,10 @@ def test_census_cli(tmp_path, capfd):
     assert len(lines) == 2 and lines[1].endswith(",1,0")
 
 
-def test_census_rejects_unknown_spec_key(tmp_path):
+def _census_error_line(tmp_path, spec_text):
+    """Run pencilci census on a bad spec file; exit 1 with one stderr line."""
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text('{"n_list": [2], "pencil_kind": "analytic_ci", "realisations": 2}')
+    spec_path.write_text(spec_text)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pencilci.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "pencilci.cli", "census", "--spec", str(spec_path),
@@ -211,7 +212,22 @@ def test_census_rejects_unknown_spec_key(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
-    assert len(lines) == 1 and "realisations" in lines[0]
+    assert len(lines) == 1
+    return lines[0]
+
+
+def test_census_rejects_unknown_spec_key(tmp_path):
+    line = _census_error_line(
+        tmp_path, '{"n_list": [2], "pencil_kind": "analytic_ci", "realisations": 2}'
+    )
+    assert "realisations" in line
+
+
+def test_census_rejects_non_integer_spec_value(tmp_path):
+    line = _census_error_line(
+        tmp_path, '{"n_list": [2], "pencil_kind": "analytic_ci", "rows": "3"}'
+    )
+    assert "rows" in line
 
 
 def test_fit_matches_library(tmp_path, capfd):

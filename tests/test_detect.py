@@ -118,6 +118,49 @@ def test_sweep_worker_count_does_not_change_result():
     assert sw1.boxes == sw2.boxes
 
 
+class _FaultyPencil:
+    """analytic_ci_pencil(0.1) with a bad evaluation inside a small disc.
+
+    The disc sits on the grid edge x = 0 between boxes (1, 3) and (2, 3) of
+    a 4x4 grid over [-1, 1]^2, clear of every other box perimeter.
+    """
+
+    n = 2
+
+    def __init__(self, fault):
+        self._base = analytic_ci_pencil(0.1)
+        self._fault = fault
+
+    def eval(self, x, y):
+        A, B = self._base.eval(x, y)
+        if math.hypot(x, y - 0.75) < 0.1:
+            return self._fault(A, B)
+        return A, B
+
+
+@pytest.mark.parametrize(
+    "fault, cause",
+    [
+        (lambda A, B: (A, -B), "NotPositiveDefinite"),
+        (lambda A, B: (np.full_like(A, np.nan), B), "NonFiniteInput"),
+    ],
+    ids=["indefinite_B", "nan_A"],
+)
+def test_sweep_bad_evaluation_stays_local(fault, cause, tmp_path):
+    grid = GridSpec(rows=4, cols=4, x_range=(-1.0, 1.0), y_range=(-1.0, 1.0))
+    sw = sweep_grid(_FaultyPencil(fault), grid, seed=0)
+    assert {(b.row, b.col) for b in sw.unresolved} == {(1, 3), (2, 3)}
+    for box in sw.unresolved:
+        assert box.pairs == () and box.attempts == 4
+        assert box.message.startswith(cause)
+    assert sw.total_count == 1  # the intersection's box is unaffected
+    write_sweep_summary(sw, tmp_path / "summary.json")
+    with open(tmp_path / "summary.json") as fh:
+        entries = json.load(fh)["unresolved_boxes"]
+    assert [e[:2] for e in entries] == [[1, 3], [2, 3]]
+    assert all(e[2].startswith(cause) for e in entries)
+
+
 def test_sweep_reports(tmp_path):
     pen = analytic_ci_pencil(0.1)
     grid = GridSpec(rows=4, cols=4, x_range=(-1.0, 1.0), y_range=(-1.0, 1.0))
@@ -156,7 +199,7 @@ def test_refine_box_converges():
 def test_refine_box_without_coalescence_fails():
     pen = analytic_ci_pencil(0.1)
     with pytest.raises(RefinementInconsistent):
-        refine_box(pen, (0.5, 0.75, 0.5, 0.75), pair=1, depth=1, max_attempts=2)
+        refine_box(pen, (0.5, 0.75, 0.5, 0.75), pair=1, depth=1)
 
 
 def test_refine_box_validation():
