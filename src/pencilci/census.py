@@ -13,20 +13,23 @@ count ~ c * n**p per (b, delta) group.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import logging
 import math
 import numbers
 import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .detect import GridSpec, sweep_grid
 from .errors import NonPositiveCount
-from .pencil import AnalyticCIPencil, dispersion_bound, sgplus_generate, sgplus_pencil
+from .pencil import AnalyticCIPencil, sgplus_bandwidth, sgplus_generate, sgplus_pencil
 
 __all__ = [
     "ExperimentSpec",
@@ -37,8 +40,11 @@ __all__ = [
     "run_census",
     "write_report",
     "fit_power_law",
+    "group_fits",
     "summarize_exponents",
 ]
+
+_log = logging.getLogger(__name__)
 
 # Fixed reference exponents for Gaussian orthogonal ensemble pencils; not
 # recomputed here, used only for side-by-side context in summaries.
@@ -88,10 +94,13 @@ class ExperimentSpec:
     pencil_params: tuple = ()
 
     def __post_init__(self):
-        for name in ("seed", "realizations", "rows", "cols"):
-            value = getattr(self, name)
+        scalars = [(name, getattr(self, name)) for name in ("seed", "realizations", "rows", "cols")]
+        listed = [("n_list", n) for n in self.n_list]
+        listed += [("b_list", b) for b in self.b_list if b != "full"]
+        for name, value in scalars + listed:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"{name}: {value!r} is not an integer")
+        for name, value in scalars:
             object.__setattr__(self, name, int(value))
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(
@@ -103,23 +112,12 @@ class ExperimentSpec:
         object.__setattr__(self, "pencil_params", tuple(tuple(p) for p in self.pencil_params))
         if self.realizations < 1:
             raise ValueError("realizations must be at least 1")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid needs at least one row and one column")
+        self.grid  # GridSpec checks rows, cols and the ranges
         if self.pencil_kind not in ("sgplus", "analytic_ci"):
             raise ValueError(f"unknown pencil_kind {self.pencil_kind!r}")
         if self.pencil_kind == "sgplus":
-            for n in self.n_list:
-                if n < 2:
-                    raise ValueError("dimensions must be at least 2")
-                bound = dispersion_bound(n)
-                for d in self.delta_list:
-                    if not 0.0 < d < bound:
-                        raise ValueError(
-                            f"dispersion {d} outside (0, {bound:.6g}) for n = {n}"
-                        )
-                for b in self.b_list:
-                    if b != "full" and not 1 <= b <= n - 1:
-                        raise ValueError(f"bandwidth {b} outside 1..{n - 1} for n = {n}")
+            for n, b, d in itertools.product(self.n_list, self.b_list, self.delta_list):
+                sgplus_bandwidth(n, b, d)
 
     @property
     def grid(self) -> GridSpec:
@@ -164,13 +162,6 @@ class ExperimentSpec:
             return cls.from_dict(json.load(fh))
 
 
-def _make_pencil(spec: ExperimentSpec, b, delta: float, n: int, seed: int):
-    if spec.pencil_kind == "analytic_ci":
-        return AnalyticCIPencil(eps=float(dict(spec.pencil_params).get("eps", 0.0)))
-    b_val = n - 1 if b == "full" else int(b)
-    return sgplus_pencil(sgplus_generate(n, b_val, delta, seed))
-
-
 def _cell_filename(b, delta_index: int, n: int, realization: int) -> str:
     return f"cell_b{_b_token(b)}_d{delta_index}_n{n}_r{realization}.json"
 
@@ -192,7 +183,10 @@ def _run_cell(task: tuple) -> str:
     spec, (b, delta_index, n, realization), out_path, sweep_workers = task
     seed = cell_seed(spec.seed, b, delta_index, n, realization)
     delta = spec.delta_list[delta_index]
-    pencil = _make_pencil(spec, b, delta, n, seed)
+    if spec.pencil_kind == "analytic_ci":
+        pencil = AnalyticCIPencil(eps=float(dict(spec.pencil_params).get("eps", 0.0)))
+    else:
+        pencil = sgplus_pencil(sgplus_generate(n, b, delta, seed))
     start = time.perf_counter()
     result = sweep_grid(pencil, spec.grid, seed=seed, workers=sweep_workers)
     wall = time.perf_counter() - start
@@ -266,37 +260,37 @@ class CensusReport:
     fits: dict  # (b_token, delta_index) -> PowerLawFit | None
 
 
+def group_fits(rows) -> tuple[dict, dict]:
+    """Mean count per (group, n) and a power-law fit per group.
+
+    rows holds (group, n, count) triples. Returns (means, fits): means maps
+    (group, n) to the mean count; fits maps each group to the fit of its
+    positive means, or None when fewer than two remain. Groups and n keep
+    first-seen order, which orders the fit points and both dictionaries.
+    """
+    counts: dict = {}
+    for group, n, count in rows:
+        counts.setdefault((group, n), []).append(count)
+    means = {key: float(np.mean(values)) for key, values in counts.items()}
+    points: dict = {group: [] for group, _ in means}
+    for (group, n), mean in means.items():
+        if mean > 0.0:
+            points[group].append((n, mean))
+    # points hold positive means only, so the fit drops nothing
+    fits = {g: fit_power_law(pts) if len(pts) >= 2 else None for g, pts in points.items()}
+    return means, fits
+
+
 def _assemble_report(spec: ExperimentSpec, cell_dir: str) -> CensusReport:
     cells = []
     for b, di, n, r in spec.cells():
         path = os.path.join(cell_dir, _cell_filename(b, di, n, r))
         with open(path, encoding="utf-8") as fh:
             cells.append(json.load(fh))
-    means: dict = {}
-    for b in spec.b_list:
-        token = _b_token(b)
-        for di in range(len(spec.delta_list)):
-            for n in spec.n_list:
-                counts = [
-                    c["count"]
-                    for c in cells
-                    if _b_token(c["b"]) == token
-                    and c["delta_index"] == di
-                    and c["n"] == n
-                ]
-                if counts:
-                    means[(token, di, n)] = float(np.mean(counts))
-    fits: dict = {}
-    for b in spec.b_list:
-        token = _b_token(b)
-        for di in range(len(spec.delta_list)):
-            pts = [
-                (n, means[(token, di, n)])
-                for n in spec.n_list
-                if (token, di, n) in means and means[(token, di, n)] > 0.0
-            ]
-            # pts holds positive means only, so the fit drops nothing
-            fits[(token, di)] = fit_power_law(pts) if len({n for n, _ in pts}) >= 2 else None
+    means, fits = group_fits(
+        ((_b_token(c["b"]), c["delta_index"]), c["n"], c["count"]) for c in cells
+    )
+    means = {(*group, n): mean for (group, n), mean in means.items()}
     return CensusReport(spec=spec, cells=cells, means=means, fits=fits)
 
 
@@ -309,7 +303,8 @@ def run_census(
     resume=True, existing valid cell files are kept and only missing cells
     run. With more pending cells than one, workers > 1 parallelizes over
     cells (sweeps inside each cell stay serial); otherwise the sweep level
-    uses the worker budget.
+    uses the worker budget. Logs cells done, elapsed time and ETA at INFO as
+    each cell finishes, in cell order.
     """
     out_dir = str(out_dir)
     cell_dir = os.path.join(out_dir, "cells")
@@ -321,12 +316,15 @@ def run_census(
             pending.append((key, out_path))
     parallel = workers > 1 and len(pending) > 1
     tasks = [(spec, key, out_path, 1 if parallel else workers) for key, out_path in pending]
-    if parallel:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_run_cell, tasks))
-    else:
-        for task in tasks:
-            _run_cell(task)
+    skipped, start = len(spec.cells()) - len(tasks), time.perf_counter()
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        finished = pool.map(_run_cell, tasks) if parallel else map(_run_cell, tasks)
+        for ran, _ in enumerate(finished, 1):
+            elapsed = time.perf_counter() - start
+            _log.info(
+                "census: %d/%d cells done, %.1f s elapsed, ETA %.1f s",
+                skipped + ran, skipped + len(tasks), elapsed, elapsed / ran * (len(tasks) - ran),
+            )
     return _assemble_report(spec, cell_dir)
 
 
@@ -347,50 +345,34 @@ def write_report(report: CensusReport, out_dir) -> dict:
         "report": os.path.join(out_dir, "census_report.json"),
     }
 
-    by_key = {
-        (_b_token(c["b"]), c["delta_index"], c["n"], c["realization"]): c
-        for c in report.cells
-    }
     with open(paths["counts"], "w", newline="", encoding="utf-8") as fh:
         fh.write("b,delta,n,realization,count,n_unresolved\n")
-        for b, di, n, r in spec.cells():
-            c = by_key[(_b_token(b), di, n, r)]
+        for c in report.cells:
             fh.write(
-                f"{_b_token(b)},{spec.delta_list[di]:.17g},{n},{r},"
-                f"{c['count']},{c['n_unresolved']}\n"
+                f"{_b_token(c['b'])},{spec.delta_list[c['delta_index']]:.17g},{c['n']},"
+                f"{c['realization']},{c['count']},{c['n_unresolved']}\n"
             )
 
     with open(paths["fits"], "w", newline="", encoding="utf-8") as fh:
         fh.write("b,delta,p,c,rmsd,n_points\n")
-        for b in spec.b_list:
-            token = _b_token(b)
-            for di in range(len(spec.delta_list)):
-                fit = report.fits.get((token, di))
-                if fit is None:
-                    continue
+        for (token, di), fit in report.fits.items():
+            if fit is not None:
                 fh.write(
                     f"{token},{spec.delta_list[di]:.17g},{fit.p:.17g},"
                     f"{fit.c:.17g},{fit.rmsd:.17g},{fit.n_points}\n"
                 )
 
+    # means run group by group (cells are ordered b, delta, n); a blank line ends each group
     with open(paths["loglog"], "w", encoding="utf-8") as fh:
         fh.write("# b delta n mean_count log_n log_mean\n")
-        for b in spec.b_list:
-            token = _b_token(b)
-            for di in range(len(spec.delta_list)):
-                rows = [
-                    (n, report.means[(token, di, n)])
-                    for n in spec.n_list
-                    if (token, di, n) in report.means
-                ]
-                for n, mean in rows:
-                    if mean > 0:
-                        fh.write(
-                            f"{token} {spec.delta_list[di]:.17g} {n} {mean:.17g} "
-                            f"{math.log(n):.17g} {math.log(mean):.17g}\n"
-                        )
-                if rows:
-                    fh.write("\n")
+        for (token, di), group in itertools.groupby(report.means.items(), lambda kv: kv[0][:2]):
+            for (_, _, n), mean in group:
+                if mean > 0:
+                    fh.write(
+                        f"{token} {spec.delta_list[di]:.17g} {n} {mean:.17g} "
+                        f"{math.log(n):.17g} {math.log(mean):.17g}\n"
+                    )
+            fh.write("\n")
 
     doc = {
         "spec": report.spec.to_dict(),
@@ -400,14 +382,7 @@ def write_report(report: CensusReport, out_dir) -> dict:
             for k, v in sorted(report.means.items())
         ],
         "fits": [
-            {
-                "b": k[0],
-                "delta_index": k[1],
-                "p": f.p,
-                "c": f.c,
-                "rmsd": f.rmsd,
-                "n_points": f.n_points,
-            }
+            {"b": k[0], "delta_index": k[1], **asdict(f)}
             for k, f in sorted(report.fits.items())
             if f is not None
         ],
@@ -421,18 +396,20 @@ def write_report(report: CensusReport, out_dir) -> dict:
 def summarize_exponents(fits: dict) -> list[dict]:
     """Side-by-side of fitted exponents against the fixed reference values.
 
-    fits maps (b_token, delta_index) or b_token to PowerLawFit; entries with
-    no reference exponent get reference_p None.
+    fits maps tuple keys whose first entry is the bandwidth token, such as
+    (b_token, delta_index), to a PowerLawFit or None. None entries are
+    skipped; entries with no reference exponent get reference_p None.
     """
     rows = []
     for key, fit in sorted(fits.items(), key=lambda kv: str(kv[0])):
         if fit is None:
             continue
-        token = key[0] if isinstance(key, tuple) else _b_token(key)
-        ref = GOE_REFERENCE_EXPONENTS.get(str(token))
+        token = str(key[0]) if key else None
+        ref = GOE_REFERENCE_EXPONENTS.get(token)
         rows.append(
             {
-                "b": str(token),
+                "key": key,
+                "b": token,
                 "p": fit.p,
                 "reference_p": ref,
                 "difference": None if ref is None else fit.p - ref,

@@ -17,19 +17,9 @@ import json
 import logging
 import os
 import sys
-from collections import defaultdict
-
-import numpy as np
 
 from . import __version__
-from .census import (
-    ExperimentSpec,
-    GOE_REFERENCE_EXPONENTS,
-    fit_power_law,
-    run_census,
-    summarize_exponents,
-    write_report,
-)
+from .census import ExperimentSpec, group_fits, run_census, summarize_exponents, write_report
 from .continuation import trace, trace_loop, write_trace_csv
 from .detect import GridSpec, decode_signature, sweep_grid, write_ci_csv, write_sweep_summary
 from .errors import PencilError
@@ -56,11 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_manifest(out_dir: str, command: str, config: dict, outputs: list[str]) -> None:
-    clean = {}
-    for k, v in config.items():
-        if k in ("func", "command"):
-            continue
-        clean[k] = str(v) if isinstance(v, os.PathLike) else v
+    clean = {k: v for k, v in config.items() if k not in ("func", "command")}
     doc = {
         "command": command,
         "version": __version__,
@@ -96,6 +82,15 @@ def _parse_loop(spec: str):
     raise ValueError(f"unknown loop kind: {kind!r}")
 
 
+def _print_fits(fits: dict, columns) -> None:
+    """One line per fitted group: its column values, p, c, rmsd and reference p."""
+    for row in summarize_exponents(fits):
+        fit = fits[row["key"]]
+        label = ", ".join(f"{c}={v}" for c, v in zip(columns, row["key"])) or "all"
+        ref = "" if row["reference_p"] is None else f"  (reference p {row['reference_p']})"
+        print(f"{label}: p = {fit.p:.6g}, c = {fit.c:.6g}, rmsd = {fit.rmsd:.6g}{ref}")
+
+
 def _cmd_generate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     if args.kind == "analytic_ci":
@@ -103,7 +98,7 @@ def _cmd_generate(args) -> int:
     else:
         if args.n is None or args.b is None or args.delta is None:
             raise ValueError("generate --kind sgplus requires --n, --b and --delta")
-        b = args.n - 1 if args.b == "full" else int(args.b)
+        b = args.b if args.b == "full" else int(args.b)
         pencil = sgplus_pencil(sgplus_generate(args.n, b, args.delta, args.seed))
     out = args.out or os.path.join(args.out_dir, "pencil.json")
     save_pencil(pencil, out)
@@ -172,9 +167,7 @@ def _cmd_census(args) -> int:
     _write_manifest(
         args.out_dir, "census", vars(args), [os.path.basename(p) for p in paths.values()]
     )
-    for row in summarize_exponents(report.fits):
-        ref = "" if row["reference_p"] is None else f" (reference p {row['reference_p']})"
-        print(f"b={row['b']}: p = {row['p']:.4f}{ref}")
+    _print_fits(report.fits, ("b", "delta_index"))
     log.info("census complete: %d cells", len(report.cells))
     return 0
 
@@ -186,57 +179,43 @@ def _cmd_fit(args) -> int:
     if not rows:
         raise ValueError(f"no data rows in {args.data}")
     fields = rows[0].keys()
-    if "n" not in fields:
-        raise ValueError("data file needs an 'n' column")
-    count_col = next(
-        (c for c in ("mean_count", "count", "avg_count", "mean") if c in fields), None
-    )
-    if count_col is None:
-        raise ValueError("data file needs a count column (mean_count or count)")
+    count_col = next((c for c in ("mean_count", "count") if c in fields), None)
+    if "n" not in fields or count_col is None:
+        raise ValueError("data file needs an 'n' column and a count column (mean_count or count)")
     group_cols = [c for c in ("b", "bandwidth", "delta") if c in fields]
-
-    grouped: dict = defaultdict(list)
-    for row in rows:
-        key = tuple(row[c] for c in group_cols)
-        grouped[key].append((float(row["n"]), float(row[count_col])))
-
-    fit_rows = []
-    for key in sorted(grouped):
-        by_n: dict = defaultdict(list)
-        for n, c in grouped[key]:
-            by_n[n].append(c)
-        pts = [(n, float(np.mean(cs))) for n, cs in sorted(by_n.items())]
-        fit = fit_power_law(pts)
-        fit_rows.append((key, fit))
+    _, fits = group_fits(
+        (tuple(row[c] for c in group_cols), float(row["n"]), float(row[count_col]))
+        for row in rows
+    )
+    fits = {key: fit for key, fit in fits.items() if fit is not None}
+    if not fits:
+        raise ValueError("no group has positive mean counts at two or more n")
 
     out = os.path.join(args.out_dir, "fit_summary.csv")
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(group_cols) + ["p", "c", "rmsd", "n_points"])
-        for key, fit in fit_rows:
+        writer.writerow(group_cols + ["p", "c", "rmsd", "n_points"])
+        for key, fit in fits.items():
             writer.writerow(
                 list(key)
                 + [f"{fit.p:.17g}", f"{fit.c:.17g}", f"{fit.rmsd:.17g}", fit.n_points]
             )
     _write_manifest(args.out_dir, "fit", vars(args), ["fit_summary.csv"])
-    for key, fit in fit_rows:
-        label = ", ".join(f"{c}={v}" for c, v in zip(group_cols, key)) or "all"
-        named = dict(zip(group_cols, key))
-        ref = GOE_REFERENCE_EXPONENTS.get(str(named.get("b", named.get("bandwidth", ""))))
-        extra = "" if ref is None else f"  (reference p {ref})"
-        print(f"{label}: p = {fit.p:.6g}, c = {fit.c:.6g}, rmsd = {fit.rmsd:.6g}{extra}")
+    _print_fits(fits, group_cols)
     return 0
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    common.add_argument(
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    pooled = argparse.ArgumentParser(add_help=False)
+    pooled.add_argument(
         "--workers",
         type=int,
         default=os.cpu_count() or 1,
         help="worker processes (default: available parallelism)",
     )
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=".", help="output directory (default .)")
     common.add_argument(
         "--log-level",
@@ -249,7 +228,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"pencilci {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("generate", parents=[common], help="write a pencil descriptor")
+    p = sub.add_parser("generate", parents=[common, seeded], help="write a pencil descriptor")
     p.add_argument("--kind", default="sgplus", choices=["sgplus", "analytic_ci"])
     p.add_argument("--n", type=int, help="dimension")
     p.add_argument("--b", help="bandwidth (integer or 'full')")
@@ -263,7 +242,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--loop", required=True, help="loop spec JSON (inline or @file)")
     p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser("sweep", parents=[common], help="sweep a box grid for coalescences")
+    p = sub.add_parser(
+        "sweep", parents=[common, seeded, pooled], help="sweep a box grid for coalescences"
+    )
     p.add_argument("--pencil", required=True, help="pencil descriptor JSON")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
@@ -271,7 +252,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--y-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("census", parents=[common], help="run an ensemble census")
+    p = sub.add_parser("census", parents=[common, pooled], help="run an ensemble census")
     p.add_argument("--spec", required=True, help="experiment spec JSON")
     p.add_argument("--no-resume", dest="resume", action="store_false")
     p.set_defaults(func=_cmd_census, resume=True)

@@ -35,6 +35,7 @@ __all__ = [
     "analytic_ci_pencil",
     "embed_2x2",
     "dispersion_bound",
+    "sgplus_bandwidth",
     "Path",
     "BoxPerimeter",
     "CirclePath",
@@ -91,7 +92,27 @@ class SGPlusRealization:
     D_B: np.ndarray
 
 
-def sgplus_generate(n: int, b: int, delta: float, seed: int) -> SGPlusRealization:
+def sgplus_bandwidth(n: int, b, delta: float) -> int:
+    """Check n >= 2, 1 <= b <= n - 1 and 0 < delta < sqrt((n+1)/(n+5)).
+
+    Returns b as an integer, "full" meaning n - 1. Raises ValueError,
+    BandwidthOutOfRange or DispersionOutOfRange, in that order of checks.
+    """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+    b = n - 1 if b == "full" else b
+    if not 1 <= b <= n - 1:
+        raise BandwidthOutOfRange(f"bandwidth {b} outside 1..{n - 1} for n = {n}")
+    bound = dispersion_bound(n)
+    if not 0.0 < delta < bound:
+        raise DispersionOutOfRange(
+            f"delta = {delta} outside the open interval "
+            f"(0, sqrt((n+1)/(n+5))) = (0, {bound:.6f}) for n = {n}"
+        )
+    return b
+
+
+def sgplus_generate(n: int, b, delta: float, seed: int) -> SGPlusRealization:
     """Draw an SG+ realization with a pinned sampler and draw order.
 
     Band entries of each factor are i.i.d. Normal(0, 1) scaled by
@@ -100,25 +121,10 @@ def sgplus_generate(n: int, b: int, delta: float, seed: int) -> SGPlusRealizatio
     i = 1..n. The generator is counter-based (Philox) and the draw order is
     fixed: L_A1..L_A4 then L_B1..L_B4, band entries row-major within each
     factor, then D_A, then D_B. The delta constraint keeps every a_i > 3, so
-    the vectorized gamma sampler stays in its shape >= 1 regime.
-
-    Raises
-    ------
-    BandwidthOutOfRange
-        If b is outside 1..n-1.
-    DispersionOutOfRange
-        If delta is outside the open interval (0, sqrt((n+1)/(n+5))).
+    the vectorized gamma sampler stays in its shape >= 1 regime. b may be
+    "full"; (n, b, delta) are checked by :func:`sgplus_bandwidth`.
     """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if not 1 <= b <= n - 1:
-        raise BandwidthOutOfRange(f"bandwidth {b} outside 1..{n - 1}")
-    bound = dispersion_bound(n)
-    if not 0.0 < delta < bound:
-        raise DispersionOutOfRange(
-            f"delta = {delta} outside the open interval "
-            f"(0, sqrt((n+1)/(n+5))) = (0, {bound:.6f}) for n = {n}"
-        )
+    b = sgplus_bandwidth(n, b, delta)
     sigma = delta / np.sqrt(n + 1)
     rng = np.random.Generator(np.random.Philox(seed))
 

@@ -1,4 +1,6 @@
+import csv
 import json
+import logging
 import math
 import os
 import shutil
@@ -17,6 +19,8 @@ from pencilci.census import (
     summarize_exponents,
     write_report,
 )
+from pencilci.census import _cell_filename
+from pencilci.cli import main
 from pencilci.errors import NonPositiveCount
 from test_acceptance import DESK_CENSUS_SPEC
 
@@ -69,6 +73,13 @@ def test_spec_validation():
         for bad in ("3", 3.0, True):
             with pytest.raises(ValueError, match=name):
                 ExperimentSpec.from_dict({"n_list": [10], name: bad})
+    for name, bad in (("n_list", 10.7), ("n_list", "10"), ("n_list", True),
+                      ("b_list", 3.9), ("b_list", "3"), ("b_list", False)):
+        with pytest.raises(ValueError, match=name):  # entries are not truncated to int
+            ExperimentSpec.from_dict({"n_list": [10], **{name: [bad]}})
+    for name, bad in (("x_range", [0, 0]), ("y_range", [1.0, 0.5])):  # empty ranges
+        with pytest.raises(ValueError, match="increasing"):
+            ExperimentSpec.from_dict({"n_list": [10], name: bad})
 
 
 def test_spec_json_roundtrip(tmp_path):
@@ -154,6 +165,94 @@ def test_census_empty_n_list(tmp_path):
         assert fh.read() == "b,delta,n,realization,count,n_unresolved\n"
     with open(paths["fits"]) as fh:
         assert fh.read() == "b,delta,p,c,rmsd,n_points\n"
+
+
+def test_census_logs_progress(tmp_path, caplog):
+    spec = ExperimentSpec(**dict(TINY_ANALYTIC, realizations=2))
+
+    def progress_lines():
+        lines = [r.getMessage() for r in caplog.records if r.name == "pencilci.census"]
+        caplog.clear()
+        return lines
+
+    with caplog.at_level(logging.INFO, logger="pencilci.census"):
+        run_census(spec, tmp_path)
+        lines = progress_lines()
+        assert [line.split(",")[0] for line in lines] == [
+            "census: 1/2 cells done", "census: 2/2 cells done"
+        ]
+        assert "s elapsed" in lines[0] and "ETA" in lines[0]
+        assert lines[1].endswith("ETA 0.0 s")
+        os.remove(tmp_path / "cells" / _cell_filename("full", 0, 2, 1))
+        run_census(spec, tmp_path)  # resumed: the skipped cell counts as done
+        assert [line.split(",")[0] for line in progress_lines()] == ["census: 2/2 cells done"]
+        run_census(spec, tmp_path)
+        assert progress_lines() == []
+
+
+# counts of a synthetic census, keyed (b, delta_index, n): two bandwidths, two
+# dispersions, n_list out of order, a zero mean in ("3", 1) and a single
+# positive mean in ("full", 1), whose fit is None
+SYNTHETIC_SPEC = ExperimentSpec(
+    n_list=(6, 4, 5), b_list=(3, "full"), delta_list=(0.3, 0.45), realizations=2,
+    rows=1, cols=1,
+)
+SYNTHETIC_COUNTS = {
+    (3, 0, 6): (30, 35), (3, 0, 4): (10, 12), (3, 0, 5): (19, 22),
+    (3, 1, 6): (41, 44), (3, 1, 4): (0, 0), (3, 1, 5): (25, 26),
+    ("full", 0, 6): (50, 53), ("full", 0, 4): (14, 15), ("full", 0, 5): (30, 31),
+    ("full", 1, 6): (0, 0), ("full", 1, 4): (7, 8), ("full", 1, 5): (0, 0),
+}
+
+
+def _synthetic_census(out_dir):
+    """Write the synthetic cell files, so run_census only assembles them."""
+    os.makedirs(out_dir / "cells")
+    for b, di, n, r in SYNTHETIC_SPEC.cells():
+        cell = {
+            "b": b, "delta": SYNTHETIC_SPEC.delta_list[di], "delta_index": di, "n": n,
+            "realization": r, "seed": 0, "count": SYNTHETIC_COUNTS[(b, di, n)][r],
+            "pair_counts": {}, "n_unresolved": r, "wall_time": 1.0,
+        }
+        with open(out_dir / "cells" / _cell_filename(b, di, n, r), "w") as fh:
+            json.dump(cell, fh)
+    return write_report(run_census(SYNTHETIC_SPEC, out_dir, resume=True), out_dir)
+
+
+def test_aggregates_from_cell_files(tmp_path):
+    paths = _synthetic_census(tmp_path)
+    fits, loglog = ["b,delta,p,c,rmsd,n_points"], ["# b delta n mean_count log_n log_mean"]
+    for b, di, delta in ((3, 0, "0.29999999999999999"), (3, 1, "0.45000000000000001"),
+                         ("full", 0, "0.29999999999999999"), ("full", 1, "0.45000000000000001")):
+        means = [(n, sum(SYNTHETIC_COUNTS[(b, di, n)]) / 2) for n in (6, 4, 5)]
+        means = [(n, m) for n, m in means if m > 0]
+        if len(means) >= 2:
+            f = fit_power_law(means)
+            fits.append(f"{b},{delta},{f.p:.17g},{f.c:.17g},{f.rmsd:.17g},{len(means)}")
+        loglog += [f"{b} {delta} {n} {m:.17g} {math.log(n):.17g} {math.log(m):.17g}"
+                   for n, m in means] + [""]
+    with open(paths["fits"]) as fh:
+        text = fh.read()
+    assert text == "\n".join(fits) + "\n"
+    assert len(text.splitlines()) == 4  # ("full", 1) has no fit
+    with open(paths["loglog"]) as fh:
+        text = fh.read()
+    assert text == "\n".join(loglog) + "\n"
+    assert "\n3 0.45000000000000001 4 " not in text  # the zero mean has no log
+    with open(paths["counts"]) as fh:
+        rows = fh.read().splitlines()
+    assert rows[1:4] == ["3,0.29999999999999999,6,0,30,0", "3,0.29999999999999999,6,1,35,1",
+                         "3,0.29999999999999999,4,0,10,0"]
+    assert len(rows) == 1 + len(SYNTHETIC_SPEC.cells())
+
+
+def test_fit_command_matches_census_fits(tmp_path):
+    paths = _synthetic_census(tmp_path / "census")
+    assert main(["fit", "--data", paths["counts"], "--out-dir", str(tmp_path / "fit")]) == 0
+    with open(paths["fits"], newline="") as fh:
+        census_rows = list(csv.reader(fh))
+    with open(tmp_path / "fit" / "fit_summary.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == census_rows
 
 
 def _read_aggregates(out_dir):

@@ -230,6 +230,11 @@ def test_census_rejects_non_integer_spec_value(tmp_path):
     assert "rows" in line
 
 
+def test_census_rejects_fractional_dimension(tmp_path):
+    line = _census_error_line(tmp_path, '{"n_list": [10.7]}')
+    assert "n_list" in line and "10.7" in line
+
+
 def test_fit_matches_library(tmp_path, capfd):
     rc = run("fit", "--data", DATA, "--out-dir", tmp_path)
     assert rc == 0
@@ -264,6 +269,29 @@ def test_fit_missing_file(tmp_path):
     assert run("fit", "--data", tmp_path / "nope.csv", "--out-dir", tmp_path) == 1
 
 
+def test_fit_needs_a_known_count_column(tmp_path):
+    data = tmp_path / "avg.csv"
+    data.write_text("bandwidth,n,avg_count\n3,50,3340\n3,60,5318\n")
+    assert run("fit", "--data", data, "--out-dir", tmp_path) == 1
+    assert not (tmp_path / "fit_summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--spec", "spec.json", "--seed", 1),
+        ("fit", "--data", "counts.csv", "--workers", 2),
+        ("trace", "--pencil", "pencil.json", "--loop", "{}", "--seed", 1),
+        ("generate", "--workers", 2),
+    ],
+    ids=["census-seed", "fit-workers", "trace-seed", "generate-workers"],
+)
+def test_flag_the_subcommand_does_not_read_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 1
+
+
 def test_unknown_subcommand_exits_one():
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")
@@ -288,4 +316,4 @@ def test_manifest_shape(tmp_path, analytic_descriptor):
     assert set(doc) == {"command", "config", "outputs", "version"}
     assert doc["command"] == "trace"
     assert doc["outputs"] == ["signature.json", "trace.csv"]
-    assert "func" not in doc["config"]
+    assert not {"func", "seed", "workers"} & set(doc["config"])
