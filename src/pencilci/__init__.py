@@ -74,7 +74,6 @@ from .pencil import (
     BoxPerimeter,
     CirclePath,
     EmbeddedPencil,
-    FunctionPath,
     ParametricPencil,
     Path,
     SegmentPath,

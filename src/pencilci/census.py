@@ -29,7 +29,7 @@ import numpy as np
 
 from .detect import GridSpec, sweep_grid
 from .errors import NonPositiveCount
-from .pencil import AnalyticCIPencil, sgplus_bandwidth, sgplus_generate, sgplus_pencil
+from .pencil import sgplus_bandwidth, sgplus_generate, sgplus_pencil
 
 __all__ = [
     "ExperimentSpec",
@@ -75,10 +75,8 @@ def cell_seed(seed0: int, b, delta_index: int, n: int, realization: int) -> int:
 class ExperimentSpec:
     """Full description of one census run; JSON round-trippable.
 
-    b_list entries are positive integers or "full" (bandwidth n-1).
-    pencil_kind "analytic_ci" overrides the ensemble with the fixed 2x2
-    family (pencil_params holds its eps); the (b, delta, n) axes then only
-    label cells.
+    Every cell is an SG+ pencil. b_list entries are positive integers or
+    "full" (bandwidth n-1).
     """
 
     seed: int = 0
@@ -90,8 +88,6 @@ class ExperimentSpec:
     cols: int = 32
     x_range: tuple[float, float] = (0.0, math.pi)
     y_range: tuple[float, float] = (0.0, 2.0 * math.pi)
-    pencil_kind: str = "sgplus"
-    pencil_params: tuple = ()
 
     def __post_init__(self):
         scalars = [(name, getattr(self, name)) for name in ("seed", "realizations", "rows", "cols")]
@@ -109,15 +105,11 @@ class ExperimentSpec:
         object.__setattr__(self, "delta_list", tuple(float(d) for d in self.delta_list))
         object.__setattr__(self, "x_range", tuple(float(v) for v in self.x_range))
         object.__setattr__(self, "y_range", tuple(float(v) for v in self.y_range))
-        object.__setattr__(self, "pencil_params", tuple(tuple(p) for p in self.pencil_params))
         if self.realizations < 1:
             raise ValueError("realizations must be at least 1")
         self.grid  # GridSpec checks rows, cols and the ranges
-        if self.pencil_kind not in ("sgplus", "analytic_ci"):
-            raise ValueError(f"unknown pencil_kind {self.pencil_kind!r}")
-        if self.pencil_kind == "sgplus":
-            for n, b, d in itertools.product(self.n_list, self.b_list, self.delta_list):
-                sgplus_bandwidth(n, b, d)
+        for n, b, d in itertools.product(self.n_list, self.b_list, self.delta_list):
+            sgplus_bandwidth(n, b, d)
 
     @property
     def grid(self) -> GridSpec:
@@ -135,25 +127,18 @@ class ExperimentSpec:
             for r in range(self.realizations)
         ]
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["pencil_params"] = {k: v for k, v in self.pencil_params}
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        d = dict(d)
+        if not isinstance(d, dict):
+            raise ValueError(f"experiment spec must be a JSON object, not {d!r}")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown experiment spec keys: {', '.join(unknown)}")
-        params = d.get("pencil_params", {})
-        if isinstance(params, dict):
-            d["pencil_params"] = tuple(sorted(params.items()))
         return cls(**d)
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
@@ -170,7 +155,7 @@ def _cell_valid(path: str) -> bool:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        return isinstance(data.get("count"), int)
+        return isinstance(data, dict) and isinstance(data.get("count"), int)
     except (OSError, ValueError):
         return False
 
@@ -183,10 +168,7 @@ def _run_cell(task: tuple) -> str:
     spec, (b, delta_index, n, realization), out_path, sweep_workers = task
     seed = cell_seed(spec.seed, b, delta_index, n, realization)
     delta = spec.delta_list[delta_index]
-    if spec.pencil_kind == "analytic_ci":
-        pencil = AnalyticCIPencil(eps=float(dict(spec.pencil_params).get("eps", 0.0)))
-    else:
-        pencil = sgplus_pencil(sgplus_generate(n, b, delta, seed))
+    pencil = sgplus_pencil(sgplus_generate(n, b, delta, seed))
     start = time.perf_counter()
     result = sweep_grid(pencil, spec.grid, seed=seed, workers=sweep_workers)
     wall = time.perf_counter() - start
@@ -375,7 +357,7 @@ def write_report(report: CensusReport, out_dir) -> dict:
             fh.write("\n")
 
     doc = {
-        "spec": report.spec.to_dict(),
+        "spec": asdict(report.spec),
         "cells": report.cells,
         "means": [
             {"b": k[0], "delta_index": k[1], "n": k[2], "mean_count": v}

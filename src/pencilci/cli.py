@@ -175,17 +175,22 @@ def _cmd_census(args) -> int:
 def _cmd_fit(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     with open(args.data, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = [(reader.line_num, row) for row in reader]
     if not rows:
         raise ValueError(f"no data rows in {args.data}")
-    fields = rows[0].keys()
+    fields = rows[0][1].keys()
     count_col = next((c for c in ("mean_count", "count") if c in fields), None)
     if "n" not in fields or count_col is None:
         raise ValueError("data file needs an 'n' column and a count column (mean_count or count)")
     group_cols = [c for c in ("b", "bandwidth", "delta") if c in fields]
+    for line, row in rows:
+        missing = [c for c in group_cols + ["n", count_col] if not row[c]]
+        if missing:
+            raise ValueError(f"{args.data} line {line}: no value for {', '.join(missing)}")
     _, fits = group_fits(
         (tuple(row[c] for c in group_cols), float(row["n"]), float(row[count_col]))
-        for row in rows
+        for _, row in rows
     )
     fits = {key: fit for key, fit in fits.items() if fit is not None}
     if not fits:

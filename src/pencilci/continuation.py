@@ -96,7 +96,6 @@ class EigenPoint:
     t: float
     V: np.ndarray
     lam: np.ndarray
-    h_next: float
 
 
 class StepRecord(NamedTuple):
@@ -176,7 +175,7 @@ def init_decomposition(pencil, path, t: float = 0.0) -> EigenPoint:
             f"adjacent eigenvalues of pairs {tuple(int(p) + 1 for p in close)} "
             f"closer than 10*eps at t = {t:.12g}"
         )
-    return EigenPoint(t=t, V=_canonical_signs(ep.vectors), lam=ep.values, h_next=0.0)
+    return EigenPoint(t=t, V=_canonical_signs(ep.vectors), lam=ep.values)
 
 
 def predict(
@@ -317,7 +316,6 @@ def veering_traverse(
     path,
     pair: int,
     h_entry: float,
-    h_min: float,
 ) -> _VeeringResult:
     """Advance past a veering interval of the 1-based pair (pair, pair+1).
 
@@ -337,8 +335,8 @@ def veering_traverse(
     Raises
     ------
     StepUnderflow
-        If the required substep falls below h_min (a coalescence sits on or
-        numerically on the path).
+        If the required substep falls below H_MIN_FRAC (a coalescence sits
+        on or numerically on the path).
     TripleDegeneracy
         If a third eigenvalue enters the near-degenerate zone.
     """
@@ -381,17 +379,17 @@ def veering_traverse(
         )
         if not (outer_ok and pair_ok):
             h_v = h_step / 2.0
-            if h_v < h_min:
+            if h_v < H_MIN_FRAC:
                 raise StepUnderflow(
                     f"eigenvector rotation unresolvable near t = {t:.12g} "
-                    f"(substep {h_v:.3e} below floor {h_min:.3e})"
+                    f"(substep {h_v:.3e} below floor {H_MIN_FRAC:.3e})"
                 )
             continue
         signs = np.where(diag >= 0.0, 1.0, -1.0)
         V_new = ep.vectors * signs
         t = t_new
         V_prev = V_new
-        points.append(EigenPoint(t=t, V=V_new, lam=lam, h_next=h_v))
+        points.append(EigenPoint(t=t, V=V_new, lam=lam))
         records.append(StepRecord(t, h_step, math.nan, math.nan, True))
         if gaps[i] >= VEERING_EXIT_FACTOR * TOLDIST:
             W = V_new[:, pair_ix]
@@ -400,7 +398,7 @@ def veering_traverse(
             Z, _ = _resolve_pair(Ap, Bp)
             V_res = V_new.copy()
             V_res[:, pair_ix] = W @ Z
-            out = EigenPoint(t=t, V=V_res, lam=lam, h_next=h_entry)
+            out = EigenPoint(t=t, V=V_res, lam=lam)
             points[-1] = out
             return _VeeringResult(out, (t_enter, t, pair), points, records)
         if pair_diag > _VEER_EASY:
@@ -453,27 +451,23 @@ def trace(pencil, path) -> TraceResult:
                 raise TripleDegeneracy(
                     f"{flagged.size} pairs simultaneously near-degenerate at t = {t_next:.12g}"
                 )
-            vr = veering_traverse(
-                state, pencil, path, pair=int(flagged[0]) + 1, h_entry=h_try, h_min=H_MIN_FRAC
-            )
+            vr = veering_traverse(state, pencil, path, pair=int(flagged[0]) + 1, h_entry=h_try)
             events.append(vr.event)
             points.extend(vr.points)
             records.extend(vr.records)
             accepted += len(vr.points)
             state = vr.state
-            h = min(state.h_next, H_MAX_FRAC)
+            h = h_try  # the stepsize at which the veering zone was entered
             continue
         lam_pred, V_pred = predict(state, A_next, B_next, h_try)
         V_corr, _, min_overlap = sign_correct(ep.vectors, B_next, V_pred)
         dec = step_control(ep.values, lam_pred, V_corr, V_pred, B_next, h_try)
         if dec.accept and min_overlap >= AMBIGUOUS_OVERLAP:
-            h_next = min(dec.h_new, H_MAX_FRAC)
-            h_next = secant_guard(state.lam, ep.values, h_next, h_taken=h_try)
-            state = EigenPoint(t=t_next, V=V_corr, lam=ep.values, h_next=h_next)
+            h = secant_guard(state.lam, ep.values, min(dec.h_new, H_MAX_FRAC), h_taken=h_try)
+            state = EigenPoint(t=t_next, V=V_corr, lam=ep.values)
             points.append(state)
             records.append(StepRecord(t_next, h_try, dec.rho_lambda, dec.rho_V, False))
             accepted += 1
-            h = h_next
         else:
             rejected += 1
             h = dec.h_new

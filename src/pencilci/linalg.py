@@ -31,6 +31,11 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 
+# spd_sqrt_series stops once a term's Frobenius norm falls below
+# SERIES_TOL and gives up after SERIES_MAX_TERMS terms.
+SERIES_TOL = 1e-14
+SERIES_MAX_TERMS = 100_000
+
 # Relative positivity floor: an eigenvalue of B at or below 1e3*eps times
 # the largest one is treated as a positive-definiteness violation.
 PIVOT_FLOOR_FACTOR = 1e3 * _EPS
@@ -52,10 +57,6 @@ class EigenPair:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 def _eigh_spd(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,12 +83,7 @@ def spd_sqrt(B: np.ndarray) -> np.ndarray:
     return symmetrize((U * np.sqrt(w)) @ U.T)
 
 
-def spd_sqrt_series(
-    B: np.ndarray,
-    gamma: float,
-    tol: float = 1e-14,
-    max_terms: int = 100_000,
-) -> np.ndarray:
+def spd_sqrt_series(B: np.ndarray, gamma: float) -> np.ndarray:
     """SPD square root via the binomial series, scaled by gamma.
 
     Writes C = B/gamma = I + Y and sums sqrt(gamma) * (I + Y)^{1/2} with the
@@ -100,7 +96,7 @@ def spd_sqrt_series(
     ------
     SeriesDiverged
         If gamma <= ||B||_2, or term norms fail to decrease monotonically
-        after the third term, or max_terms is exhausted.
+        after the third term, or SERIES_MAX_TERMS is exhausted.
     """
     B = np.asarray(B, dtype=float)
     if gamma <= 0:
@@ -116,13 +112,13 @@ def spd_sqrt_series(
     power = np.eye(n)
     coeff = 1.0
     prev_norm = math.inf
-    for k in range(1, max_terms + 1):
+    for k in range(1, SERIES_MAX_TERMS + 1):
         coeff *= (3.0 - 2.0 * k) / (2.0 * k)
         power = power @ Y
         term = coeff * power
         term_norm = float(np.linalg.norm(term))
         S = S + term
-        if term_norm < tol:
+        if term_norm < SERIES_TOL:
             break
         if k > 3 and term_norm >= prev_norm:
             raise SeriesDiverged(
@@ -131,7 +127,7 @@ def spd_sqrt_series(
             )
         prev_norm = term_norm
     else:
-        raise SeriesDiverged(f"no convergence within {max_terms} terms")
+        raise SeriesDiverged(f"no convergence within {SERIES_MAX_TERMS} terms")
     return math.sqrt(gamma) * symmetrize(S)
 
 

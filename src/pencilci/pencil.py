@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "BoxPerimeter",
     "CirclePath",
     "SegmentPath",
-    "FunctionPath",
     "box_perimeter",
     "circle",
     "segment",
@@ -53,13 +51,12 @@ __all__ = [
 class ParametricPencil:
     """Base class: a deterministic map (x, y) -> (A, B), A symmetric, B SPD.
 
-    Subclasses set ``n`` and ``smoothness`` and implement :meth:`eval` as a
-    pure function (identical inputs give bitwise-identical matrices) and
-    :meth:`descriptor` returning a JSON-serializable reconstruction recipe.
+    Subclasses set ``n`` and implement :meth:`eval` as a pure function
+    (identical inputs give bitwise-identical matrices) and :meth:`descriptor`
+    returning a JSON-serializable reconstruction recipe.
     """
 
     n: int
-    smoothness: str = "analytic"
 
     def eval(self, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -292,16 +289,13 @@ def embed_2x2(
     n: int,
     j: int,
     outer_spectrum: tuple[float, ...],
-    check_domain: tuple[tuple[float, float], tuple[float, float]] = ((-2.0, 2.0), (-2.0, 2.0)),
-    check_points: int = 9,
 ) -> EmbeddedPencil:
     """Embed a 2x2 pencil at pair index j (1-based) of an n x n pencil.
 
     The deterministic outer spectrum must stay strictly separated from the
     inner pencil's eigenvalue range so that sorting places the inner pair at
     positions j, j+1: exactly j-1 outer values above it and n-j-1 below it.
-    Separation is verified on a check_points x check_points sample grid over
-    check_domain.
+    Separation is verified on a 9 x 9 sample grid over [-2, 2]^2.
 
     Raises
     ------
@@ -316,9 +310,9 @@ def embed_2x2(
         raise ValueError(f"outer_spectrum must have {n - 2} values")
     above = outer_spectrum[: j - 1]
     below = outer_spectrum[j - 1 :]
-    (x_lo, x_hi), (y_lo, y_hi) = check_domain
-    for x in np.linspace(x_lo, x_hi, check_points):
-        for y in np.linspace(y_lo, y_hi, check_points):
+    sample = np.linspace(-2.0, 2.0, 9)
+    for x in sample:
+        for y in sample:
             A_in, B_in = inner.eval(x, y)
             _, _, lam1, lam2 = eig2x2_pencil(
                 A_in[0, 0], A_in[0, 1], A_in[1, 1],
@@ -422,17 +416,6 @@ class SegmentPath(Path):
 
     def point(self, t: float) -> tuple[float, float]:
         return (self.x0 + t * (self.x1 - self.x0), self.y0 + t * (self.y1 - self.y0))
-
-
-class FunctionPath(Path):
-    """Path defined by an arbitrary callable t -> (x, y). Not picklable."""
-
-    def __init__(self, fn: Callable[[float], tuple[float, float]], closed: bool):
-        self.fn = fn
-        self.closed = closed
-
-    def point(self, t: float) -> tuple[float, float]:
-        return self.fn(t)
 
 
 def box_perimeter(x0: float, y0: float, side_x: float, side_y: float) -> BoxPerimeter:

@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,24 +20,14 @@ from pencilci.census import (
     summarize_exponents,
     write_report,
 )
-from pencilci.census import _cell_filename
+from pencilci.census import _cell_filename, sweep_grid
 from pencilci.cli import main
 from pencilci.errors import NonPositiveCount
+from pencilci.pencil import sgplus_generate, sgplus_pencil
 from test_acceptance import DESK_CENSUS_SPEC
 
-TINY_ANALYTIC = dict(
-    seed=0,
-    n_list=(2,),
-    b_list=("full",),
-    delta_list=(0.45,),
-    realizations=1,
-    rows=3,
-    cols=3,
-    x_range=(-1.05, 0.95),
-    y_range=(-1.05, 0.95),
-    pencil_kind="analytic_ci",
-    pencil_params=(("eps", 0.0),),
-)
+# one n = 4 SG+ cell on a 3x3 grid: count 4, pairs {1: 1, 2: 1, 3: 2}
+TINY_SGPLUS = dict(seed=0, n_list=(4,), rows=3, cols=3)
 
 
 def test_cell_seed_deterministic_and_distinct():
@@ -65,10 +56,11 @@ def test_spec_validation():
         ExperimentSpec(n_list=(10,), realizations=0)
     with pytest.raises(ValueError):
         ExperimentSpec(n_list=(10,), rows=0)
-    with pytest.raises(ValueError):
-        ExperimentSpec(n_list=(10,), pencil_kind="nope")
     with pytest.raises(ValueError, match="colls, realisations"):  # misspelt keys
         ExperimentSpec.from_dict({"n_list": [10], "realisations": 3, "colls": 8})
+    for name, value in (("pencil_kind", "sgplus"), ("pencil_params", {})):  # SG+ only
+        with pytest.raises(ValueError, match=f"unknown experiment spec keys: {name}"):
+            ExperimentSpec.from_dict({"n_list": [10], name: value})
     for name in ("rows", "cols", "realizations", "seed"):  # non-integer values
         for bad in ("3", 3.0, True):
             with pytest.raises(ValueError, match=name):
@@ -94,15 +86,19 @@ def test_spec_json_roundtrip(tmp_path):
     )
     spec.to_json(tmp_path / "spec.json")
     assert ExperimentSpec.from_json(tmp_path / "spec.json") == spec
-    spec2 = ExperimentSpec(**TINY_ANALYTIC)
+    spec2 = ExperimentSpec(**TINY_SGPLUS)
     spec2.to_json(tmp_path / "spec2.json")
     assert ExperimentSpec.from_json(tmp_path / "spec2.json") == spec2
-    assert ExperimentSpec.from_dict(spec2.to_dict()) == spec2
+    assert ExperimentSpec.from_dict(asdict(spec2)) == spec2
 
 
-def test_desk_census_spec_file_matches_acceptance():
+def test_desk_census_spec_file_matches_acceptance(tmp_path):
     path = os.path.join(os.path.dirname(__file__), "..", "scripts", "desk_census.json")
     assert ExperimentSpec.from_json(path) == DESK_CENSUS_SPEC
+    # byte for byte what to_json writes, so no stale key stays in the file
+    DESK_CENSUS_SPEC.to_json(tmp_path / "desk_census.json")
+    with open(path, "rb") as fh:
+        assert fh.read() == (tmp_path / "desk_census.json").read_bytes()
 
 
 def test_spec_cell_order_deterministic():
@@ -143,17 +139,32 @@ def test_fit_power_law_drops_nonpositive():
         fit_power_law([(10, 5.0)])
 
 
-def test_census_analytic_override(tmp_path):
-    spec = ExperimentSpec(**TINY_ANALYTIC)
+def test_census_cell_matches_direct_sweep(tmp_path):
+    spec = ExperimentSpec(**TINY_SGPLUS)
     report = run_census(spec, tmp_path)
     assert len(report.cells) == 1
     cell = report.cells[0]
-    assert cell["count"] == 1
-    assert cell["pair_counts"] == {"1": 1}
+    seed = cell_seed(0, "full", 0, 4, 0)
+    direct = sweep_grid(sgplus_pencil(sgplus_generate(4, "full", 0.45, seed)), spec.grid, seed=seed)
+    assert cell["seed"] == seed
+    assert cell["count"] == direct.total_count == 4
+    assert cell["pair_counts"] == {str(k): v for k, v in direct.pair_counts().items()}
     assert cell["n_unresolved"] == 0
     assert cell["wall_time"] > 0
-    assert report.means[("full", 0, 2)] == 1.0
+    assert report.means[("full", 0, 4)] == 4.0
     assert report.fits[("full", 0)] is None  # one n cannot pin a slope
+
+
+def test_census_reruns_cell_file_that_is_not_an_object(tmp_path):
+    spec = ExperimentSpec(**TINY_SGPLUS)
+    path = tmp_path / "cells" / _cell_filename("full", 0, 4, 0)
+    run_census(spec, tmp_path)
+    for text in ("[]", "null", '"x"'):
+        path.write_text(text)
+        report = run_census(spec, tmp_path)
+        assert report.cells[0]["count"] == 4
+        with open(path) as fh:
+            assert json.load(fh)["count"] == 4
 
 
 def test_census_empty_n_list(tmp_path):
@@ -168,7 +179,7 @@ def test_census_empty_n_list(tmp_path):
 
 
 def test_census_logs_progress(tmp_path, caplog):
-    spec = ExperimentSpec(**dict(TINY_ANALYTIC, realizations=2))
+    spec = ExperimentSpec(**TINY_SGPLUS, realizations=2)
 
     def progress_lines():
         lines = [r.getMessage() for r in caplog.records if r.name == "pencilci.census"]
@@ -183,7 +194,7 @@ def test_census_logs_progress(tmp_path, caplog):
         ]
         assert "s elapsed" in lines[0] and "ETA" in lines[0]
         assert lines[1].endswith("ETA 0.0 s")
-        os.remove(tmp_path / "cells" / _cell_filename("full", 0, 2, 1))
+        os.remove(tmp_path / "cells" / _cell_filename("full", 0, 4, 1))
         run_census(spec, tmp_path)  # resumed: the skipped cell counts as done
         assert [line.split(",")[0] for line in progress_lines()] == ["census: 2/2 cells done"]
         run_census(spec, tmp_path)
@@ -284,7 +295,7 @@ def test_census_determinism_and_resume(tmp_path):
 
 
 def test_write_report_files(tmp_path):
-    spec = ExperimentSpec(**TINY_ANALYTIC)
+    spec = ExperimentSpec(**TINY_SGPLUS)
     report = run_census(spec, tmp_path)
     paths = write_report(report, tmp_path)
     assert set(paths) == {"counts", "fits", "loglog", "report"}
@@ -292,11 +303,11 @@ def test_write_report_files(tmp_path):
         doc = json.load(fh)
     assert set(doc) >= {"spec", "cells", "means", "fits"}
     assert ExperimentSpec.from_dict(doc["spec"]) == spec
-    assert doc["cells"][0]["count"] == 1
+    assert doc["cells"][0]["count"] == 4
     with open(paths["counts"]) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "b,delta,n,realization,count,n_unresolved"
-    assert lines[1].split(",") == ["full", "0.45000000000000001", "2", "0", "1", "0"]
+    assert lines[1].split(",") == ["full", "0.45000000000000001", "4", "0", "4", "0"]
 
 
 def test_goe_reference_exponents():

@@ -175,15 +175,7 @@ def test_sweep_outputs_deterministic(tmp_path):
 
 
 def test_census_cli(tmp_path, capfd):
-    spec = ExperimentSpec(
-        n_list=(2,),
-        rows=3,
-        cols=3,
-        x_range=(-1.05, 0.95),
-        y_range=(-1.05, 0.95),
-        pencil_kind="analytic_ci",
-        pencil_params=(("eps", 0.1),),
-    )
+    spec = ExperimentSpec(n_list=(4,), rows=3, cols=3)
     spec_path = tmp_path / "spec.json"
     spec.to_json(spec_path)
     out = tmp_path / "census"
@@ -196,17 +188,14 @@ def test_census_cli(tmp_path, capfd):
         assert (out / name).exists()
     with open(out / "census_counts.csv") as fh:
         lines = fh.read().splitlines()
-    assert len(lines) == 2 and lines[1].endswith(",1,0")
+    assert len(lines) == 2 and lines[1].endswith(",4,0")
 
 
-def _census_error_line(tmp_path, spec_text):
-    """Run pencilci census on a bad spec file; exit 1 with one stderr line."""
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(spec_text)
+def _cli_error_line(*argv):
+    """Run pencilci in a subprocess; exit 1 with one stderr line, no traceback."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pencilci.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-m", "pencilci.cli", "census", "--spec", str(spec_path),
-         "--workers", "1", "--out-dir", str(tmp_path / "out")],
+        [sys.executable, "-m", "pencilci.cli", *(str(a) for a in argv)],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 1
@@ -216,16 +205,32 @@ def _census_error_line(tmp_path, spec_text):
     return lines[0]
 
 
+def _census_error_line(tmp_path, spec_text):
+    """Run pencilci census on a bad spec file."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec_text)
+    return _cli_error_line(
+        "census", "--spec", spec_path, "--workers", 1, "--out-dir", tmp_path / "out"
+    )
+
+
 def test_census_rejects_unknown_spec_key(tmp_path):
     line = _census_error_line(
-        tmp_path, '{"n_list": [2], "pencil_kind": "analytic_ci", "realisations": 2}'
+        tmp_path,
+        '{"n_list": [4], "pencil_kind": "analytic_ci", "pencil_params": {"eps": 0.1},'
+        ' "realisations": 2}',
     )
-    assert "realisations" in line
+    assert "pencil_kind, pencil_params, realisations" in line
+
+
+def test_census_rejects_spec_that_is_not_an_object(tmp_path):
+    for text in ("[]", "null"):
+        assert "JSON object" in _census_error_line(tmp_path, text)
 
 
 def test_census_rejects_non_integer_spec_value(tmp_path):
     line = _census_error_line(
-        tmp_path, '{"n_list": [2], "pencil_kind": "analytic_ci", "rows": "3"}'
+        tmp_path, '{"n_list": [4], "rows": "3"}'
     )
     assert "rows" in line
 
@@ -267,6 +272,13 @@ def test_fit_empty_data(tmp_path):
 
 def test_fit_missing_file(tmp_path):
     assert run("fit", "--data", tmp_path / "nope.csv", "--out-dir", tmp_path) == 1
+
+
+def test_fit_short_row_names_its_line(tmp_path):
+    data = tmp_path / "short.csv"
+    data.write_text("bandwidth,n,count\n3,50,10\n3,60\n")
+    line = _cli_error_line("fit", "--data", data, "--out-dir", tmp_path / "out")
+    assert "line 3" in line and "count" in line
 
 
 def test_fit_needs_a_known_count_column(tmp_path):

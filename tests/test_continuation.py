@@ -22,7 +22,7 @@ from pencilci.continuation import (
 from pencilci.errors import DegenerateStart, GapTooSmall, LoopUnresolvable
 from pencilci.linalg import gen_eig_ordered
 from pencilci.pencil import (
-    FunctionPath,
+    Path,
     analytic_ci_pencil,
     box_perimeter,
     circle,
@@ -36,6 +36,13 @@ from conftest import rand_spd
 
 def _sg_pencil(n=6, seed=2024):
     return sgplus_pencil(sgplus_generate(n, n - 1, 0.45, seed))
+
+
+class ClosedCurve(Path):
+    closed = True
+
+    def __init__(self, fn):
+        self.point = fn
 
 
 def test_init_decomposition_canonical_signs():
@@ -82,9 +89,7 @@ def test_predict_local_orders():
 
 
 def test_predict_rejects_tiny_gap():
-    state = EigenPoint(
-        t=0.0, V=np.eye(2), lam=np.array([1.0, 1.0 - 1e-16]), h_next=0.1
-    )
+    state = EigenPoint(t=0.0, V=np.eye(2), lam=np.array([1.0, 1.0 - 1e-16]))
     with pytest.raises(GapTooSmall):
         predict(state, np.eye(2), np.eye(2), 0.1)
 
@@ -182,10 +187,9 @@ def test_trace_invariants_and_determinism():
 def test_loop_signature_shapes_around_origin():
     # the sign flip is a property of the enclosed point, not the loop shape
     pen = analytic_ci_pencil(0.0)
-    ellipse = FunctionPath(
+    ellipse = ClosedCurve(
         lambda t: (0.8 * math.cos(2 * math.pi * (t % 1.0)),
-                   1.3 * math.sin(2 * math.pi * (t % 1.0))),
-        closed=True,
+                   1.3 * math.sin(2 * math.pi * (t % 1.0)))
     )
     for loop in (
         circle(0.0, 0.0, 1.0),
@@ -201,7 +205,7 @@ def test_loop_signature_shapes_around_origin():
 def test_double_loop_gives_identity():
     pen = analytic_ci_pencil(0.0)
     base = circle(0.0, 0.0, 1.0)
-    doubled = FunctionPath(lambda t: base.point(2.0 * t), closed=True)
+    doubled = ClosedCurve(lambda t: base.point(2.0 * t))
     res = trace_loop(pen, doubled)
     assert res.D.tolist() == [1, 1]
 

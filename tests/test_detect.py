@@ -17,8 +17,10 @@ from pencilci.detect import (
     write_ci_csv,
     write_sweep_summary,
 )
+from pencilci.census import cell_seed
 from pencilci.errors import OddSignCount, RefinementInconsistent
-from pencilci.pencil import analytic_ci_pencil
+from pencilci.linalg import spd_sqrt, symmetrize
+from pencilci.pencil import analytic_ci_pencil, sgplus_generate, sgplus_pencil
 
 
 def test_decode_signature_examples():
@@ -205,3 +207,64 @@ def test_refine_box_without_coalescence_fails():
 def test_refine_box_validation():
     with pytest.raises(ValueError):
         refine_box(analytic_ci_pencil(0.1), (0.0, 1.0, 0.0, 1.0), pair=1, depth=0)
+
+
+def _baseline_pencil(n):
+    """The SG+ pencil of census cell (seed 0, b full, delta 0.45, n, realization 0)."""
+    return sgplus_pencil(sgplus_generate(n, "full", 0.45, cell_seed(0, "full", 0, n, 0)))
+
+
+def _cholesky_form(A, B):
+    """L^-1 A L^-T with L the Cholesky factor of B."""
+    L = np.linalg.cholesky(B)
+    return np.linalg.solve(L, np.linalg.solve(L, A).T)
+
+
+def _sqrt_form(A, B):
+    """B^-1/2 A B^-1/2."""
+    R = np.linalg.inv(spd_sqrt(B))
+    return R @ A @ R
+
+
+class _StandardForm:
+    """The standard problem (C, I) with the eigenvalues of the pencil (A, B).
+
+    Its eigenvectors are a smooth transform of the pencil's (W = L^T V for
+    the Cholesky form), so its loop signatures must be the pencil's.
+    """
+
+    def __init__(self, pencil, reduce):
+        self.n = pencil.n
+        self._pencil = pencil
+        self._reduce = reduce
+
+    def eval(self, x, y):
+        A, B = self._pencil.eval(x, y)
+        return symmetrize(self._reduce(A, B)), np.eye(self.n)
+
+
+@pytest.mark.parametrize("reduce", [_cholesky_form, _sqrt_form], ids=["cholesky", "sqrt"])
+def test_standard_form_sweep_matches_pencil(reduce):
+    # rows 12..15 and columns 16..23 of the 16x32 grid over [0, pi] x [0, 2 pi]
+    full = GridSpec(rows=16, cols=32, x_range=(0.0, math.pi), y_range=(0.0, 2.0 * math.pi))
+    block = GridSpec(
+        rows=4,
+        cols=8,
+        x_range=(full.box(12, 16)[0], full.box(15, 23)[1]),
+        y_range=(full.box(12, 16)[2], full.box(15, 23)[3]),
+    )
+    pencil = _baseline_pencil(10)
+    own = sweep_grid(pencil, block, seed=0)
+    reduced = sweep_grid(_StandardForm(pencil, reduce), block, seed=0)
+    assert own.total_count == 6 and not own.unresolved and not reduced.unresolved
+    assert [b.pairs for b in reduced.boxes] == [b.pairs for b in own.boxes]
+
+
+def test_torus_sweep_counts_every_pair_evenly():
+    # SG+ pencils are 2 pi-periodic in x and y, so over the torus the box
+    # perimeters cancel in pairs and each pair's total count is even
+    grid = GridSpec(rows=16, cols=16, x_range=(0.0, 2.0 * math.pi), y_range=(0.0, 2.0 * math.pi))
+    sw = sweep_grid(_baseline_pencil(10), grid, seed=0, workers=2)
+    assert not sw.unresolved
+    assert sw.total_count == 128
+    assert all(count % 2 == 0 for count in sw.pair_counts().values())

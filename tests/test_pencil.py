@@ -14,7 +14,6 @@ from pencilci.errors import (
 )
 from pencilci.linalg import gen_eig_ordered
 from pencilci.pencil import (
-    FunctionPath,
     analytic_ci_pencil,
     box_perimeter,
     circle,
@@ -181,14 +180,12 @@ def test_paths_counterclockwise():
         assert area > 0
 
 
-def test_segment_and_function_path():
+def test_segment_path():
     s = segment((0.0, 1.0), (2.0, -1.0))
     assert not s.closed
     assert s.point(0.0) == (0.0, 1.0)
     assert s.point(1.0) == (2.0, -1.0)
     assert s.point(0.5) == (1.0, 0.0)
-    f = FunctionPath(lambda t: (t, t * t), closed=False)
-    assert f.point(0.5) == (0.5, 0.25)
 
 
 def test_path_factory_validation():
