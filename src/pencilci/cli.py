@@ -58,6 +58,18 @@ def _write_manifest(out_dir: str, command: str, config: dict, outputs: list[str]
         fh.write("\n")
 
 
+def _loop_numbers(data: dict, field: str, size: int) -> list[float]:
+    """The size numbers of a loop spec field: a list, or a bare number when size is 1."""
+    value = data.get(field)
+    items = [value] if size == 1 else value
+    try:
+        if isinstance(items, list) and len(items) == size:
+            return [float(v) for v in items]
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"loop spec field {field!r} must hold {size} number(s), got {value!r}")
+
+
 def _parse_loop(spec: str):
     """Path from an inline JSON loop spec or @file reference.
 
@@ -70,15 +82,18 @@ def _parse_loop(spec: str):
             data = json.load(fh)
     else:
         data = json.loads(spec)
+    if not isinstance(data, dict):
+        raise ValueError(f"loop spec must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if kind == "box":
-        x0, x1, y0, y1 = (float(v) for v in data["rect"])
+        x0, x1, y0, y1 = _loop_numbers(data, "rect", 4)
         return box_perimeter(x0, y0, x1 - x0, y1 - y0)
     if kind == "circle":
-        cx, cy = (float(v) for v in data["center"])
-        return circle(cx, cy, float(data["radius"]))
+        cx, cy = _loop_numbers(data, "center", 2)
+        (radius,) = _loop_numbers(data, "radius", 1)
+        return circle(cx, cy, radius)
     if kind == "segment":
-        return segment(tuple(data["start"]), tuple(data["end"]))
+        return segment(tuple(_loop_numbers(data, "start", 2)), tuple(_loop_numbers(data, "end", 2)))
     raise ValueError(f"unknown loop kind: {kind!r}")
 
 

@@ -38,11 +38,10 @@ __all__ = [
     "write_sweep_summary",
 ]
 
-# Perimeter retry offsets are this fraction of a box side, preserving the
-# local tiling among all boxes retried at the same attempt.
+# A sweep retry moves the inner grid lines by up to this fraction of a box side.
 _SHIFT_FRAC = 1e-3
 _SHIFT_TAG = 0xA11E
-# Attempts per box in sweep_grid, the first one unshifted.
+# Tilings traced by sweep_grid, the first one unshifted.
 _SWEEP_ATTEMPTS = 4
 # Subdivision-center retry offsets in refine_box, as a fraction of child side.
 _CENTER_SHIFT_FRAC = 1e-2
@@ -98,8 +97,8 @@ class GridSpec:
     """Uniform box grid over [x0, x1] x [y0, y1].
 
     rows boxes partition the x-range (first coordinate), cols boxes the
-    y-range. Box (r, c), 0-based, covers
-    [x0 + r dx, x0 + (r+1) dx] x [y0 + c dy, y0 + (c+1) dy].
+    y-range. Box (r, c), 0-based, covers [xs[r], xs[r+1]] x [ys[c], ys[c+1]]
+    with (xs, ys) = lines().
     """
 
     rows: int
@@ -110,6 +109,8 @@ class GridSpec:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid needs at least one row and one column")
+        if not all(math.isfinite(v) for v in (*self.x_range, *self.y_range)):
+            raise ValueError("ranges must be finite")
         if not (self.x_range[0] < self.x_range[1] and self.y_range[0] < self.y_range[1]):
             raise ValueError("ranges must be increasing")
 
@@ -121,25 +122,38 @@ class GridSpec:
     def dy(self) -> float:
         return (self.y_range[1] - self.y_range[0]) / self.cols
 
+    def lines(self) -> tuple[list[float], list[float]]:
+        """The rows + 1 x-lines and cols + 1 y-lines; the last of each is the range end."""
+        xs = [self.x_range[0] + i * self.dx for i in range(self.rows)] + [self.x_range[1]]
+        ys = [self.y_range[0] + j * self.dy for j in range(self.cols)] + [self.y_range[1]]
+        return xs, ys
+
     def box(self, row: int, col: int) -> tuple[float, float, float, float]:
         """Corner rectangle (x0, x1, y0, y1) of box (row, col)."""
-        x0 = self.x_range[0] + row * self.dx
-        y0 = self.y_range[0] + col * self.dy
-        return (x0, x0 + self.dx, y0, y0 + self.dy)
+        xs, ys = self.lines()
+        return (xs[row], xs[row + 1], ys[col], ys[col + 1])
 
 
 @dataclass(frozen=True)
 class BoxResult:
-    """Outcome for one grid box; pairs lists the flagged 1-based indices."""
+    """Outcome for one grid box; pairs lists the flagged 1-based indices.
+
+    rect is the rectangle traced, attempts the sweep attempt whose tiling it
+    belongs to (the same for every box of a sweep).
+    """
 
     row: int
     col: int
-    center: tuple[float, float]
+    rect: tuple[float, float, float, float]
     pairs: tuple[int, ...]
     status: str  # "ok" or "unresolved"
     attempts: int
-    shift: tuple[float, float]
     message: str = ""
+
+    @property
+    def center(self) -> tuple[float, float]:
+        x0, x1, y0, y1 = self.rect
+        return (0.5 * (x0 + x1), 0.5 * (y0 + y1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,19 +181,12 @@ class SweepResult:
         return dict(sorted(c.items()))
 
     def rect_of(self, box: BoxResult) -> tuple[float, float, float, float]:
-        """Rectangle actually traced for this box, including any retry shift.
+        """Rectangle actually traced for this box, with any retry's moved lines.
 
-        Refinement must start from this rectangle: a coalescence on the
-        original box corner lies strictly inside the shifted one.
+        Refinement must start from this rectangle: a coalescence on an
+        original inner grid line lies strictly inside it.
         """
-        hx = 0.5 * self.grid.dx
-        hy = 0.5 * self.grid.dy
-        return (
-            box.center[0] - hx,
-            box.center[0] + hx,
-            box.center[1] - hy,
-            box.center[1] + hy,
-        )
+        return box.rect
 
 
 def _trace_box(pencil, rect):
@@ -193,9 +200,37 @@ def _trace_box(pencil, rect):
     return decode_signature(res.D), ""
 
 
-def _retry_shift(key: list[int], frac: float, sx: float, sy: float) -> tuple[float, float]:
-    """Deterministic retry offset of up to frac * (sx, sy), keyed by key."""
-    ss = np.random.SeedSequence(key)
+def _trace_tiling(pencil, xs, ys, shift, pool=None):
+    """Trace every box of the tiling by lines xs (first coordinate) and ys.
+
+    The inner lines move by shift = (sx, sy) and the outer ones stay, so the
+    boxes tile [xs[0], xs[-1]] x [ys[0], ys[-1]] exactly and adjacent boxes
+    share their sides bit for bit. Returns ((row, col), rect, pairs, message)
+    per box in row-major order; pairs is None where the trace failed, and
+    message then names the cause. With a pool the boxes run in its processes.
+    """
+    sx, sy = shift
+    xs = [xs[0], *(x + sx for x in xs[1:-1]), xs[-1]]
+    ys = [ys[0], *(y + sy for y in ys[1:-1]), ys[-1]]
+    cells = [(r, c) for r in range(len(xs) - 1) for c in range(len(ys) - 1)]
+    rects = [(xs[r], xs[r + 1], ys[c], ys[c + 1]) for r, c in cells]
+    if pool is not None:
+        outcomes = pool.map(_trace_box, [pencil] * len(rects), rects)
+    else:
+        outcomes = [_trace_box(pencil, rect) for rect in rects]
+    return [(cell, rect, *outcome) for cell, rect, outcome in zip(cells, rects, outcomes)]
+
+
+def _retry_shift(
+    key: list[int], attempt: int, frac: float, sx: float, sy: float
+) -> tuple[float, float]:
+    """Offset of up to frac * (sx, sy) for a retry, keyed by key + [attempt].
+
+    Attempt 0 is the first try and gets no offset.
+    """
+    if attempt == 0:
+        return (0.0, 0.0)
+    ss = np.random.SeedSequence([*key, attempt])
     rng = np.random.Generator(np.random.Philox(ss))
     mag = rng.uniform(0.25, 1.0, size=2)
     sign = 2.0 * rng.integers(0, 2, size=2) - 1.0
@@ -209,58 +244,42 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
     """Trace every box perimeter of the grid and collect flagged pairs.
 
     A perimeter through (or numerically through) a coalescence is
-    unresolvable; such boxes are retried with their perimeter rigidly shifted
-    by a small deterministic offset. All boxes failing at the same attempt
-    share one offset, so their shifted perimeters still tile and a corner
-    coalescence lands strictly inside exactly one shifted box. Any
+    unresolvable. When any box fails, the whole grid is traced again with
+    its inner lines moved by a small deterministic offset, up to
+    _SWEEP_ATTEMPTS attempts in all. The domain boundary never moves, so
+    every tiling covers the domain exactly and each coalescence inside it
+    is counted once; one on the boundary leaves its box unresolved. Any
     PencilError inside a trace (a non-definite B or a non-finite value, say)
-    fails only that box. Boxes failing all _SWEEP_ATTEMPTS attempts are
+    fails only that box. Boxes still failing at the last attempt are
     reported with status "unresolved", no pairs, and the cause as message.
 
-    With workers > 1 the boxes of each attempt round run in a process pool;
-    the pencil must then be picklable. Results are assembled in (row, col)
-    order regardless of completion order.
+    With workers > 1 the boxes run in a process pool; the pencil must then
+    be picklable. Results are in (row, col) order regardless of completion
+    order.
     """
-    cells = [(r, c) for r in range(grid.rows) for c in range(grid.cols)]
-    results: dict[tuple[int, int], BoxResult] = {}
-    pending = cells
+    xs, ys = grid.lines()
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for attempt in range(_SWEEP_ATTEMPTS):
-            if not pending:
+            shift = _retry_shift([seed, _SHIFT_TAG], attempt, _SHIFT_FRAC, grid.dx, grid.dy)
+            traced = _trace_tiling(pencil, xs, ys, shift, pool)
+            if all(pairs is not None for _, _, pairs, _ in traced):
                 break
-            if attempt == 0:
-                shift = (0.0, 0.0)
-            else:
-                # One offset shared by every box of this attempt.
-                shift = _retry_shift([seed, _SHIFT_TAG, attempt], _SHIFT_FRAC, grid.dx, grid.dy)
-            rects = []
-            for r, c in pending:
-                x0, x1, y0, y1 = grid.box(r, c)
-                rects.append((x0 + shift[0], x1 + shift[0], y0 + shift[1], y1 + shift[1]))
-            if pool is not None:
-                outcomes = list(pool.map(_trace_box, [pencil] * len(rects), rects))
-            else:
-                outcomes = [_trace_box(pencil, rect) for rect in rects]
-            still_failing = []
-            for (r, c), rect, (pairs, msg) in zip(pending, rects, outcomes):
-                if pairs is None:
-                    still_failing.append((r, c))
-                results[(r, c)] = BoxResult(
-                    row=r,
-                    col=c,
-                    center=(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3])),
-                    pairs=pairs or (),
-                    status="ok" if pairs is not None else "unresolved",
-                    attempts=attempt + 1,
-                    shift=shift,
-                    message=msg,
-                )
-            pending = still_failing
     finally:
         if pool is not None:
             pool.shutdown()
-    boxes = [results[(r, c)] for r, c in cells]
+    boxes = [
+        BoxResult(
+            row=r,
+            col=c,
+            rect=rect,
+            pairs=pairs or (),
+            status="ok" if pairs is not None else "unresolved",
+            attempts=attempt + 1,
+            message=msg,
+        )
+        for (r, c), rect, pairs, msg in traced
+    ]
     return SweepResult(grid=grid, boxes=boxes)
 
 
@@ -289,8 +308,8 @@ def refine_box(
     one child must flag the target pair (an odd child count matches the
     parent's flag, and a single enclosed coalescence gives one). Subdivision
     lines through the coalescence make children unresolvable or break that
-    parity; the subdivision center is then retried at a small deterministic
-    offset, keeping the children tiling the parent. The estimate is the
+    parity; the two centre lines are then moved by a small deterministic
+    offset, and the children still tile the parent. The estimate is the
     center of the depth-th rectangle with the half-diagonal as uncertainty.
 
     Raises
@@ -301,41 +320,20 @@ def refine_box(
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if not 1 <= pair <= pencil.n - 1:
+        raise ValueError(f"pair must be in 1..{pencil.n - 1}, got {pair}")
     x0, x1, y0, y1 = rect
     for level in range(depth):
-        done = False
+        xs, ys = [x0, 0.5 * (x0 + x1), x1], [y0, 0.5 * (y0 + y1), y1]
+        half = (0.5 * (x1 - x0), 0.5 * (y1 - y0))
         for attempt in range(_REFINE_ATTEMPTS):
-            if attempt == 0:
-                shift = (0.0, 0.0)
-            else:
-                shift = _retry_shift(
-                    [seed, _CENTER_TAG, level, attempt],
-                    _CENTER_SHIFT_FRAC,
-                    0.5 * (x1 - x0),
-                    0.5 * (y1 - y0),
-                )
-            cx = 0.5 * (x0 + x1) + shift[0]
-            cy = 0.5 * (y0 + y1) + shift[1]
-            children = [
-                (x0, cx, y0, cy),
-                (cx, x1, y0, cy),
-                (x0, cx, cy, y1),
-                (cx, x1, cy, y1),
-            ]
-            flagged = []
-            failed = False
-            for child in children:
-                pairs, _ = _trace_box(pencil, child)
-                if pairs is None:
-                    failed = True
-                    break
-                if pair in pairs:
-                    flagged.append(child)
-            if not failed and len(flagged) == 1:
+            shift = _retry_shift([seed, _CENTER_TAG, level], attempt, _CENTER_SHIFT_FRAC, *half)
+            traced = _trace_tiling(pencil, xs, ys, shift)
+            flagged = [child for _, child, pairs, _ in traced if pairs and pair in pairs]
+            if len(flagged) == 1 and all(pairs is not None for _, _, pairs, _ in traced):
                 x0, x1, y0, y1 = flagged[0]
-                done = True
                 break
-        if not done:
+        else:
             raise RefinementInconsistent(
                 f"no subdivision of ({x0:.6g}, {x1:.6g}) x ({y0:.6g}, {y1:.6g}) "
                 f"isolated pair {pair} after {_REFINE_ATTEMPTS} attempts at level {level}"
@@ -364,8 +362,7 @@ def write_ci_csv(result: SweepResult, path) -> None:
 
 
 def write_sweep_summary(result: SweepResult, path) -> None:
-    """JSON summary: box counts, per-pair totals, retries, unresolved boxes and causes."""
-    attempts: Counter = Counter(b.attempts for b in result.boxes)
+    """JSON summary: box counts, per-pair totals, attempts, unresolved boxes and causes."""
     summary = {
         "rows": result.grid.rows,
         "cols": result.grid.cols,
@@ -376,7 +373,7 @@ def write_sweep_summary(result: SweepResult, path) -> None:
         "n_unresolved": len(result.unresolved),
         "total_count": result.total_count,
         "pair_counts": {str(k): v for k, v in result.pair_counts().items()},
-        "attempts_histogram": {str(k): v for k, v in sorted(attempts.items())},
+        "attempts": max(b.attempts for b in result.boxes),
         "unresolved_boxes": [[b.row, b.col, b.message] for b in result.unresolved],
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -326,20 +326,30 @@ def embed_2x2(
     return EmbeddedPencil(inner=inner, dim=n, j=j, outer_spectrum=tuple(outer_spectrum))
 
 
+def _descriptor_value(desc: dict, key: str, cast, default=None):
+    """cast(desc[key]), or cast(default) when key is absent."""
+    value = desc.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"pencil descriptor {key!r} is missing or malformed: {value!r}") from None
+
+
 def pencil_from_descriptor(desc: dict) -> ParametricPencil:
     """Reconstruct a pencil from its descriptor dictionary."""
+    if not isinstance(desc, dict):
+        raise ValueError(f"pencil descriptor must be a JSON object, got {desc!r}")
     kind = desc.get("kind")
     if kind == "sgplus":
-        return sgplus_pencil(
-            sgplus_generate(int(desc["n"]), int(desc["b"]), float(desc["delta"]), int(desc["seed"]))
-        )
+        n, b, seed = (_descriptor_value(desc, key, int) for key in ("n", "b", "seed"))
+        return sgplus_pencil(sgplus_generate(n, b, _descriptor_value(desc, "delta", float), seed))
     if kind == "analytic_ci":
-        return analytic_ci_pencil(float(desc.get("eps", 0.0)))
+        return analytic_ci_pencil(_descriptor_value(desc, "eps", float, 0.0))
     if kind == "embedded":
-        inner = pencil_from_descriptor(desc["inner"])
-        return embed_2x2(
-            inner, int(desc["n"]), int(desc["j"]), tuple(float(v) for v in desc["outer_spectrum"])
-        )
+        inner = pencil_from_descriptor(desc.get("inner"))
+        n, j = (_descriptor_value(desc, key, int) for key in ("n", "j"))
+        outer = _descriptor_value(desc, "outer_spectrum", lambda v: tuple(float(x) for x in v))
+        return embed_2x2(inner, n, j, outer)
     raise ValueError(f"unknown pencil kind: {kind!r}")
 
 

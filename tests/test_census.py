@@ -72,6 +72,9 @@ def test_spec_validation():
     for name, bad in (("x_range", [0, 0]), ("y_range", [1.0, 0.5])):  # empty ranges
         with pytest.raises(ValueError, match="increasing"):
             ExperimentSpec.from_dict({"n_list": [10], name: bad})
+    for name, bad in (("x_range", [0, math.inf]), ("y_range", [-math.inf, 0])):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentSpec.from_dict({"n_list": [10], name: bad})
 
 
 def test_spec_json_roundtrip(tmp_path):

@@ -214,6 +214,50 @@ def _census_error_line(tmp_path, spec_text):
     )
 
 
+@pytest.mark.parametrize(
+    "loop, field",
+    [
+        ("[]", "JSON object"),
+        ('"box"', "JSON object"),
+        ('{"kind": "box", "rect": 5}', "rect"),
+        ('{"kind": "circle", "center": null, "radius": 1}', "center"),
+    ],
+    ids=["list", "string", "rect-number", "center-null"],
+)
+def test_trace_malformed_loop_spec_is_one_line(tmp_path, analytic_descriptor, loop, field):
+    line = _cli_error_line(
+        "trace", "--pencil", analytic_descriptor, "--loop", loop, "--out-dir", tmp_path
+    )
+    assert field in line
+
+
+def _sweep_error_line(tmp_path, pencil, *ranges):
+    return _cli_error_line(
+        "sweep", "--pencil", pencil, "--rows", 2, "--cols", 2, *ranges,
+        "--workers", 1, "--out-dir", tmp_path / "out",
+    )
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("[]", "JSON object"),
+        ('{"kind": "sgplus", "n": null, "b": 3, "delta": 0.4, "seed": 0}', "'n'"),
+    ],
+    ids=["list", "n-null"],
+)
+def test_sweep_malformed_pencil_descriptor_is_one_line(tmp_path, text, problem):
+    pencil = tmp_path / "pencil.json"
+    pencil.write_text(text)
+    line = _sweep_error_line(tmp_path, pencil, "--x-range", 0, 1, "--y-range", 0, 1)
+    assert problem in line
+
+
+def test_sweep_rejects_infinite_range(tmp_path, analytic_descriptor):
+    ranges = ("--x-range", 0, "inf", "--y-range", 0, 1)
+    assert "finite" in _sweep_error_line(tmp_path, analytic_descriptor, *ranges)
+
+
 def test_census_rejects_unknown_spec_key(tmp_path):
     line = _census_error_line(
         tmp_path,

@@ -76,6 +76,20 @@ def test_grid_spec_boxes():
         GridSpec(rows=0, cols=1)
     with pytest.raises(ValueError):
         GridSpec(rows=1, cols=1, x_range=(1.0, 0.0))
+    for bad in ((0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(rows=1, cols=1, x_range=bad)
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(rows=1, cols=1, y_range=bad)
+
+
+def test_grid_spec_lines_are_shared_box_sides():
+    g = GridSpec(rows=16, cols=32, x_range=(0.0, math.pi), y_range=(0.0, 2.0 * math.pi))
+    xs, ys = g.lines()
+    assert len(xs) == 17 and len(ys) == 33
+    assert (xs[0], xs[-1], ys[0], ys[-1]) == (0.0, math.pi, 0.0, 2.0 * math.pi)
+    for r, c in itertools.product(range(g.rows), range(g.cols)):
+        assert g.box(r, c) == (xs[r], xs[r + 1], ys[c], ys[c + 1])
 
 
 def test_sweep_flags_single_interior_box():
@@ -87,7 +101,7 @@ def test_sweep_flags_single_interior_box():
     assert not sw.unresolved
     box = sw.flagged[0]
     assert box.pairs == (1,)
-    assert box.attempts == 1 and box.shift == (0.0, 0.0)
+    assert box.attempts == 1 and box.rect == grid.box(box.row, box.col)
     x0, x1, y0, y1 = grid.box(box.row, box.col)
     cx, cy = pen.ci_location()
     assert x0 < cx < x1 and y0 < cy < y1
@@ -97,7 +111,7 @@ def test_sweep_flags_single_interior_box():
 
 def test_sweep_corner_coalescence_uses_retry():
     # coalescence exactly on a grid corner, then with the grid shifted so the
-    # corner sits about 1e-16 off it: the shared shift must rescue both
+    # corner sits about 1e-16 off it: moving the inner lines must rescue both
     pen = analytic_ci_pencil(0.0)
     for off in (0.0, 1e-16):
         grid = GridSpec(rows=4, cols=4, x_range=(-1.0 + off, 1.0 + off), y_range=(-1.0, 1.0))
@@ -107,9 +121,59 @@ def test_sweep_corner_coalescence_uses_retry():
         assert not sw.unresolved, off
         box = sw.flagged[0]
         assert box.attempts > 1
-        assert box.shift != (0.0, 0.0)
+        assert box.rect != grid.box(box.row, box.col)
         x0, x1, y0, y1 = sw.rect_of(box)
         assert x0 < 0.0 < x1 and y0 < 0.0 < y1
+
+
+class _TwoIntersections:
+    """A = [[f, g], [g, -f]], B = I with f = x - y/(4c) and g = y(y - c).
+
+    Pair 1 coalesces where f = g = 0: at (0, 0) and at (1/4, c).
+    """
+
+    n = 2
+
+    def __init__(self, c):
+        self._c = c
+
+    def eval(self, x, y):
+        f = x - y / (4.0 * self._c)
+        g = y * (y - self._c)
+        return np.array([[f, g], [g, -f]]), np.eye(2)
+
+
+@pytest.mark.parametrize(
+    "seed, c",
+    # (0, 0) is a vertex of the 4x4 grid, so attempt 1 retraces with the inner
+    # lines moved by (sx, sy). Each c is 0.5 + sy/2 for its seed: halfway
+    # between the line y = 0.5 and its moved copy, where a retry that moved
+    # only the failing boxes would miss it (seed 0) or count it twice (seed 4).
+    [(0, 0.5 - 7.532e-5), (4, 0.5 + 1.0330e-4)],
+    ids=["gap", "overlap"],
+)
+def test_sweep_retry_counts_each_intersection_once(seed, c):
+    grid = GridSpec(rows=4, cols=4, x_range=(-1.0, 1.0), y_range=(-1.0, 1.0))
+    sw = sweep_grid(_TwoIntersections(c), grid, seed=seed)
+    assert max(b.attempts for b in sw.boxes) > 1
+    assert not sw.unresolved
+    assert sw.total_count == 2
+
+
+def test_sweep_retry_keeps_the_domain_boundary():
+    # (0, 0) is on the side x = 0 of the domain: moving inner lines cannot
+    # take it off that side, so its box stays unresolved and says why
+    grid = GridSpec(rows=2, cols=4, x_range=(0.0, 1.0), y_range=(-1.0, 1.0))
+    sw = sweep_grid(analytic_ci_pencil(0.0), grid, seed=0)
+    rects = {(b.row, b.col): sw.rect_of(b) for b in sw.boxes}
+    xs = [rects[r, 0][0] for r in range(grid.rows)] + [rects[grid.rows - 1, 0][1]]
+    ys = [rects[0, c][2] for c in range(grid.cols)] + [rects[0, grid.cols - 1][3]]
+    assert (xs[0], xs[-1], ys[0], ys[-1]) == (0.0, 1.0, -1.0, 1.0)
+    assert xs == sorted(set(xs)) and ys == sorted(set(ys))
+    for (r, c), rect in rects.items():
+        assert rect == (xs[r], xs[r + 1], ys[c], ys[c + 1])
+    assert [(b.row, b.col, b.attempts) for b in sw.unresolved] == [(0, 2, 4)]
+    assert sw.unresolved[0].message.startswith("StepUnderflow")
 
 
 def test_sweep_worker_count_does_not_change_result():
@@ -158,7 +222,9 @@ def test_sweep_bad_evaluation_stays_local(fault, cause, tmp_path):
     assert sw.total_count == 1  # the intersection's box is unaffected
     write_sweep_summary(sw, tmp_path / "summary.json")
     with open(tmp_path / "summary.json") as fh:
-        entries = json.load(fh)["unresolved_boxes"]
+        summary = json.load(fh)
+    assert summary["attempts"] == 4
+    entries = summary["unresolved_boxes"]
     assert [e[:2] for e in entries] == [[1, 3], [2, 3]]
     assert all(e[2].startswith(cause) for e in entries)
 
@@ -185,6 +251,7 @@ def test_sweep_reports(tmp_path):
     assert summary["n_flagged_boxes"] == 1
     assert summary["total_count"] == 1
     assert summary["pair_counts"] == {"1": 1}
+    assert summary["attempts"] == 1
     assert summary["unresolved_boxes"] == []
 
 
@@ -204,9 +271,19 @@ def test_refine_box_without_coalescence_fails():
         refine_box(pen, (0.5, 0.75, 0.5, 0.75), pair=1, depth=1)
 
 
+def test_refine_box_moves_centre_lines_through_the_intersection():
+    # (0, 0) lies on both centre lines of the level-0 split, so every child
+    # fails until the lines move
+    est = refine_box(analytic_ci_pencil(0.0), (-0.5, 0.5, -0.5, 0.5), pair=1, depth=8, seed=0)
+    assert math.hypot(est.x, est.y) <= est.uncertainty
+
+
 def test_refine_box_validation():
     with pytest.raises(ValueError):
         refine_box(analytic_ci_pencil(0.1), (0.0, 1.0, 0.0, 1.0), pair=1, depth=0)
+    for pair in (0, 2):
+        with pytest.raises(ValueError, match="pair"):
+            refine_box(analytic_ci_pencil(0.1), (-0.25, 0.0, -0.25, 0.0), pair=pair, depth=3)
 
 
 def _baseline_pencil(n):
