@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 
@@ -59,15 +60,19 @@ def _write_manifest(out_dir: str, command: str, config: dict, outputs: list[str]
 
 
 def _loop_numbers(data: dict, field: str, size: int) -> list[float]:
-    """The size numbers of a loop spec field: a list, or a bare number when size is 1."""
+    """The size finite numbers of a loop spec field: a list, or a bare number when size is 1."""
     value = data.get(field)
     items = [value] if size == 1 else value
     try:
         if isinstance(items, list) and len(items) == size:
-            return [float(v) for v in items]
+            numbers = [float(v) for v in items]
+            if all(math.isfinite(v) for v in numbers):
+                return numbers
     except (TypeError, ValueError):
         pass
-    raise ValueError(f"loop spec field {field!r} must hold {size} number(s), got {value!r}")
+    raise ValueError(
+        f"loop spec field {field!r} must hold {size} finite number(s), got {value!r}"
+    )
 
 
 def _parse_loop(spec: str):

@@ -43,11 +43,6 @@ _SHIFT_FRAC = 1e-3
 _SHIFT_TAG = 0xA11E
 # Tilings traced by sweep_grid, the first one unshifted.
 _SWEEP_ATTEMPTS = 4
-# Subdivision-center retry offsets in refine_box, as a fraction of child side.
-_CENTER_SHIFT_FRAC = 1e-2
-_CENTER_TAG = 0xC1
-# Subdivision attempts per level in refine_box, the first one unshifted.
-_REFINE_ATTEMPTS = 3
 
 
 def decode_signature(D: np.ndarray) -> tuple[int, ...]:
@@ -200,43 +195,20 @@ def _trace_box(pencil, rect):
     return decode_signature(res.D), ""
 
 
-def _trace_tiling(pencil, xs, ys, shift, pool=None):
-    """Trace every box of the tiling by lines xs (first coordinate) and ys.
-
-    The inner lines move by shift = (sx, sy) and the outer ones stay, so the
-    boxes tile [xs[0], xs[-1]] x [ys[0], ys[-1]] exactly and adjacent boxes
-    share their sides bit for bit. Returns ((row, col), rect, pairs, message)
-    per box in row-major order; pairs is None where the trace failed, and
-    message then names the cause. With a pool the boxes run in its processes.
-    """
-    sx, sy = shift
-    xs = [xs[0], *(x + sx for x in xs[1:-1]), xs[-1]]
-    ys = [ys[0], *(y + sy for y in ys[1:-1]), ys[-1]]
-    cells = [(r, c) for r in range(len(xs) - 1) for c in range(len(ys) - 1)]
-    rects = [(xs[r], xs[r + 1], ys[c], ys[c + 1]) for r, c in cells]
-    if pool is not None:
-        outcomes = pool.map(_trace_box, [pencil] * len(rects), rects)
-    else:
-        outcomes = [_trace_box(pencil, rect) for rect in rects]
-    return [(cell, rect, *outcome) for cell, rect, outcome in zip(cells, rects, outcomes)]
-
-
-def _retry_shift(
-    key: list[int], attempt: int, frac: float, sx: float, sy: float
-) -> tuple[float, float]:
-    """Offset of up to frac * (sx, sy) for a retry, keyed by key + [attempt].
+def _retry_shift(seed: int, attempt: int, sx: float, sy: float) -> tuple[float, float]:
+    """Offset of the inner grid lines at a sweep attempt, up to _SHIFT_FRAC * (sx, sy).
 
     Attempt 0 is the first try and gets no offset.
     """
     if attempt == 0:
         return (0.0, 0.0)
-    ss = np.random.SeedSequence([*key, attempt])
+    ss = np.random.SeedSequence([seed, _SHIFT_TAG, attempt])
     rng = np.random.Generator(np.random.Philox(ss))
     mag = rng.uniform(0.25, 1.0, size=2)
     sign = 2.0 * rng.integers(0, 2, size=2) - 1.0
     return (
-        float(mag[0] * sign[0] * frac * sx),
-        float(mag[1] * sign[1] * frac * sy),
+        float(mag[0] * sign[0] * _SHIFT_FRAC * sx),
+        float(mag[1] * sign[1] * _SHIFT_FRAC * sy),
     )
 
 
@@ -247,23 +219,31 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
     unresolvable. When any box fails, the whole grid is traced again with
     its inner lines moved by a small deterministic offset, up to
     _SWEEP_ATTEMPTS attempts in all. The domain boundary never moves, so
-    every tiling covers the domain exactly and each coalescence inside it
-    is counted once; one on the boundary leaves its box unresolved. Any
-    PencilError inside a trace (a non-definite B or a non-finite value, say)
-    fails only that box. Boxes still failing at the last attempt are
-    reported with status "unresolved", no pairs, and the cause as message.
+    every tiling covers the domain exactly, adjacent boxes share their sides
+    bit for bit, and each coalescence inside the domain is counted once; one
+    on the boundary leaves its box unresolved. Any PencilError inside a
+    trace (a non-definite B or a non-finite value, say) fails only that box.
+    Boxes still failing at the last attempt are reported with status
+    "unresolved", no pairs, and the cause as message.
 
     With workers > 1 the boxes run in a process pool; the pencil must then
     be picklable. Results are in (row, col) order regardless of completion
     order.
     """
     xs, ys = grid.lines()
+    cells = [(r, c) for r in range(grid.rows) for c in range(grid.cols)]
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for attempt in range(_SWEEP_ATTEMPTS):
-            shift = _retry_shift([seed, _SHIFT_TAG], attempt, _SHIFT_FRAC, grid.dx, grid.dy)
-            traced = _trace_tiling(pencil, xs, ys, shift, pool)
-            if all(pairs is not None for _, _, pairs, _ in traced):
+            sx, sy = _retry_shift(seed, attempt, grid.dx, grid.dy)
+            mx = [xs[0], *(x + sx for x in xs[1:-1]), xs[-1]]
+            my = [ys[0], *(y + sy for y in ys[1:-1]), ys[-1]]
+            rects = [(mx[r], mx[r + 1], my[c], my[c + 1]) for r, c in cells]
+            if pool is not None:
+                outcomes = list(pool.map(_trace_box, [pencil] * len(rects), rects))
+            else:
+                outcomes = [_trace_box(pencil, rect) for rect in rects]
+            if all(pairs is not None for pairs, _ in outcomes):
                 break
     finally:
         if pool is not None:
@@ -278,7 +258,7 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
             attempts=attempt + 1,
             message=msg,
         )
-        for (r, c), rect, pairs, msg in traced
+        for (r, c), rect, (pairs, msg) in zip(cells, rects, outcomes)
     ]
     return SweepResult(grid=grid, boxes=boxes)
 
@@ -304,19 +284,20 @@ def refine_box(
 ) -> CIEstimate:
     """Pin a coalescence inside a flagged box by recursive 2x2 subdivision.
 
-    At each level the current rectangle splits into four children; exactly
-    one child must flag the target pair (an odd child count matches the
-    parent's flag, and a single enclosed coalescence gives one). Subdivision
-    lines through the coalescence make children unresolvable or break that
-    parity; the two centre lines are then moved by a small deterministic
-    offset, and the children still tile the parent. The estimate is the
-    center of the depth-th rectangle with the half-diagonal as uncertainty.
+    Each level is a 2x2 sweep_grid of the current rectangle, with the
+    sweep's retry: children that fail are traced again with the two centre
+    lines moved, and the children still tile the parent. Exactly one child
+    must flag the target pair (an odd child count matches the parent's
+    flag, and a single enclosed coalescence gives one); it becomes the next
+    rectangle. The estimate is the center of the depth-th rectangle with
+    the half-diagonal as uncertainty.
 
     Raises
     ------
     RefinementInconsistent
-        If no subdivision attempt at some level yields exactly one flagged
-        resolvable child.
+        If at some level a child stays unresolved, or a number of children
+        other than one flags the pair. The message names the level, the
+        number of flagged children and the cause of each unresolved child.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -324,20 +305,18 @@ def refine_box(
         raise ValueError(f"pair must be in 1..{pencil.n - 1}, got {pair}")
     x0, x1, y0, y1 = rect
     for level in range(depth):
-        xs, ys = [x0, 0.5 * (x0 + x1), x1], [y0, 0.5 * (y0 + y1), y1]
-        half = (0.5 * (x1 - x0), 0.5 * (y1 - y0))
-        for attempt in range(_REFINE_ATTEMPTS):
-            shift = _retry_shift([seed, _CENTER_TAG, level], attempt, _CENTER_SHIFT_FRAC, *half)
-            traced = _trace_tiling(pencil, xs, ys, shift)
-            flagged = [child for _, child, pairs, _ in traced if pairs and pair in pairs]
-            if len(flagged) == 1 and all(pairs is not None for _, _, pairs, _ in traced):
-                x0, x1, y0, y1 = flagged[0]
-                break
-        else:
-            raise RefinementInconsistent(
-                f"no subdivision of ({x0:.6g}, {x1:.6g}) x ({y0:.6g}, {y1:.6g}) "
-                f"isolated pair {pair} after {_REFINE_ATTEMPTS} attempts at level {level}"
+        sweep = sweep_grid(pencil, GridSpec(2, 2, (x0, x1), (y0, y1)), seed=seed)
+        flagged = [b for b in sweep.boxes if pair in b.pairs]
+        if len(flagged) != 1 or sweep.unresolved:
+            causes = "".join(
+                f"; child ({b.row}, {b.col}) unresolved: {b.message}" for b in sweep.unresolved
             )
+            raise RefinementInconsistent(
+                f"level {level}: {len(flagged)} children of ({x0:.6g}, {x1:.6g}) x "
+                f"({y0:.6g}, {y1:.6g}) flag pair {pair} "
+                f"(attempts: {sweep.boxes[0].attempts}){causes}"
+            )
+        x0, x1, y0, y1 = sweep.rect_of(flagged[0])
     half_diag = 0.5 * math.hypot(x1 - x0, y1 - y0)
     return CIEstimate(
         x=0.5 * (x0 + x1),

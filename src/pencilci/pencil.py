@@ -237,6 +237,8 @@ class AnalyticCIPencil(ParametricPencil):
 
 def analytic_ci_pencil(eps: float = 0.0) -> AnalyticCIPencil:
     """The 2x2 analytic test pencil with perturbation eps."""
+    if not np.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     return AnalyticCIPencil(eps=eps)
 
 
@@ -308,6 +310,8 @@ def embed_2x2(
         raise ValueError(f"need 2 <= n and 1 <= j <= n-1, got n={n}, j={j}")
     if len(outer_spectrum) != n - 2:
         raise ValueError(f"outer_spectrum must have {n - 2} values")
+    if not np.all(np.isfinite(outer_spectrum)):
+        raise ValueError(f"outer_spectrum must be finite, got {list(outer_spectrum)}")
     above = outer_spectrum[: j - 1]
     below = outer_spectrum[j - 1 :]
     sample = np.linspace(-2.0, 2.0, 9)

@@ -73,6 +73,14 @@ def test_generate_rejects_bad_dispersion(tmp_path, caplog):
     assert "sqrt((n+1)/(n+5))" in caplog.text
 
 
+def test_generate_rejects_non_finite_eps(tmp_path):
+    line = _cli_error_line(
+        "generate", "--kind", "analytic_ci", "--eps", "nan", "--out-dir", tmp_path
+    )
+    assert "eps" in line
+    assert not (tmp_path / "pencil.json").exists()
+
+
 def test_trace_loop_around_coalescence(tmp_path, analytic_descriptor, capfd):
     rc = run(
         "trace", "--pencil", analytic_descriptor,
@@ -221,8 +229,10 @@ def _census_error_line(tmp_path, spec_text):
         ('"box"', "JSON object"),
         ('{"kind": "box", "rect": 5}', "rect"),
         ('{"kind": "circle", "center": null, "radius": 1}', "center"),
+        ('{"kind": "circle", "center": [0, 0], "radius": NaN}', "radius"),
+        ('{"kind": "box", "rect": [0, Infinity, 0, 1]}', "rect"),
     ],
-    ids=["list", "string", "rect-number", "center-null"],
+    ids=["list", "string", "rect-number", "center-null", "radius-nan", "rect-infinity"],
 )
 def test_trace_malformed_loop_spec_is_one_line(tmp_path, analytic_descriptor, loop, field):
     line = _cli_error_line(
@@ -243,8 +253,15 @@ def _sweep_error_line(tmp_path, pencil, *ranges):
     [
         ("[]", "JSON object"),
         ('{"kind": "sgplus", "n": null, "b": 3, "delta": 0.4, "seed": 0}', "'n'"),
+        ('{"kind": "analytic_ci", "eps": NaN}', "eps"),
+        ('{"kind": "sgplus", "n": 4, "b": 3, "delta": NaN, "seed": 0}', "delta"),
+        (
+            '{"kind": "embedded", "inner": {"kind": "analytic_ci"}, "n": 3, "j": 1,'
+            ' "outer_spectrum": [Infinity]}',
+            "outer_spectrum",
+        ),
     ],
-    ids=["list", "n-null"],
+    ids=["list", "n-null", "eps-nan", "delta-nan", "outer-infinity"],
 )
 def test_sweep_malformed_pencil_descriptor_is_one_line(tmp_path, text, problem):
     pencil = tmp_path / "pencil.json"

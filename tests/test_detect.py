@@ -271,6 +271,14 @@ def test_refine_box_without_coalescence_fails():
         refine_box(pen, (0.5, 0.75, 0.5, 0.75), pair=1, depth=1)
 
 
+def test_refine_box_names_the_cause_of_an_unresolved_child():
+    # (0, 0) lies on the outer side x = 0, which no retry moves
+    with pytest.raises(RefinementInconsistent) as info:
+        refine_box(analytic_ci_pencil(0.0), (0.0, 0.5, -0.25, 0.25), pair=1, depth=3)
+    message = str(info.value)
+    assert "level 0" in message and "StepUnderflow" in message
+
+
 def test_refine_box_moves_centre_lines_through_the_intersection():
     # (0, 0) lies on both centre lines of the level-0 split, so every child
     # fails until the lines move
