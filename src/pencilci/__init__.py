@@ -11,13 +11,11 @@ from .census import (
     cell_seed,
     fit_power_law,
     run_census,
-    summarize_exponents,
     write_report,
 )
 from .continuation import (
     EigenPoint,
     StepDecision,
-    StepRecord,
     TOLDIST,
     TOLSTEP,
     TraceResult,

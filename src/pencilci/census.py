@@ -41,7 +41,6 @@ __all__ = [
     "write_report",
     "fit_power_law",
     "group_fits",
-    "summarize_exponents",
 ]
 
 _log = logging.getLogger(__name__)
@@ -90,12 +89,23 @@ class ExperimentSpec:
     y_range: tuple[float, float] = (0.0, 2.0 * math.pi)
 
     def __post_init__(self):
+        for name in ("n_list", "b_list", "delta_list", "x_range", "y_range"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name}: {value!r} is not an array")
+            if name.endswith("_range") and len(value) != 2:
+                raise ValueError(f"{name}: {value!r} is not an array of two numbers")
         scalars = [(name, getattr(self, name)) for name in ("seed", "realizations", "rows", "cols")]
         listed = [("n_list", n) for n in self.n_list]
         listed += [("b_list", b) for b in self.b_list if b != "full"]
         for name, value in scalars + listed:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name}: {value!r} is not an integer")
+        reals = [("delta_list", d) for d in self.delta_list]
+        reals += [(name, v) for name in ("x_range", "y_range") for v in getattr(self, name)]
+        for name, value in reals:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name}: {value!r} is not a number")
         for name, value in scalars:
             object.__setattr__(self, name, int(value))
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
@@ -374,27 +384,3 @@ def write_report(report: CensusReport, out_dir) -> dict:
         fh.write("\n")
     return paths
 
-
-def summarize_exponents(fits: dict) -> list[dict]:
-    """Side-by-side of fitted exponents against the fixed reference values.
-
-    fits maps tuple keys whose first entry is the bandwidth token, such as
-    (b_token, delta_index), to a PowerLawFit or None. None entries are
-    skipped; entries with no reference exponent get reference_p None.
-    """
-    rows = []
-    for key, fit in sorted(fits.items(), key=lambda kv: str(kv[0])):
-        if fit is None:
-            continue
-        token = str(key[0]) if key else None
-        ref = GOE_REFERENCE_EXPONENTS.get(token)
-        rows.append(
-            {
-                "key": key,
-                "b": token,
-                "p": fit.p,
-                "reference_p": ref,
-                "difference": None if ref is None else fit.p - ref,
-            }
-        )
-    return rows

@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import __version__
-from .census import ExperimentSpec, group_fits, run_census, summarize_exponents, write_report
+from .census import GOE_REFERENCE_EXPONENTS, ExperimentSpec, group_fits, run_census, write_report
 from .continuation import trace, trace_loop, write_trace_csv
 from .detect import GridSpec, decode_signature, sweep_grid, write_ci_csv, write_sweep_summary
 from .errors import PencilError
@@ -103,11 +103,13 @@ def _parse_loop(spec: str):
 
 
 def _print_fits(fits: dict, columns) -> None:
-    """One line per fitted group: its column values, p, c, rmsd and reference p."""
-    for row in summarize_exponents(fits):
-        fit = fits[row["key"]]
-        label = ", ".join(f"{c}={v}" for c, v in zip(columns, row["key"])) or "all"
-        ref = "" if row["reference_p"] is None else f"  (reference p {row['reference_p']})"
+    """One line per fitted group, in key order: column values, p, c, rmsd and reference p."""
+    for key, fit in sorted(fits.items(), key=lambda kv: str(kv[0])):
+        if fit is None:
+            continue
+        label = ", ".join(f"{c}={v}" for c, v in zip(columns, key)) or "all"
+        ref_p = GOE_REFERENCE_EXPONENTS.get(str(key[0])) if key else None
+        ref = "" if ref_p is None else f"  (reference p {ref_p})"
         print(f"{label}: p = {fit.p:.6g}, c = {fit.c:.6g}, rmsd = {fit.rmsd:.6g}{ref}")
 
 

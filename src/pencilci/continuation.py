@@ -32,11 +32,10 @@ from .errors import (
     StepUnderflow,
     TripleDegeneracy,
 )
-from .linalg import eig2x2_pencil, gen_eig_ordered, symmetrize
+from .linalg import gen_eig_ordered, symmetrize
 
 __all__ = [
     "EigenPoint",
-    "StepRecord",
     "StepDecision",
     "TraceResult",
     "TOLSTEP",
@@ -91,21 +90,20 @@ _MAX_SUBSTEPS = 10_000
 
 @dataclass(frozen=True, eq=False)
 class EigenPoint:
-    """Decomposition at one path parameter: V.T B V = I, A V = B V Lambda."""
+    """Decomposition at one path parameter: V.T B V = I, A V = B V Lambda.
+
+    h, rho_lambda, rho_V and veering describe the accepted step that reached
+    the point (NaN rho entries while veering); a trace start keeps the
+    defaults.
+    """
 
     t: float
     V: np.ndarray
     lam: np.ndarray
-
-
-class StepRecord(NamedTuple):
-    """Diagnostics for one accepted step (NaN rho entries while veering)."""
-
-    t: float
-    h: float
-    rho_lambda: float
-    rho_V: float
-    veering: bool
+    h: float = 0.0
+    rho_lambda: float = math.nan
+    rho_V: float = math.nan
+    veering: bool = False
 
 
 class StepDecision(NamedTuple):
@@ -127,7 +125,6 @@ class TraceResult:
     """
 
     points: list[EigenPoint]
-    records: list[StepRecord]
     veering_events: list[tuple[float, float, int]]
     step_stats: dict
     D: np.ndarray | None = None
@@ -135,10 +132,8 @@ class TraceResult:
 
 
 class _VeeringResult(NamedTuple):
-    state: EigenPoint
     event: tuple[float, float, int]
-    points: list[EigenPoint]
-    records: list[StepRecord]
+    points: list[EigenPoint]  # one per accepted substep; the last is the exit state
 
 
 def _rel_gaps(lam: np.ndarray) -> np.ndarray:
@@ -283,33 +278,6 @@ def secant_guard(
     return min(h, 0.9 * crossing)
 
 
-def _resolve_pair(Ap: np.ndarray, Bp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form decomposition of a projected 2x2 pencil, diag-positive signs.
-
-    Returns (Z, lam) with lam decreasing, Z.T Bp Z = I and Z[k, k] >= 0, so
-    the columns stay aligned with the basis the pencil was projected onto.
-    """
-    a, b, c = Ap[0, 0], Ap[0, 1], Ap[1, 1]
-    al, be, ga = Bp[0, 0], Bp[0, 1], Bp[1, 1]
-    _, _, l1, l2 = eig2x2_pencil(a, b, c, al, be, ga)
-    Z = np.empty((2, 2))
-    for k, lam in enumerate((l1, l2)):
-        m11 = a - lam * al
-        m12 = b - lam * be
-        m22 = c - lam * ga
-        z_a = np.array([-m12, m11])
-        z_b = np.array([m22, -m12])
-        z = z_a if np.linalg.norm(z_a) >= np.linalg.norm(z_b) else z_b
-        nrm = math.sqrt(max(float(z @ Bp @ z), 0.0))
-        if nrm == 0.0:
-            z = np.eye(2)[:, k]
-            nrm = math.sqrt(float(z @ Bp @ z))
-        Z[:, k] = z / nrm
-        if Z[k, k] < 0.0:
-            Z[:, k] = -Z[:, k]
-    return Z, np.array([l1, l2])
-
-
 def veering_traverse(
     state: EigenPoint,
     pencil,
@@ -326,11 +294,11 @@ def veering_traverse(
     diagonal (rotation under 45 degrees); the stepsize halves until that
     holds. Outer columns must overlap strongly with their predecessors.
 
-    On exit (relative gap at least VEERING_EXIT_FACTOR * TOLDIST) the pair is
-    re-resolved inside its 2-dim subspace with the closed-form 2x2 solve,
-    signs matched to the tracked basis. Reaching t = 1 still inside the zone
-    terminates the traversal there; downstream signature checks decide
-    whether the result is usable.
+    The traversal ends at the first substep whose relative gap is at least
+    VEERING_EXIT_FACTOR * TOLDIST; that substep's decomposition, signs
+    chained by overlap, is where predictor stepping resumes. Reaching t = 1
+    still inside the zone ends the traversal there; downstream signature
+    checks decide whether the result is usable.
 
     Raises
     ------
@@ -349,7 +317,6 @@ def veering_traverse(
     V_prev = state.V
     h_v = min(h_entry, 1.0 - t)
     points: list[EigenPoint] = []
-    records: list[StepRecord] = []
     outer = np.array([k for k in range(n) if k not in (i, i + 1)], dtype=int)
     pair_ix = np.array([i, i + 1], dtype=int)
 
@@ -385,22 +352,11 @@ def veering_traverse(
                     f"(substep {h_v:.3e} below floor {H_MIN_FRAC:.3e})"
                 )
             continue
-        signs = np.where(diag >= 0.0, 1.0, -1.0)
-        V_new = ep.vectors * signs
         t = t_new
-        V_prev = V_new
-        points.append(EigenPoint(t=t, V=V_new, lam=lam))
-        records.append(StepRecord(t, h_step, math.nan, math.nan, True))
+        V_prev = ep.vectors * np.where(diag >= 0.0, 1.0, -1.0)
+        points.append(EigenPoint(t=t, V=V_prev, lam=lam, h=h_step, veering=True))
         if gaps[i] >= VEERING_EXIT_FACTOR * TOLDIST:
-            W = V_new[:, pair_ix]
-            Ap = symmetrize(W.T @ A_new @ W)
-            Bp = symmetrize(W.T @ B_new @ W)
-            Z, _ = _resolve_pair(Ap, Bp)
-            V_res = V_new.copy()
-            V_res[:, pair_ix] = W @ Z
-            out = EigenPoint(t=t, V=V_res, lam=lam)
-            points[-1] = out
-            return _VeeringResult(out, (t_enter, t, pair), points, records)
+            break
         if pair_diag > _VEER_EASY:
             h_v = min(h_v * _VEER_GROW, h_entry)
     else:
@@ -409,8 +365,7 @@ def veering_traverse(
             f"within {_MAX_SUBSTEPS} substeps"
         )
 
-    out = points[-1] if points else state
-    return _VeeringResult(out, (t_enter, t, pair), points, records)
+    return _VeeringResult((t_enter, t, pair), points)
 
 
 def trace(pencil, path) -> TraceResult:
@@ -431,9 +386,7 @@ def trace(pencil, path) -> TraceResult:
     state = init_decomposition(pencil, path)
     h = H0_FRAC
     points = [state]
-    records: list[StepRecord] = []
     events: list[tuple[float, float, int]] = []
-    accepted = 0
     rejected = 0
 
     while state.t < 1.0:
@@ -454,9 +407,7 @@ def trace(pencil, path) -> TraceResult:
             vr = veering_traverse(state, pencil, path, pair=int(flagged[0]) + 1, h_entry=h_try)
             events.append(vr.event)
             points.extend(vr.points)
-            records.extend(vr.records)
-            accepted += len(vr.points)
-            state = vr.state
+            state = points[-1]
             h = h_try  # the stepsize at which the veering zone was entered
             continue
         lam_pred, V_pred = predict(state, A_next, B_next, h_try)
@@ -464,10 +415,11 @@ def trace(pencil, path) -> TraceResult:
         dec = step_control(ep.values, lam_pred, V_corr, V_pred, B_next, h_try)
         if dec.accept and min_overlap >= AMBIGUOUS_OVERLAP:
             h = secant_guard(state.lam, ep.values, min(dec.h_new, H_MAX_FRAC), h_taken=h_try)
-            state = EigenPoint(t=t_next, V=V_corr, lam=ep.values)
+            state = EigenPoint(
+                t=t_next, V=V_corr, lam=ep.values, h=h_try,
+                rho_lambda=dec.rho_lambda, rho_V=dec.rho_V,
+            )
             points.append(state)
-            records.append(StepRecord(t_next, h_try, dec.rho_lambda, dec.rho_V, False))
-            accepted += 1
         else:
             rejected += 1
             h = dec.h_new
@@ -478,10 +430,8 @@ def trace(pencil, path) -> TraceResult:
                 f"stepsize {h:.3e} below floor {H_MIN_FRAC:.3e} at t = {state.t:.12g}"
             )
 
-    stats = {"accepted": accepted, "rejected": rejected, "veering_events": len(events)}
-    return TraceResult(
-        points=points, records=records, veering_events=events, step_stats=stats
-    )
+    stats = {"accepted": len(points) - 1, "rejected": rejected, "veering_events": len(events)}
+    return TraceResult(points=points, veering_events=events, step_stats=stats)
 
 
 def trace_loop(pencil, loop) -> TraceResult:
@@ -533,8 +483,8 @@ def write_trace_csv(result: TraceResult, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for point, rec in zip(result.points[1:], result.records):
-            row = [f"{rec.t:.17g}", f"{rec.h:.17g}"]
-            row += [f"{v:.17g}" for v in point.lam]
-            row += [f"{rec.rho_lambda:.17g}", f"{rec.rho_V:.17g}", str(int(rec.veering))]
+        for p in result.points[1:]:
+            row = [f"{p.t:.17g}", f"{p.h:.17g}"]
+            row += [f"{v:.17g}" for v in p.lam]
+            row += [f"{p.rho_lambda:.17g}", f"{p.rho_V:.17g}", str(int(p.veering))]
             writer.writerow(row)

@@ -345,7 +345,8 @@ def pencil_from_descriptor(desc: dict) -> ParametricPencil:
         raise ValueError(f"pencil descriptor must be a JSON object, got {desc!r}")
     kind = desc.get("kind")
     if kind == "sgplus":
-        n, b, seed = (_descriptor_value(desc, key, int) for key in ("n", "b", "seed"))
+        n, seed = (_descriptor_value(desc, key, int) for key in ("n", "seed"))
+        b = _descriptor_value(desc, "b", lambda v: v if v == "full" else int(v))
         return sgplus_pencil(sgplus_generate(n, b, _descriptor_value(desc, "delta", float), seed))
     if kind == "analytic_ci":
         return analytic_ci_pencil(_descriptor_value(desc, "eps", float, 0.0))

@@ -13,11 +13,9 @@ from pencilci.census import (
     GOE_REFERENCE_EXPONENTS,
     CensusReport,
     ExperimentSpec,
-    PowerLawFit,
     cell_seed,
     fit_power_law,
     run_census,
-    summarize_exponents,
     write_report,
 )
 from pencilci.census import _cell_filename, sweep_grid
@@ -74,6 +72,17 @@ def test_spec_validation():
             ExperimentSpec.from_dict({"n_list": [10], name: bad})
     for name, bad in (("x_range", [0, math.inf]), ("y_range", [-math.inf, 0])):
         with pytest.raises(ValueError, match="finite"):
+            ExperimentSpec.from_dict({"n_list": [10], name: bad})
+    for name, bad in (("n_list", 4), ("b_list", "full"), ("delta_list", 0.45),
+                      ("x_range", 3), ("y_range", None)):
+        with pytest.raises(ValueError, match=f"{name}: .* is not an array"):
+            ExperimentSpec.from_dict({"n_list": [10], name: bad})
+    for name, bad in (("x_range", [0, 1, 2]), ("y_range", [1])):
+        with pytest.raises(ValueError, match=f"{name}: .* array of two numbers"):
+            ExperimentSpec.from_dict({"n_list": [10], name: bad})
+    for name, bad in (("delta_list", ["0.45"]), ("delta_list", [True]),
+                      ("x_range", ["0", 1]), ("y_range", [0, False])):
+        with pytest.raises(ValueError, match=f"{name}: .* is not a number"):
             ExperimentSpec.from_dict({"n_list": [10], name: bad})
 
 
@@ -315,19 +324,3 @@ def test_write_report_files(tmp_path):
 
 def test_goe_reference_exponents():
     assert GOE_REFERENCE_EXPONENTS == {"full": 2.00, "5": 2.55, "4": 2.66, "3": 2.73}
-
-
-def test_summarize_exponents():
-    fits = {
-        ("full", 0): PowerLawFit(p=2.02, c=0.7, rmsd=0.01, n_points=8),
-        ("3", 0): PowerLawFit(p=2.59, c=0.13, rmsd=0.005, n_points=8),
-        ("2", 0): PowerLawFit(p=2.8, c=0.1, rmsd=0.01, n_points=8),
-        ("9", 0): None,
-    }
-    rows = summarize_exponents(fits)
-    by_b = {r["b"]: r for r in rows}
-    assert set(by_b) == {"full", "3", "2"}
-    assert by_b["full"]["reference_p"] == 2.00
-    assert by_b["full"]["difference"] == pytest.approx(0.02)
-    assert by_b["3"]["reference_p"] == 2.73
-    assert by_b["2"]["reference_p"] is None and by_b["2"]["difference"] is None

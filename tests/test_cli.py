@@ -197,6 +197,7 @@ def test_census_cli(tmp_path, capfd):
     with open(out / "census_counts.csv") as fh:
         lines = fh.read().splitlines()
     assert len(lines) == 2 and lines[1].endswith(",4,0")
+    assert "p = " not in capfd.readouterr().out  # one n: the group has no fit
 
 
 def _cli_error_line(*argv):
@@ -253,6 +254,7 @@ def _sweep_error_line(tmp_path, pencil, *ranges):
     [
         ("[]", "JSON object"),
         ('{"kind": "sgplus", "n": null, "b": 3, "delta": 0.4, "seed": 0}', "'n'"),
+        ('{"kind": "sgplus", "n": 4, "b": "wide", "delta": 0.4, "seed": 0}', "'b'"),
         ('{"kind": "analytic_ci", "eps": NaN}', "eps"),
         ('{"kind": "sgplus", "n": 4, "b": 3, "delta": NaN, "seed": 0}', "delta"),
         (
@@ -261,13 +263,29 @@ def _sweep_error_line(tmp_path, pencil, *ranges):
             "outer_spectrum",
         ),
     ],
-    ids=["list", "n-null", "eps-nan", "delta-nan", "outer-infinity"],
+    ids=["list", "n-null", "b-word", "eps-nan", "delta-nan", "outer-infinity"],
 )
 def test_sweep_malformed_pencil_descriptor_is_one_line(tmp_path, text, problem):
     pencil = tmp_path / "pencil.json"
     pencil.write_text(text)
     line = _sweep_error_line(tmp_path, pencil, "--x-range", 0, 1, "--y-range", 0, 1)
     assert problem in line
+
+
+def test_sweep_full_bandwidth_descriptor(tmp_path):
+    flags = []
+    for b in ('"full"', "3"):
+        pencil = tmp_path / f"pencil-{b}.json"
+        pencil.write_text(f'{{"kind": "sgplus", "n": 4, "b": {b}, "delta": 0.4, "seed": 0}}')
+        out = tmp_path / f"out-{b}"
+        rc = run(
+            "sweep", "--pencil", pencil, "--rows", 3, "--cols", 3,
+            "--x-range", 0, 3.141592653589793, "--y-range", 0, 6.283185307179586,
+            "--workers", 1, "--out-dir", out,
+        )
+        assert rc == 0
+        flags.append((out / "ci_boxes.csv").read_bytes())
+    assert flags[0] == flags[1] and flags[0].count(b"\n") > 1
 
 
 def test_sweep_rejects_infinite_range(tmp_path, analytic_descriptor):
@@ -301,6 +319,11 @@ def test_census_rejects_fractional_dimension(tmp_path):
     assert "n_list" in line and "10.7" in line
 
 
+def test_census_rejects_spec_list_that_is_not_an_array(tmp_path):
+    line = _census_error_line(tmp_path, '{"n_list": 4}')
+    assert "n_list" in line and "array" in line
+
+
 def test_fit_matches_library(tmp_path, capfd):
     rc = run("fit", "--data", DATA, "--out-dir", tmp_path)
     assert rc == 0
@@ -323,6 +346,16 @@ def test_fit_matches_library(tmp_path, capfd):
         assert float(row["c"]) == ref.c
         assert float(row["rmsd"]) == ref.rmsd
         assert int(row["n_points"]) == 8
+
+
+def test_fit_prints_reference_only_where_known(tmp_path, capfd):
+    data = tmp_path / "counts.csv"
+    data.write_text("bandwidth,n,count\n2,50,100\n2,60,150\n3,50,110\n3,60,160\n")
+    assert run("fit", "--data", data, "--out-dir", tmp_path) == 0
+    lines = capfd.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("bandwidth=2: p = ") and "reference p" not in lines[0]
+    assert lines[1].startswith("bandwidth=3: p = ") and lines[1].endswith("(reference p 2.73)")
 
 
 def test_fit_empty_data(tmp_path):

@@ -26,6 +26,7 @@ from pencilci.pencil import (
     analytic_ci_pencil,
     box_perimeter,
     circle,
+    embed_2x2,
     segment,
     sgplus_generate,
     sgplus_pencil,
@@ -225,19 +226,40 @@ def test_loop_through_coalescence_unresolvable():
         trace_loop(pen, box_perimeter(-0.3, 0.0, 1.0, 1.0))
 
 
+def _assert_decompositions(pen, loop, res):
+    """V.T B V = I and A V = B V Lambda at every point, veering substeps included."""
+    for p in res.points:
+        A, B = pen.eval(*loop.point(p.t))
+        n = p.lam.size
+        assert np.linalg.norm(p.V.T @ B @ p.V - np.eye(n)) <= 1e-9
+        assert np.linalg.norm(A @ p.V - B @ p.V @ np.diag(p.lam)) <= 1e-9
+
+
 def test_veering_near_miss_keeps_signature():
     # edge passing 5e-11 from the coalescence: the signature must still tell
-    # inside from outside, with a veering interval on that edge
-    pen = analytic_ci_pencil(0.0)
-    outside = trace_loop(pen, box_perimeter(5e-11, -0.5, 1.0, 1.0))
-    assert outside.D.tolist() == [1, 1]
-    assert len(outside.veering_events) >= 1
-    inside = trace_loop(pen, box_perimeter(-1.0 + 5e-11, -0.5, 1.0, 1.0))
-    assert inside.D.tolist() == [-1, -1]
-    assert len(inside.veering_events) >= 1
-    t_lo, t_hi, pair = outside.veering_events[0]
-    assert pair == 1
-    assert 0.75 <= t_lo <= t_hi <= 1.0
+    # inside from outside, with a veering interval on that edge; the embedded
+    # 4x4 pencil gives the pair outer columns, which substeps chain by overlap
+    pencils = [
+        (analytic_ci_pencil(0.0), 1),
+        (embed_2x2(analytic_ci_pencil(0.0), 4, 2, (9.0, -7.0)), 2),
+    ]
+    for pen, pair in pencils:
+        n = pen.n
+        in_pair = np.isin(np.arange(1, n + 1), (pair, pair + 1))
+        outside_loop = box_perimeter(5e-11, -0.5, 1.0, 1.0)
+        outside = trace_loop(pen, outside_loop)
+        assert outside.D.tolist() == [1] * n
+        assert len(outside.veering_events) >= 1
+        inside_loop = box_perimeter(-1.0 + 5e-11, -0.5, 1.0, 1.0)
+        inside = trace_loop(pen, inside_loop)
+        assert inside.D.tolist() == np.where(in_pair, -1, 1).tolist()
+        assert len(inside.veering_events) >= 1
+        t_lo, t_hi, event_pair = outside.veering_events[0]
+        assert event_pair == pair
+        assert 0.75 <= t_lo <= t_hi <= 1.0
+        for loop, res in ((outside_loop, outside), (inside_loop, inside)):
+            assert any(p.veering for p in res.points)
+            _assert_decompositions(pen, loop, res)
 
 
 def test_sgplus_loop_signature_properties():
@@ -259,7 +281,7 @@ def test_write_trace_csv_roundtrip(tmp_path):
         "t", "h", "lambda_1", "lambda_2", "lambda_3", "lambda_4",
         "rho_lambda", "rho_V", "veering",
     ]
-    assert len(rows) - 1 == len(res.records)
+    assert len(rows) - 1 == len(res.points) - 1 == res.step_stats["accepted"]
     # 17 significant digits round-trip losslessly
     assert float(rows[1][2]) == res.points[1].lam[0]
     assert all(r[-1] in ("0", "1") for r in rows[1:])
