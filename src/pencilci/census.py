@@ -14,21 +14,21 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import logging
 import math
-import numbers
 import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .detect import GridSpec, sweep_grid
 from .errors import NonPositiveCount
+from .fields import read_array, read_bandwidth, read_int, read_json, read_object, write_json
 from .pencil import sgplus_bandwidth, sgplus_generate, sgplus_pencil
 
 __all__ = [
@@ -52,22 +52,29 @@ GOE_REFERENCE_EXPONENTS = {"full": 2.00, "5": 2.55, "4": 2.66, "3": 2.73}
 _SEED_NAMESPACE = "pencilci-census"
 
 
-def _b_token(b) -> str:
-    """Canonical string form of a bandwidth entry: 'full' or the integer."""
-    if b == "full":
-        return "full"
-    return str(int(b))
-
-
 def cell_seed(seed0: int, b, delta_index: int, n: int, realization: int) -> int:
     """Pinned per-cell seed: SHA-256 over a namespaced key string.
 
     Cells are independent and individually re-runnable; the first 16 digest
-    bytes (big-endian) seed the cell's generator.
+    bytes (big-endian) seed the cell's generator. b is an integer or "full".
     """
-    key = f"{_SEED_NAMESPACE}|{seed0}|{_b_token(b)}|{delta_index}|{n}|{realization}"
+    key = f"{_SEED_NAMESPACE}|{seed0}|{b}|{delta_index}|{n}|{realization}"
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:16], "big")
+
+
+# the reader of each ExperimentSpec field, in field order
+_SPEC_READERS = {
+    "seed": read_int,
+    "n_list": partial(read_array, reader=read_int),
+    "b_list": partial(read_array, reader=read_bandwidth),
+    "delta_list": read_array,
+    "realizations": partial(read_int, minimum=1),
+    "rows": read_int,
+    "cols": read_int,
+    "x_range": partial(read_array, length=2),
+    "y_range": partial(read_array, length=2),
+}
 
 
 @dataclass(frozen=True)
@@ -89,43 +96,15 @@ class ExperimentSpec:
     y_range: tuple[float, float] = (0.0, 2.0 * math.pi)
 
     def __post_init__(self):
-        for name in ("n_list", "b_list", "delta_list", "x_range", "y_range"):
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"{name}: {value!r} is not an array")
-            if name.endswith("_range") and len(value) != 2:
-                raise ValueError(f"{name}: {value!r} is not an array of two numbers")
-        scalars = [(name, getattr(self, name)) for name in ("seed", "realizations", "rows", "cols")]
-        listed = [("n_list", n) for n in self.n_list]
-        listed += [("b_list", b) for b in self.b_list if b != "full"]
-        for name, value in scalars + listed:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name}: {value!r} is not an integer")
-        reals = [("delta_list", d) for d in self.delta_list]
-        reals += [(name, v) for name in ("x_range", "y_range") for v in getattr(self, name)]
-        for name, value in reals:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name}: {value!r} is not a number")
-        for name, value in scalars:
-            object.__setattr__(self, name, int(value))
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        object.__setattr__(
-            self, "b_list", tuple("full" if b == "full" else int(b) for b in self.b_list)
-        )
-        object.__setattr__(self, "delta_list", tuple(float(d) for d in self.delta_list))
-        object.__setattr__(self, "x_range", tuple(float(v) for v in self.x_range))
-        object.__setattr__(self, "y_range", tuple(float(v) for v in self.y_range))
-        if self.realizations < 1:
-            raise ValueError("realizations must be at least 1")
+        for name, reader in _SPEC_READERS.items():
+            object.__setattr__(self, name, reader(getattr(self, name), name))
         self.grid  # GridSpec checks rows, cols and the ranges
         for n, b, d in itertools.product(self.n_list, self.b_list, self.delta_list):
             sgplus_bandwidth(n, b, d)
 
     @property
     def grid(self) -> GridSpec:
-        return GridSpec(
-            rows=self.rows, cols=self.cols, x_range=self.x_range, y_range=self.y_range
-        )
+        return GridSpec(self.rows, self.cols, self.x_range, self.y_range)
 
     def cells(self) -> list[tuple]:
         """All (b, delta_index, n, realization) keys in deterministic order."""
@@ -139,35 +118,26 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        if not isinstance(d, dict):
-            raise ValueError(f"experiment spec must be a JSON object, not {d!r}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown experiment spec keys: {', '.join(unknown)}")
-        return cls(**d)
+        return cls(**read_object(d, "experiment spec", [f.name for f in fields(cls)]))
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 def _cell_filename(b, delta_index: int, n: int, realization: int) -> str:
-    return f"cell_b{_b_token(b)}_d{delta_index}_n{n}_r{realization}.json"
+    return f"cell_b{b}_d{delta_index}_n{n}_r{realization}.json"
 
 
 def _cell_valid(path: str) -> bool:
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return isinstance(data, dict) and isinstance(data.get("count"), int)
+        read_int(read_object(read_json(path), "cell file").get("count"), "count", minimum=0)
     except (OSError, ValueError):
         return False
+    return True
 
 
 def _run_cell(task: tuple) -> str:
@@ -194,11 +164,7 @@ def _run_cell(task: tuple) -> str:
         "n_unresolved": len(result.unresolved),
         "wall_time": wall,
     }
-    tmp = f"{out_path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, out_path)
+    write_json(out_path, payload)
     return out_path
 
 
@@ -274,13 +240,9 @@ def group_fits(rows) -> tuple[dict, dict]:
 
 
 def _assemble_report(spec: ExperimentSpec, cell_dir: str) -> CensusReport:
-    cells = []
-    for b, di, n, r in spec.cells():
-        path = os.path.join(cell_dir, _cell_filename(b, di, n, r))
-        with open(path, encoding="utf-8") as fh:
-            cells.append(json.load(fh))
+    cells = [read_json(os.path.join(cell_dir, _cell_filename(*key))) for key in spec.cells()]
     means, fits = group_fits(
-        ((_b_token(c["b"]), c["delta_index"]), c["n"], c["count"]) for c in cells
+        ((str(c["b"]), c["delta_index"]), c["n"], c["count"]) for c in cells
     )
     means = {(*group, n): mean for (group, n), mean in means.items()}
     return CensusReport(spec=spec, cells=cells, means=means, fits=fits)
@@ -298,7 +260,6 @@ def run_census(
     uses the worker budget. Logs cells done, elapsed time and ETA at INFO as
     each cell finishes, in cell order.
     """
-    out_dir = str(out_dir)
     cell_dir = os.path.join(out_dir, "cells")
     os.makedirs(cell_dir, exist_ok=True)
     pending = []
@@ -327,7 +288,6 @@ def write_report(report: CensusReport, out_dir) -> dict:
     timing data and are byte-identical across reruns of the same spec;
     census_report.json additionally records per-cell wall times.
     """
-    out_dir = str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     spec = report.spec
     paths = {
@@ -341,7 +301,7 @@ def write_report(report: CensusReport, out_dir) -> dict:
         fh.write("b,delta,n,realization,count,n_unresolved\n")
         for c in report.cells:
             fh.write(
-                f"{_b_token(c['b'])},{spec.delta_list[c['delta_index']]:.17g},{c['n']},"
+                f"{c['b']},{spec.delta_list[c['delta_index']]:.17g},{c['n']},"
                 f"{c['realization']},{c['count']},{c['n_unresolved']}\n"
             )
 
@@ -379,8 +339,6 @@ def write_report(report: CensusReport, out_dir) -> dict:
             if f is not None
         ],
     }
-    with open(paths["report"], "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(paths["report"], doc)
     return paths
 

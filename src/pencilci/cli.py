@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import os
 import sys
 
@@ -24,16 +23,11 @@ from .census import GOE_REFERENCE_EXPONENTS, ExperimentSpec, group_fits, run_cen
 from .continuation import trace, trace_loop, write_trace_csv
 from .detect import GridSpec, decode_signature, sweep_grid, write_ci_csv, write_sweep_summary
 from .errors import PencilError
-from .pencil import (
-    analytic_ci_pencil,
-    box_perimeter,
-    circle,
-    load_pencil,
-    save_pencil,
-    segment,
-    sgplus_generate,
-    sgplus_pencil,
+from .fields import (
+    flag, parse_text, read_array, read_bandwidth, read_json, read_kind, read_number, read_seed,
+    write_json,
 )
+from .pencil import box_perimeter, circle, load_pencil, pencil_from_descriptor, save_pencil, segment
 
 log = logging.getLogger("pencilci")
 
@@ -46,33 +40,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write_manifest(out_dir: str, command: str, config: dict, outputs: list[str]) -> None:
-    clean = {k: v for k, v in config.items() if k not in ("func", "command")}
-    doc = {
-        "command": command,
-        "version": __version__,
-        "config": clean,
-        "outputs": sorted(outputs),
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_manifest(args, outputs: list[str]) -> None:
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    doc = {"command": args.command, "version": __version__, "config": config}
+    write_json(os.path.join(args.out_dir, "manifest.json"), {**doc, "outputs": sorted(outputs)})
 
 
-def _loop_numbers(data: dict, field: str, size: int) -> list[float]:
-    """The size finite numbers of a loop spec field: a list, or a bare number when size is 1."""
-    value = data.get(field)
-    items = [value] if size == 1 else value
-    try:
-        if isinstance(items, list) and len(items) == size:
-            numbers = [float(v) for v in items]
-            if all(math.isfinite(v) for v in numbers):
-                return numbers
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(
-        f"loop spec field {field!r} must hold {size} finite number(s), got {value!r}"
-    )
+_LOOP_KEYS = {"box": ("rect",), "circle": ("center", "radius"), "segment": ("start", "end")}
 
 
 def _parse_loop(spec: str):
@@ -82,24 +56,14 @@ def _parse_loop(spec: str):
     {"kind": "circle", "center": [cx, cy], "radius": r},
     {"kind": "segment", "start": [x, y], "end": [x, y]} (open).
     """
-    if spec.startswith("@"):
-        with open(spec[1:], encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(spec)
-    if not isinstance(data, dict):
-        raise ValueError(f"loop spec must be a JSON object, got {data!r}")
-    kind = data.get("kind")
+    data = read_json(spec[1:]) if spec.startswith("@") else json.loads(spec)
+    kind, get = read_kind(data, "loop spec", _LOOP_KEYS)
     if kind == "box":
-        x0, x1, y0, y1 = _loop_numbers(data, "rect", 4)
+        x0, x1, y0, y1 = get("rect", read_array, length=4)
         return box_perimeter(x0, y0, x1 - x0, y1 - y0)
     if kind == "circle":
-        cx, cy = _loop_numbers(data, "center", 2)
-        (radius,) = _loop_numbers(data, "radius", 1)
-        return circle(cx, cy, radius)
-    if kind == "segment":
-        return segment(tuple(_loop_numbers(data, "start", 2)), tuple(_loop_numbers(data, "end", 2)))
-    raise ValueError(f"unknown loop kind: {kind!r}")
+        return circle(*get("center", read_array, length=2), get("radius", read_number))
+    return segment(get("start", read_array, length=2), get("end", read_array, length=2))
 
 
 def _print_fits(fits: dict, columns) -> None:
@@ -114,23 +78,21 @@ def _print_fits(fits: dict, columns) -> None:
 
 
 def _cmd_generate(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     if args.kind == "analytic_ci":
-        pencil = analytic_ci_pencil(args.eps)
+        desc = {"kind": "analytic_ci", "eps": args.eps}
+    elif args.n is None or args.b is None or args.delta is None:
+        raise ValueError("generate --kind sgplus requires --n, --b and --delta")
     else:
-        if args.n is None or args.b is None or args.delta is None:
-            raise ValueError("generate --kind sgplus requires --n, --b and --delta")
-        b = args.b if args.b == "full" else int(args.b)
-        pencil = sgplus_pencil(sgplus_generate(args.n, b, args.delta, args.seed))
+        desc = {"kind": "sgplus", "n": args.n, "b": args.b, "delta": args.delta, "seed": args.seed}
+    pencil = pencil_from_descriptor(desc)
     out = args.out or os.path.join(args.out_dir, "pencil.json")
     save_pencil(pencil, out)
-    _write_manifest(args.out_dir, "generate", vars(args), [os.path.basename(out)])
+    _write_manifest(args, [os.path.basename(out)])
     log.info("wrote %s", out)
     return 0
 
 
 def _cmd_trace(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     pencil = load_pencil(args.pencil)
     path = _parse_loop(args.loop)
     outputs = ["trace.csv"]
@@ -141,39 +103,26 @@ def _cmd_trace(args) -> int:
             "pairs": [int(p) for p in decode_signature(result.D)],
             "signature_raw": [float(v) for v in result.signature_raw],
         }
-        with open(os.path.join(args.out_dir, "signature.json"), "w", encoding="utf-8") as fh:
-            json.dump(sig, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(args.out_dir, "signature.json"), sig)
         outputs.append("signature.json")
         print("D =", " ".join(str(v) for v in result.D))
         print("flagged pairs:", " ".join(str(p) for p in sig["pairs"]) or "none")
     else:
         result = trace(pencil, path)
     write_trace_csv(result, os.path.join(args.out_dir, "trace.csv"))
-    stats = result.step_stats
-    log.info(
-        "accepted %d steps, rejected %d, veering events %d",
-        stats["accepted"],
-        stats["rejected"],
-        stats["veering_events"],
-    )
-    _write_manifest(args.out_dir, "trace", vars(args), outputs)
+    fmt = "accepted %(accepted)d steps, rejected %(rejected)d, veering events %(veering_events)d"
+    log.info(fmt, result.step_stats)  # a lone mapping argument fills the named fields
+    _write_manifest(args, outputs)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     pencil = load_pencil(args.pencil)
-    grid = GridSpec(
-        rows=args.rows,
-        cols=args.cols,
-        x_range=tuple(args.x_range),
-        y_range=tuple(args.y_range),
-    )
+    grid = GridSpec(args.rows, args.cols, tuple(args.x_range), tuple(args.y_range))
     result = sweep_grid(pencil, grid, seed=args.seed, workers=args.workers)
     write_ci_csv(result, os.path.join(args.out_dir, "ci_boxes.csv"))
     write_sweep_summary(result, os.path.join(args.out_dir, "sweep_summary.json"))
-    _write_manifest(args.out_dir, "sweep", vars(args), ["ci_boxes.csv", "sweep_summary.json"])
+    _write_manifest(args, ["ci_boxes.csv", "sweep_summary.json"])
     print(
         f"flagged {len(result.flagged)} of {len(result.boxes)} boxes; "
         f"total count {result.total_count}; unresolved {len(result.unresolved)}"
@@ -182,20 +131,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     spec = ExperimentSpec.from_json(args.spec)
     report = run_census(spec, args.out_dir, workers=args.workers, resume=args.resume)
     paths = write_report(report, args.out_dir)
-    _write_manifest(
-        args.out_dir, "census", vars(args), [os.path.basename(p) for p in paths.values()]
-    )
+    _write_manifest(args, [os.path.basename(p) for p in paths.values()])
     _print_fits(report.fits, ("b", "delta_index"))
     log.info("census complete: %d cells", len(report.cells))
     return 0
 
 
 def _cmd_fit(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     with open(args.data, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         rows = [(reader.line_num, row) for row in reader]
@@ -206,14 +151,16 @@ def _cmd_fit(args) -> int:
     if "n" not in fields or count_col is None:
         raise ValueError("data file needs an 'n' column and a count column (mean_count or count)")
     group_cols = [c for c in ("b", "bandwidth", "delta") if c in fields]
+    points = []
     for line, row in rows:
         missing = [c for c in group_cols + ["n", count_col] if not row[c]]
         if missing:
             raise ValueError(f"{args.data} line {line}: no value for {', '.join(missing)}")
-    _, fits = group_fits(
-        (tuple(row[c] for c in group_cols), float(row["n"]), float(row[count_col]))
-        for _, row in rows
-    )
+        where = f"{args.data} line {line} column"
+        n = read_number(parse_text(row["n"]), f"{where} 'n'", positive=True)
+        count = read_number(parse_text(row[count_col]), f"{where} {count_col!r}")
+        points.append((tuple(row[c] for c in group_cols), n, count))
+    _, fits = group_fits(points)
     fits = {key: fit for key, fit in fits.items() if fit is not None}
     if not fits:
         raise ValueError("no group has positive mean counts at two or more n")
@@ -227,14 +174,14 @@ def _cmd_fit(args) -> int:
                 list(key)
                 + [f"{fit.p:.17g}", f"{fit.c:.17g}", f"{fit.rmsd:.17g}", fit.n_points]
             )
-    _write_manifest(args.out_dir, "fit", vars(args), ["fit_summary.csv"])
+    _write_manifest(args, ["fit_summary.csv"])
     _print_fits(fits, group_cols)
     return 0
 
 
 def _build_parser() -> _Parser:
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    seeded.add_argument("--seed", type=flag(read_seed), default=0, help="master seed (default 0)")
     pooled = argparse.ArgumentParser(add_help=False)
     pooled.add_argument(
         "--workers",
@@ -258,7 +205,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("generate", parents=[common, seeded], help="write a pencil descriptor")
     p.add_argument("--kind", default="sgplus", choices=["sgplus", "analytic_ci"])
     p.add_argument("--n", type=int, help="dimension")
-    p.add_argument("--b", help="bandwidth (integer or 'full')")
+    p.add_argument("--b", type=flag(read_bandwidth), help="bandwidth (integer or 'full')")
     p.add_argument("--delta", type=float, help="dispersion")
     p.add_argument("--eps", type=float, default=0.0, help="offset of the analytic family")
     p.add_argument("--out", help="descriptor path (default <out-dir>/pencil.json)")
@@ -297,6 +244,7 @@ def main(argv=None) -> int:
         level=getattr(logging, args.log_level), format="%(levelname)s %(message)s"
     )
     try:
+        os.makedirs(args.out_dir, exist_ok=True)
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         log.error("%s", exc)

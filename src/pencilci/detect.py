@@ -13,7 +13,6 @@ decreasing order. Box rows index the first coordinate, columns the second.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +22,7 @@ import numpy as np
 
 from .continuation import trace_loop
 from .errors import LoopUnresolvable, OddSignCount, RefinementInconsistent
+from .fields import write_json
 from .pencil import box_perimeter
 
 __all__ = [
@@ -355,6 +355,4 @@ def write_sweep_summary(result: SweepResult, path) -> None:
         "attempts": max(b.attempts for b in result.boxes),
         "unresolved_boxes": [[b.row, b.col, b.message] for b in result.unresolved],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, summary)

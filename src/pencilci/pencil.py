@@ -15,12 +15,14 @@ point(0) == point(1) exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BandwidthOutOfRange, DispersionOutOfRange, SpectrumOverlap
+from .fields import (
+    read_array, read_bandwidth, read_int, read_json, read_kind, read_number, read_seed, write_json,
+)
 from .linalg import eig2x2_pencil, symmetrize
 
 __all__ = [
@@ -237,8 +239,6 @@ class AnalyticCIPencil(ParametricPencil):
 
 def analytic_ci_pencil(eps: float = 0.0) -> AnalyticCIPencil:
     """The 2x2 analytic test pencil with perturbation eps."""
-    if not np.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps}")
     return AnalyticCIPencil(eps=eps)
 
 
@@ -310,8 +310,6 @@ def embed_2x2(
         raise ValueError(f"need 2 <= n and 1 <= j <= n-1, got n={n}, j={j}")
     if len(outer_spectrum) != n - 2:
         raise ValueError(f"outer_spectrum must have {n - 2} values")
-    if not np.all(np.isfinite(outer_spectrum)):
-        raise ValueError(f"outer_spectrum must be finite, got {list(outer_spectrum)}")
     above = outer_spectrum[: j - 1]
     below = outer_spectrum[j - 1 :]
     sample = np.linspace(-2.0, 2.0, 9)
@@ -330,45 +328,33 @@ def embed_2x2(
     return EmbeddedPencil(inner=inner, dim=n, j=j, outer_spectrum=tuple(outer_spectrum))
 
 
-def _descriptor_value(desc: dict, key: str, cast, default=None):
-    """cast(desc[key]), or cast(default) when key is absent."""
-    value = desc.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"pencil descriptor {key!r} is missing or malformed: {value!r}") from None
+_DESCRIPTOR_KEYS = {
+    "sgplus": ("n", "b", "delta", "seed"),
+    "analytic_ci": ("eps",),
+    "embedded": ("inner", "n", "j", "outer_spectrum"),
+}
 
 
 def pencil_from_descriptor(desc: dict) -> ParametricPencil:
     """Reconstruct a pencil from its descriptor dictionary."""
-    if not isinstance(desc, dict):
-        raise ValueError(f"pencil descriptor must be a JSON object, got {desc!r}")
-    kind = desc.get("kind")
+    kind, get = read_kind(desc, "pencil descriptor", _DESCRIPTOR_KEYS)
     if kind == "sgplus":
-        n, seed = (_descriptor_value(desc, key, int) for key in ("n", "seed"))
-        b = _descriptor_value(desc, "b", lambda v: v if v == "full" else int(v))
-        return sgplus_pencil(sgplus_generate(n, b, _descriptor_value(desc, "delta", float), seed))
+        n, b, delta = get("n", read_int), get("b", read_bandwidth), get("delta", read_number)
+        return sgplus_pencil(sgplus_generate(n, b, delta, get("seed", read_seed)))
     if kind == "analytic_ci":
-        return analytic_ci_pencil(_descriptor_value(desc, "eps", float, 0.0))
-    if kind == "embedded":
-        inner = pencil_from_descriptor(desc.get("inner"))
-        n, j = (_descriptor_value(desc, key, int) for key in ("n", "j"))
-        outer = _descriptor_value(desc, "outer_spectrum", lambda v: tuple(float(x) for x in v))
-        return embed_2x2(inner, n, j, outer)
-    raise ValueError(f"unknown pencil kind: {kind!r}")
+        return analytic_ci_pencil(get("eps", read_number, 0.0))
+    inner, outer = pencil_from_descriptor(desc.get("inner")), get("outer_spectrum", read_array)
+    return embed_2x2(inner, get("n", read_int), get("j", read_int), outer)
 
 
 def save_pencil(pencil: ParametricPencil, path) -> None:
     """Write a pencil descriptor as JSON. Matrices are regenerated, not stored."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pencil.descriptor(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, pencil.descriptor())
 
 
 def load_pencil(path) -> ParametricPencil:
     """Reconstruct a pencil from a descriptor JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return pencil_from_descriptor(json.load(fh))
+    return pencil_from_descriptor(read_json(path))
 
 
 class Path:

@@ -179,6 +179,16 @@ def test_census_reruns_cell_file_that_is_not_an_object(tmp_path):
             assert json.load(fh)["count"] == 4
 
 
+def test_census_reruns_cell_file_with_a_bad_count(tmp_path):
+    spec = ExperimentSpec(**TINY_SGPLUS)
+    path = tmp_path / "cells" / _cell_filename("full", 0, 4, 0)
+    run_census(spec, tmp_path)
+    for count in ("true", "-1"):  # a bool is not an integer; a count is never negative
+        path.write_text(f'{{"count": {count}}}')
+        report = run_census(spec, tmp_path)
+        assert report.cells[0]["count"] == 4
+
+
 def test_census_empty_n_list(tmp_path):
     spec = ExperimentSpec(n_list=())
     report = run_census(spec, tmp_path)

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +11,7 @@ import pytest
 
 import pencilci
 from pencilci.census import ExperimentSpec, fit_power_law
-from pencilci.cli import main
+from pencilci.cli import _build_parser, main
 from pencilci.pencil import (
     analytic_ci_pencil,
     load_pencil,
@@ -19,6 +21,7 @@ from pencilci.pencil import (
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "reference_counts.csv")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def run(*argv):
@@ -45,6 +48,8 @@ def test_generate_sgplus_roundtrip(tmp_path):
         A2, B2 = direct.eval(x, y)
         np.testing.assert_array_equal(A1, A2)
         np.testing.assert_array_equal(B1, B2)
+    with open(tmp_path / "manifest.json") as fh:
+        assert json.load(fh)["config"]["b"] == 3  # the integer, not the flag's text
 
 
 def test_generate_full_bandwidth_token(tmp_path):
@@ -63,6 +68,25 @@ def test_generate_rejects_bad_bandwidth(tmp_path):
         "generate", "--n", 6, "--b", 0, "--delta", 0.4, "--out-dir", tmp_path,
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("generate", "--n", 6, "--b", "wide", "--delta", 0.4), "--b"),
+        (("generate", "--n", 6, "--b", 2.5, "--delta", 0.4), "--b"),
+        (("generate", "--n", 6, "--b", 3, "--delta", 0.4, "--seed", -1), "--seed"),
+        (("sweep", "--pencil", "pencil.json", "--rows", 2, "--cols", 2, "--x-range", -1, 1,
+          "--y-range", -1, 1, "--seed", -1), "--seed"),
+    ],
+    ids=["b-word", "b-fraction", "generate-seed-negative", "sweep-seed-negative"],
+)
+def test_bad_flag_value_is_usage_error_naming_the_flag(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out-dir", tmp_path)
+    assert exc.value.code == 1
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)  # refused before anything is written
 
 
 def test_generate_rejects_bad_dispersion(tmp_path, caplog):
@@ -232,8 +256,13 @@ def _census_error_line(tmp_path, spec_text):
         ('{"kind": "circle", "center": null, "radius": 1}', "center"),
         ('{"kind": "circle", "center": [0, 0], "radius": NaN}', "radius"),
         ('{"kind": "box", "rect": [0, Infinity, 0, 1]}', "rect"),
+        ('{"kind": "circle", "center": [0, 0], "radius": 1, "rect": [0, 1, 0, 1]}', "rect"),
+        ('{"kind": "segment", "start": [0, 0], "end": [1, 1], "closed": true}', "closed"),
     ],
-    ids=["list", "string", "rect-number", "center-null", "radius-nan", "rect-infinity"],
+    ids=[
+        "list", "string", "rect-number", "center-null", "radius-nan", "rect-infinity",
+        "circle-stray-rect", "segment-stray-key",
+    ],
 )
 def test_trace_malformed_loop_spec_is_one_line(tmp_path, analytic_descriptor, loop, field):
     line = _cli_error_line(
@@ -262,8 +291,24 @@ def _sweep_error_line(tmp_path, pencil, *ranges):
             ' "outer_spectrum": [Infinity]}',
             "outer_spectrum",
         ),
+        ('{"kind": "sgplus", "n": 4, "b": 2.7, "delta": 0.4, "seed": 0}', "'b'"),
+        ('{"kind": "sgplus", "n": 4, "b": 3, "delta": 0.4, "seed": 1.9}', "'seed'"),
+        ('{"kind": "sgplus", "n": "4", "b": 3, "delta": 0.4, "seed": 0}', "'n'"),
+        ('{"kind": "analytic_ci", "eps": true}', "'eps'"),
+        (
+            '{"kind": "embedded", "inner": {"kind": "analytic_ci"}, "n": 3, "j": 2,'
+            ' "outer_spectrum": "9"}',
+            "'outer_spectrum'",
+        ),
+        ('{"kind": "sgplus", "n": 4, "b": 3, "delta": 0.4, "seed": -1}', "'seed'"),
+        ('{"kind": "analytic_ci", "esp": 0.1}', "esp"),
+        ('{"kind": "sgplus", "n": 4, "b": 3, "delta": 0.4, "seed": 0, "eps": 0}', "eps"),
     ],
-    ids=["list", "n-null", "b-word", "eps-nan", "delta-nan", "outer-infinity"],
+    ids=[
+        "list", "n-null", "b-word", "eps-nan", "delta-nan", "outer-infinity",
+        "b-fraction", "seed-fraction", "n-string", "eps-bool", "outer-string",
+        "seed-negative", "analytic-misspelt-key", "sgplus-stray-key",
+    ],
 )
 def test_sweep_malformed_pencil_descriptor_is_one_line(tmp_path, text, problem):
     pencil = tmp_path / "pencil.json"
@@ -375,6 +420,20 @@ def test_fit_short_row_names_its_line(tmp_path):
     assert "line 3" in line and "count" in line
 
 
+@pytest.mark.parametrize(
+    "row, column",
+    [("3,60,abc", "'count'"), ("3,60,inf", "'count'"), ("3,60,nan", "'count'"),
+     ("3,-70,20", "'n'"), ("3,0,20", "'n'"), ("3,sixty,20", "'n'")],
+    ids=["count-word", "count-inf", "count-nan", "n-negative", "n-zero", "n-word"],
+)
+def test_fit_bad_value_names_its_line_and_column(tmp_path, row, column):
+    data = tmp_path / "bad.csv"
+    data.write_text(f"bandwidth,n,count\n3,50,10\n{row}\n3,70,30\n")
+    line = _cli_error_line("fit", "--data", data, "--out-dir", tmp_path / "out")
+    assert "line 3" in line and column in line
+    assert not (tmp_path / "out" / "fit_summary.csv").exists()
+
+
 def test_fit_needs_a_known_count_column(tmp_path):
     data = tmp_path / "avg.csv"
     data.write_text("bandwidth,n,avg_count\n3,50,3340\n3,60,5318\n")
@@ -423,3 +482,19 @@ def test_manifest_shape(tmp_path, analytic_descriptor):
     assert doc["command"] == "trace"
     assert doc["outputs"] == ["signature.json", "trace.csv"]
     assert not {"func", "seed", "workers"} & set(doc["config"])
+
+
+def test_readme_flag_table_matches_parser():
+    """The README's subcommand/flag table lists exactly the flags each subcommand takes."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (.+?) \| (.+) \|$", section, flags=re.M)
+    table = {name.strip("`"): set(re.findall(r"`(--[a-z-]+)`", flags)) for name, flags in rows}
+    table.pop("Subcommand")  # the header row
+    common = table.pop("every subcommand")
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, p in sub.choices.items()
+    }
+    assert {name: flags | common for name, flags in table.items()} == parsed
