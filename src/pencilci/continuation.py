@@ -57,7 +57,11 @@ _EPS = np.finfo(float).eps
 TOLSTEP = 1e-2
 # Accept a step when rho = max(rho_lambda, rho_V) / TOLSTEP stays below this.
 RHO_ACCEPT = 1.5
-# h never grows by more than this factor per step (h/rho diverges as rho -> 0).
+# The predictors' local error grows as h^2: a step of h_new would have rho
+# near rho * (h_new/h)^2, so the next step h * STEP_SAFETY / sqrt(rho) aims
+# at rho = STEP_SAFETY^2, just under 1.
+STEP_SAFETY = 0.9
+# h never grows by more than this factor per step (the rule diverges as rho -> 0).
 GROWTH_CAP = 2.0
 # Relative-gap threshold below which a pair counts as close to veering.
 TOLDIST = 1e6 * _EPS
@@ -242,15 +246,16 @@ def step_control(
     rho_lambda = max_i |lam_new_i - lam_pred_i| / (|lam_new_i| + 1) and
     rho_V = sqrt(tr[(V_new - V_pred).T B_new (V_new - V_pred)] / n) measure
     prediction quality; rho = max(rho_lambda, rho_V) / TOLSTEP. The step is
-    accepted when rho <= RHO_ACCEPT and the new stepsize is h / rho, with
-    growth capped at GROWTH_CAP * h.
+    accepted when rho <= RHO_ACCEPT. Both predictors carry O(h^2) local
+    error, so the new stepsize is h * STEP_SAFETY / sqrt(rho), with growth
+    capped at GROWTH_CAP * h (also at rho = 0).
     """
     n = lam_new.size
     rho_lambda = float(np.max(np.abs(lam_new - lam_pred) / (np.abs(lam_new) + 1.0)))
     E = V_new - V_pred
     rho_V = math.sqrt(max(float(np.trace(E.T @ B_new @ E)), 0.0) / n)
     rho = max(rho_lambda, rho_V) / TOLSTEP
-    h_new = h / max(rho, 1.0 / GROWTH_CAP)
+    h_new = h * min(GROWTH_CAP, STEP_SAFETY / math.sqrt(max(rho, _EPS)))
     return StepDecision(
         rho=rho, h_new=h_new, accept=rho <= RHO_ACCEPT, rho_lambda=rho_lambda, rho_V=rho_V
     )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .continuation import trace_loop
 from .errors import LoopUnresolvable, OddSignCount, RefinementInconsistent
-from .fields import write_json
+from .fields import read_seed, write_json
 from .pencil import box_perimeter
 
 __all__ = [
@@ -229,7 +229,13 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
     With workers > 1 the boxes run in a process pool; the pencil must then
     be picklable. Results are in (row, col) order regardless of completion
     order.
+
+    Raises
+    ------
+    ValueError
+        If seed is not a non-negative integer; checked before any tracing.
     """
+    seed = read_seed(seed, "seed")
     xs, ys = grid.lines()
     cells = [(r, c) for r in range(grid.rows) for c in range(grid.cols)]
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -299,6 +305,7 @@ def refine_box(
         other than one flags the pair. The message names the level, the
         number of flagged children and the cause of each unresolved child.
     """
+    seed = read_seed(seed, "seed")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if not 1 <= pair <= pencil.n - 1:

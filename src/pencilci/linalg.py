@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dsygvd
 
 from .errors import NonFiniteInput, NotPositiveDefinite, SeriesDiverged
 
@@ -149,27 +150,25 @@ def gen_eig_ordered(A: np.ndarray, B: np.ndarray) -> EigenPair:
     """Ordered eigendecomposition of the symmetric-definite pencil (A, B).
 
     Returns eigenvalues sorted decreasing and B-orthonormal eigenvectors
-    (V.T @ B @ V = I), computed by scipy.linalg.eigh, which reduces the pencil
-    to a standard symmetric problem. Close or equal adjacent eigenvalues
-    are returned as they are; callers judge closeness.
+    (V.T @ B @ V = I), computed by LAPACK dsygvd (A x = lambda B x, lower
+    triangles, the routine and arguments scipy.linalg.eigh(A, B) uses), which
+    reduces the pencil to a standard symmetric problem. Close or equal
+    adjacent eigenvalues are returned as they are; callers judge closeness.
 
     Raises
     ------
     NotPositiveDefinite
-        If B is not positive definite.
+        If B is not positive definite (any nonzero LAPACK info).
     NonFiniteInput
         If A or B has a NaN or infinite entry.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    try:
-        w, V = scipy.linalg.eigh(A, B)
-    except ValueError as exc:  # scipy's LinAlgError is a ValueError too
-        if not (np.isfinite(A).all() and np.isfinite(B).all()):
-            raise NonFiniteInput(f"pencil has non-finite entries: {exc}") from None
-        if isinstance(exc, scipy.linalg.LinAlgError):
-            raise NotPositiveDefinite(f"B is not positive definite: {exc}") from None
-        raise
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise NonFiniteInput("pencil has non-finite entries")
+    w, V, info = dsygvd(A, B)
+    if info != 0:
+        raise NotPositiveDefinite(f"B is not positive definite: dsygvd info {info}")
     w = w[::-1].copy()
     V = V[:, ::-1].copy()
     return EigenPair(values=w, vectors=V)

@@ -121,14 +121,15 @@ def test_sign_correct_zero_overlap_resolves_positive():
 
 
 def test_step_control_worked_example():
-    # prediction off by 0.03 against budget 0.01 gives rho 3: reject, h/3
+    # prediction off by 0.03 against budget 0.01 gives rho 3: reject; the
+    # error grows as h^2, so retry at 0.9 h / sqrt(3)
     lam_new = np.array([0.0])
     lam_pred = np.array([0.03])
     V = np.eye(1)
     dec = step_control(lam_new, lam_pred, V, V, np.eye(1), h=1.0)
     assert dec.rho == pytest.approx(3.0)
     assert not dec.accept
-    assert dec.h_new == pytest.approx(1.0 / 3.0)
+    assert dec.h_new == pytest.approx(0.9 / math.sqrt(3.0))
     assert dec.rho_lambda == pytest.approx(0.03)
     assert dec.rho_V == 0.0
 
@@ -139,6 +140,24 @@ def test_step_control_growth_cap():
     dec = step_control(lam, lam, V, V, np.eye(2), h=0.1)
     assert dec.accept
     assert dec.h_new == pytest.approx(0.2)  # exact prediction doubles h at most
+
+
+@pytest.mark.parametrize(
+    "err, factor",
+    [
+        (0.0025, 1.8),  # rho 0.25: 0.9 / sqrt(0.25)
+        (0.0, 2.0),  # rho 0: the growth cap, no division by zero
+        (0.015, 0.9 / math.sqrt(1.5)),  # rho 1.5: accepted at the limit, h shrinks
+    ],
+)
+def test_step_control_sizes_for_h_squared_error(err, factor):
+    lam_new = np.array([0.0])
+    lam_pred = np.array([err])
+    V = np.eye(1)
+    dec = step_control(lam_new, lam_pred, V, V, np.eye(1), h=0.1)
+    assert dec.rho == pytest.approx(err / 0.01)
+    assert dec.accept
+    assert dec.h_new == pytest.approx(0.1 * factor)
 
 
 def test_secant_guard_worked_example():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pencilci.detect as detect
 from pencilci.detect import (
     GridSpec,
     decode_signature,
@@ -292,6 +293,19 @@ def test_refine_box_validation():
     for pair in (0, 2):
         with pytest.raises(ValueError, match="pair"):
             refine_box(analytic_ci_pencil(0.1), (-0.25, 0.0, -0.25, 0.0), pair=pair, depth=3)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
+def test_bad_seed_is_refused_before_any_trace(monkeypatch, seed):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("trace_loop called")
+
+    monkeypatch.setattr(detect, "trace_loop", no_trace)
+    pen = analytic_ci_pencil(0.0)
+    with pytest.raises(ValueError, match="seed"):
+        sweep_grid(pen, GridSpec(2, 2, (-1, 1), (-1, 1)), seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        refine_box(pen, (-1.0, 1.0, -1.0, 1.0), pair=1, seed=seed)
 
 
 def _baseline_pencil(n):

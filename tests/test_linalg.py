@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilci.errors import NotPositiveDefinite, SeriesDiverged
+from pencilci.errors import NonFiniteInput, NotPositiveDefinite, SeriesDiverged
 from pencilci.linalg import (
     eig2x2_pencil,
     gen_eig_ordered,
@@ -101,6 +101,30 @@ def test_gen_eig_rejects_indefinite_B():
     A = np.eye(2)
     with pytest.raises(NotPositiveDefinite):
         gen_eig_ordered(A, np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("n", [2, 10, 30])
+def test_gen_eig_ordered_is_eigh_reversed_bitwise(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        A = rand_sym(rng, n)
+        B = rand_spd(rng, n)
+        ep = gen_eig_ordered(A, B)
+        w, V = scipy.linalg.eigh(A, B)
+        assert np.array_equal(ep.values, w[::-1])
+        assert np.array_equal(ep.vectors, V[:, ::-1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gen_eig_ordered_rejects_non_finite(bad):
+    rng = np.random.default_rng(0)
+    A = rand_sym(rng, 3)
+    B = rand_spd(rng, 3)
+    for which in (0, 1):
+        M = [A.copy(), B.copy()]
+        M[which][1, 2] = M[which][2, 1] = bad
+        with pytest.raises(NonFiniteInput):
+            gen_eig_ordered(*M)
 
 
 @given(st.integers(0, 2**32 - 1))
