@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import sys
+from functools import partial
 
 from . import __version__
 from .census import GOE_REFERENCE_EXPONENTS, ExperimentSpec, group_fits, run_census, write_report
@@ -24,8 +25,8 @@ from .continuation import trace, trace_loop, write_trace_csv
 from .detect import GridSpec, decode_signature, sweep_grid, write_ci_csv, write_sweep_summary
 from .errors import PencilError
 from .fields import (
-    flag, parse_text, read_array, read_bandwidth, read_json, read_kind, read_number, read_seed,
-    write_json,
+    flag, parse_text, read_array, read_bandwidth, read_int, read_json, read_kind, read_number,
+    read_seed, write_json,
 )
 from .pencil import box_perimeter, circle, load_pencil, pencil_from_descriptor, save_pencil, segment
 
@@ -185,7 +186,7 @@ def _build_parser() -> _Parser:
     pooled = argparse.ArgumentParser(add_help=False)
     pooled.add_argument(
         "--workers",
-        type=int,
+        type=flag(partial(read_int, minimum=1)),
         default=os.cpu_count() or 1,
         help="worker processes (default: available parallelism)",
     )

@@ -32,7 +32,7 @@ from .errors import (
     StepUnderflow,
     TripleDegeneracy,
 )
-from .linalg import gen_eig_ordered, symmetrize
+from .linalg import gen_eig_ordered
 
 __all__ = [
     "EigenPoint",
@@ -203,17 +203,21 @@ def predict(
     V = state.V
     lam = state.lam
     n = lam.size
-    if n > 1 and float(np.min(_rel_gaps(lam))) <= MIN_REL_GAP:
+    if n > 1 and _rel_gaps(lam).min() <= MIN_REL_GAP:
         raise GapTooSmall(f"adjacent eigenvalues closer than 10*eps at t = {state.t:.12g}")
-    A_V = symmetrize(V.T @ A_next @ V)
-    B_V = symmetrize(V.T @ B_next @ V)
-    lam_pred = np.diag(A_V) - lam * (np.diag(B_V) - 1.0)
-    P = 0.5 * (np.eye(n) - B_V)
-    denom = np.subtract.outer(lam, lam)
-    np.fill_diagonal(denom, 1.0)
-    H = (0.5 * np.add.outer(lam, lam) * B_V - A_V) / denom
-    np.fill_diagonal(H, 0.0)
-    V_pred = V @ (np.eye(n) + P + H)
+    A_V = V.T @ A_next @ V
+    A_V = 0.5 * (A_V + A_V.T)
+    B_V = V.T @ B_next @ V
+    B_V = 0.5 * (B_V + B_V.T)
+    lam_pred = A_V.diagonal() - lam * (B_V.diagonal() - 1.0)
+    eye = np.eye(n)
+    P = 0.5 * (eye - B_V)
+    col = lam[:, None]
+    denom = col - lam
+    denom.flat[:: n + 1] = 1.0
+    H = (0.5 * (col + lam) * B_V - A_V) / denom
+    H.flat[:: n + 1] = 0.0
+    V_pred = V @ (eye + P + H)
     return lam_pred, V_pred
 
 
@@ -230,7 +234,7 @@ def sign_correct(
     """
     d = np.einsum("ij,ij->j", V_raw, B_next @ V_pred)
     s = np.where(d >= 0.0, 1.0, -1.0)
-    return V_raw * s, s, float(np.min(np.abs(d)))
+    return V_raw * s, s, float(np.abs(d).min())
 
 
 def step_control(
@@ -251,9 +255,9 @@ def step_control(
     capped at GROWTH_CAP * h (also at rho = 0).
     """
     n = lam_new.size
-    rho_lambda = float(np.max(np.abs(lam_new - lam_pred) / (np.abs(lam_new) + 1.0)))
+    rho_lambda = float((np.abs(lam_new - lam_pred) / (np.abs(lam_new) + 1.0)).max())
     E = V_new - V_pred
-    rho_V = math.sqrt(max(float(np.trace(E.T @ B_new @ E)), 0.0) / n)
+    rho_V = math.sqrt(max(float((E.T @ B_new @ E).trace()), 0.0) / n)
     rho = max(rho_lambda, rho_V) / TOLSTEP
     h_new = h * min(GROWTH_CAP, STEP_SAFETY / math.sqrt(max(rho, _EPS)))
     return StepDecision(
@@ -323,7 +327,8 @@ def veering_traverse(
     h_v = min(h_entry, 1.0 - t)
     points: list[EigenPoint] = []
     outer = np.array([k for k in range(n) if k not in (i, i + 1)], dtype=int)
-    pair_ix = np.array([i, i + 1], dtype=int)
+    pair_block = np.ix_([i, i + 1], [i, i + 1])
+    eye2 = np.eye(2)
 
     for _ in range(_MAX_SUBSTEPS):
         if t >= 1.0:
@@ -341,13 +346,13 @@ def veering_traverse(
                     f"pairs {k + 1} and {pair} both near-degenerate at t = {t_new:.12g}"
                 )
         M = V_prev.T @ B_new @ ep.vectors
-        diag = np.diag(M)
-        Mp = M[np.ix_(pair_ix, pair_ix)]
-        outer_ok = outer.size == 0 or float(np.min(np.abs(diag[outer]))) >= _OUTER_DIAG_MIN
-        pair_diag = float(np.min(np.abs(np.diag(Mp))))
+        diag = M.diagonal()
+        Mp = M[pair_block]
+        outer_ok = outer.size == 0 or float(np.abs(diag[outer]).min()) >= _OUTER_DIAG_MIN
+        pair_diag = float(np.abs(Mp.diagonal()).min())
         pair_ok = (
             pair_diag >= _PAIR_DIAG_MIN
-            and float(np.linalg.norm(Mp.T @ Mp - np.eye(2))) <= _PAIR_ORTHO_TOL
+            and float(np.linalg.norm(Mp.T @ Mp - eye2)) <= _PAIR_ORTHO_TOL
         )
         if not (outer_ok and pair_ok):
             h_v = h_step / 2.0
@@ -403,8 +408,8 @@ def trace(pencil, path) -> TraceResult:
         A_next, B_next = pencil.eval(x, y)
         ep = gen_eig_ordered(A_next, B_next)
         gaps = _rel_gaps(ep.values)
-        flagged = np.flatnonzero(gaps < TOLDIST)
-        if flagged.size:
+        if gaps.min(initial=math.inf) < TOLDIST:
+            flagged = np.flatnonzero(gaps < TOLDIST)
             if flagged.size > 1:
                 raise TripleDegeneracy(
                     f"{flagged.size} pairs simultaneously near-degenerate at t = {t_next:.12g}"

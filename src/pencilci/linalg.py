@@ -169,9 +169,7 @@ def gen_eig_ordered(A: np.ndarray, B: np.ndarray) -> EigenPair:
     w, V, info = dsygvd(A, B)
     if info != 0:
         raise NotPositiveDefinite(f"B is not positive definite: dsygvd info {info}")
-    w = w[::-1].copy()
-    V = V[:, ::-1].copy()
-    return EigenPair(values=w, vectors=V)
+    return EigenPair(values=w[::-1].copy(), vectors=V[:, ::-1].copy())
 
 
 def eig2x2_pencil(

@@ -23,7 +23,7 @@ from .errors import BandwidthOutOfRange, DispersionOutOfRange, SpectrumOverlap
 from .fields import (
     read_array, read_bandwidth, read_int, read_json, read_kind, read_number, read_seed, write_json,
 )
-from .linalg import eig2x2_pencil, symmetrize
+from .linalg import eig2x2_pencil
 
 __all__ = [
     "ParametricPencil",
@@ -164,27 +164,24 @@ class SGPlusPencil(ParametricPencil):
     def n(self) -> int:
         return self.realization.n
 
-    @staticmethod
-    def _assemble(
-        x: float,
-        y: float,
-        parts: tuple[np.ndarray, ...],
-        diag: np.ndarray,
-    ) -> np.ndarray:
-        L = (
-            np.cos(x) * parts[0]
-            + np.sin(x) * parts[1]
-            + np.cos(y) * parts[2]
-            + np.sin(y) * parts[3]
-        )
-        L = L + np.diag(diag)
-        return symmetrize(L @ L.T)
+    def __post_init__(self):
+        # Per-pencil stacks, so one pass forms both L's: the four factor
+        # pairs (A's and B's side by side) and the two diagonals as matrices.
+        r = self.realization
+        object.__setattr__(self, "_factors", np.stack([np.stack(p) for p in zip(r.L_A, r.L_B)]))
+        object.__setattr__(self, "_diags", np.stack((np.diag(r.D_A), np.diag(r.D_B))))
+
+    def __reduce__(self):
+        # Pickle the realization only; unpickling rebuilds the stacks.
+        return (type(self), (self.realization,))
 
     def eval(self, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-        r = self.realization
-        A = self._assemble(x, y, r.L_A, r.D_A)
-        B = self._assemble(x, y, r.L_B, r.D_B)
-        return A, B
+        F = self._factors
+        L = np.cos(x) * F[0] + np.sin(x) * F[1] + np.cos(y) * F[2] + np.sin(y) * F[3]
+        L += self._diags
+        # numpy computes X @ X.T with syrk, so A and B come out exactly symmetric.
+        AB = L @ L.transpose(0, 2, 1)
+        return AB[0], AB[1]
 
     def descriptor(self) -> dict:
         r = self.realization

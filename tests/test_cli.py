@@ -78,8 +78,18 @@ def test_generate_rejects_bad_bandwidth(tmp_path):
         (("generate", "--n", 6, "--b", 3, "--delta", 0.4, "--seed", -1), "--seed"),
         (("sweep", "--pencil", "pencil.json", "--rows", 2, "--cols", 2, "--x-range", -1, 1,
           "--y-range", -1, 1, "--seed", -1), "--seed"),
+        (("sweep", "--pencil", "pencil.json", "--rows", 2, "--cols", 2, "--x-range", -1, 1,
+          "--y-range", -1, 1, "--workers", 0), "--workers"),
+        (("sweep", "--pencil", "pencil.json", "--rows", 2, "--cols", 2, "--x-range", -1, 1,
+          "--y-range", -1, 1, "--workers", -3), "--workers"),
+        (("census", "--spec", "spec.json", "--workers", 0), "--workers"),
+        (("census", "--spec", "spec.json", "--workers", -3), "--workers"),
     ],
-    ids=["b-word", "b-fraction", "generate-seed-negative", "sweep-seed-negative"],
+    ids=[
+        "b-word", "b-fraction", "generate-seed-negative", "sweep-seed-negative",
+        "sweep-workers-zero", "sweep-workers-negative", "census-workers-zero",
+        "census-workers-negative",
+    ],
 )
 def test_bad_flag_value_is_usage_error_naming_the_flag(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

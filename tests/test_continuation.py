@@ -20,7 +20,7 @@ from pencilci.continuation import (
     write_trace_csv,
 )
 from pencilci.errors import DegenerateStart, GapTooSmall, LoopUnresolvable
-from pencilci.linalg import gen_eig_ordered
+from pencilci.linalg import gen_eig_ordered, symmetrize
 from pencilci.pencil import (
     Path,
     analytic_ci_pencil,
@@ -87,6 +87,33 @@ def test_predict_local_orders():
     for errs in (lam_errs, vec_errs):
         for a, b in zip(errs, errs[1:]):
             assert 3.0 <= a / b <= 5.0
+
+
+def _documented_predict(state, A_next, B_next):
+    """predict's docstring formula, one numpy step at a time."""
+    V, lam = state.V, state.lam
+    n = lam.size
+    A_V = symmetrize(V.T @ A_next @ V)
+    B_V = symmetrize(V.T @ B_next @ V)
+    lam_pred = np.diag(A_V) - lam * (np.diag(B_V) - 1.0)
+    P = 0.5 * (np.eye(n) - B_V)
+    denom = np.subtract.outer(lam, lam)
+    np.fill_diagonal(denom, 1.0)
+    H = (0.5 * np.add.outer(lam, lam) * B_V - A_V) / denom
+    np.fill_diagonal(H, 0.0)
+    return lam_pred, V @ (np.eye(n) + P + H)
+
+
+@pytest.mark.parametrize("n", [10, 30])
+def test_predict_is_bitwise_the_documented_formula(n):
+    pen = _sg_pencil(n)
+    path = segment((0.3, 0.9), (1.1, 1.7))
+    state = init_decomposition(pen, path, 0.2)
+    for h in (0.05, 0.01):
+        A, B = pen.eval(*path.point(0.2 + h))
+        lam_pred, V_pred = predict(state, A, B, h)
+        lam_ref, V_ref = _documented_predict(state, A, B)
+        assert np.array_equal(lam_pred, lam_ref) and np.array_equal(V_pred, V_ref)
 
 
 def test_predict_rejects_tiny_gap():

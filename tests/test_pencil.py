@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from pencilci.errors import (
     NotPositiveDefinite,
     SpectrumOverlap,
 )
-from pencilci.linalg import gen_eig_ordered
+from pencilci.linalg import gen_eig_ordered, symmetrize
 from pencilci.pencil import (
     analytic_ci_pencil,
     box_perimeter,
@@ -90,6 +91,30 @@ def test_sgplus_pencil_eval_contracts():
     r = pen.realization
     L = r.L_A[0] + r.L_A[2] + np.diag(r.D_A)
     assert np.allclose(pen.eval(0.0, 0.0)[0], L @ L.T)
+
+
+def _documented_eval(r, x, y):
+    """A and B from the class docstring, one factor sum at a time."""
+    def product(parts, diag):
+        L = (np.cos(x) * parts[0] + np.sin(x) * parts[1]
+             + np.cos(y) * parts[2] + np.sin(y) * parts[3])
+        L = L + np.diag(diag)
+        return symmetrize(L @ L.T)
+    return product(r.L_A, r.D_A), product(r.L_B, r.D_B)
+
+
+@pytest.mark.parametrize("n", [10, 20, 30])
+@pytest.mark.parametrize("b", [3, "full"])
+def test_sgplus_eval_is_bitwise_the_documented_formula(n, b):
+    pen = sgplus_pencil(sgplus_generate(n, b, 0.45, 11))
+    copy = pickle.loads(pickle.dumps(pen))
+    for x, y in [(0.0, 0.0), (0.3, 1.1), (2.9, 5.5), (3.7, 4.0), (-1.2, 7.9)]:
+        A_ref, B_ref = _documented_eval(pen.realization, x, y)
+        for p in (pen, copy):
+            A, B = p.eval(x, y)
+            assert np.array_equal(A, A_ref) and np.array_equal(B, B_ref)
+    # the pickle carries the realization, not the per-pencil factor stacks
+    assert len(pickle.dumps(pen)) <= len(pickle.dumps(pen.realization)) + 100
 
 
 def test_sgplus_descriptor_roundtrip(tmp_path):
