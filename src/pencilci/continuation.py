@@ -165,8 +165,12 @@ def init_decomposition(pencil, path, t: float = 0.0) -> EigenPoint:
         If some adjacent pair's relative gap is at or below MIN_REL_GAP, the
         rule :func:`predict` applies, so every trace start can be stepped from.
     """
-    x, y = path.point(t)
-    A, B = pencil.eval(x, y)
+    return _start(pencil, path, t)[0]
+
+
+def _start(pencil, path, t: float) -> tuple[EigenPoint, np.ndarray]:
+    """:func:`init_decomposition`'s point, and B at that point."""
+    A, B = pencil.eval(*path.point(t))
     ep = gen_eig_ordered(A, B)
     close = np.flatnonzero(_rel_gaps(ep.values) <= MIN_REL_GAP)
     if close.size:
@@ -174,7 +178,7 @@ def init_decomposition(pencil, path, t: float = 0.0) -> EigenPoint:
             f"adjacent eigenvalues of pairs {tuple(int(p) + 1 for p in close)} "
             f"closer than 10*eps at t = {t:.12g}"
         )
-    return EigenPoint(t=t, V=_canonical_signs(ep.vectors), lam=ep.values)
+    return EigenPoint(t=t, V=_canonical_signs(ep.vectors), lam=ep.values), B
 
 
 def predict(
@@ -287,21 +291,40 @@ def secant_guard(
     return min(h, 0.9 * crossing)
 
 
-def veering_traverse(
-    state: EigenPoint,
-    pencil,
-    path,
-    pair: int,
-    h_entry: float,
-) -> _VeeringResult:
-    """Advance past a veering interval of the 1-based pair (pair, pair+1).
+def _step(pencil, path, t: float, h: float, pair: int = -1):
+    """Evaluate and solve at t + h, the step clamped to end at t = 1.
 
-    Substeps take fresh ordered decompositions and chain column signs by
-    overlap with the previous point. The flagged pair's eigenvectors rotate
-    rapidly while its invariant subspace stays smooth, so each substep must
-    keep the pair's 2x2 overlap block close to orthogonal with a decisive
-    diagonal (rotation under 45 degrees); the stepsize halves until that
-    holds. Outer columns must overlap strongly with their predecessors.
+    Returns (t_new, h_step, A, B, ep, gaps, close), close being the 0-based
+    pair whose relative gap is below TOLDIST, or -1. Only the pair being
+    traversed (pair; -1 outside veering) or about to be may be that close;
+    any other raises TripleDegeneracy.
+    """
+    h_step = min(h, 1.0 - t)
+    t_new = 1.0 if h_step == 1.0 - t else t + h_step
+    A, B = pencil.eval(*path.point(t_new))
+    ep = gen_eig_ordered(A, B)
+    gaps = _rel_gaps(ep.values)
+    close = -1
+    if gaps.min(initial=math.inf) < TOLDIST:
+        flagged = np.flatnonzero(gaps < TOLDIST)
+        close = int(flagged[0])
+        if flagged.size > 1 or pair not in (-1, close):
+            named = tuple(k + 1 for k in sorted({*flagged.tolist(), pair} - {-1}))
+            raise TripleDegeneracy(f"pairs {named} near-degenerate together at t = {t_new:.12g}")
+    return t_new, h_step, A, B, ep, gaps, close
+
+
+def veering_traverse(state: EigenPoint, pencil, path, entry) -> _VeeringResult:
+    """Advance past the veering interval that the step from state entered.
+
+    entry, the solved step whose relative gap fell below TOLDIST, is the
+    first substep, and its close pair is the one traversed. Substeps take
+    fresh ordered decompositions and chain column signs by overlap with the
+    previous point. The pair's eigenvectors rotate rapidly while its
+    invariant subspace stays smooth, so each substep must keep the pair's
+    2x2 overlap block close to orthogonal with a decisive diagonal (rotation
+    under 45 degrees); the stepsize halves until that holds. Outer columns
+    must overlap strongly with their predecessors.
 
     The traversal ends at the first substep whose relative gap is at least
     VEERING_EXIT_FACTOR * TOLDIST; that substep's decomposition, signs
@@ -315,36 +338,18 @@ def veering_traverse(
         If the required substep falls below H_MIN_FRAC (a coalescence sits
         on or numerically on the path).
     TripleDegeneracy
-        If a third eigenvalue enters the near-degenerate zone.
+        If any other pair falls below TOLDIST during the traversal.
     """
-    i = pair - 1
-    n = state.lam.size
-    if not 0 <= i < n - 1:
-        raise ValueError(f"pair must be in 1..{n - 1}, got {pair}")
-    t_enter = state.t
-    t = state.t
+    t_enter = t = state.t
     V_prev = state.V
-    h_v = min(h_entry, 1.0 - t)
+    t_new, h_entry, _, B_new, ep, gaps, i = entry
+    h_step = h_v = h_entry
     points: list[EigenPoint] = []
-    outer = np.array([k for k in range(n) if k not in (i, i + 1)], dtype=int)
+    outer = np.array([k for k in range(state.lam.size) if k not in (i, i + 1)], dtype=int)
     pair_block = np.ix_([i, i + 1], [i, i + 1])
     eye2 = np.eye(2)
 
     for _ in range(_MAX_SUBSTEPS):
-        if t >= 1.0:
-            break
-        h_step = min(h_v, 1.0 - t)
-        t_new = 1.0 if 1.0 - t <= h_v else t + h_step
-        x, y = path.point(t_new)
-        A_new, B_new = pencil.eval(x, y)
-        ep = gen_eig_ordered(A_new, B_new)
-        lam = ep.values
-        gaps = _rel_gaps(lam)
-        for k in (i - 1, i + 1):
-            if 0 <= k < n - 1 and gaps[k] < TOLDIST:
-                raise TripleDegeneracy(
-                    f"pairs {k + 1} and {pair} both near-degenerate at t = {t_new:.12g}"
-                )
         M = V_prev.T @ B_new @ ep.vectors
         diag = M.diagonal()
         Mp = M[pair_block]
@@ -361,21 +366,22 @@ def veering_traverse(
                     f"eigenvector rotation unresolvable near t = {t:.12g} "
                     f"(substep {h_v:.3e} below floor {H_MIN_FRAC:.3e})"
                 )
-            continue
-        t = t_new
-        V_prev = ep.vectors * np.where(diag >= 0.0, 1.0, -1.0)
-        points.append(EigenPoint(t=t, V=V_prev, lam=lam, h=h_step, veering=True))
-        if gaps[i] >= VEERING_EXIT_FACTOR * TOLDIST:
-            break
-        if pair_diag > _VEER_EASY:
-            h_v = min(h_v * _VEER_GROW, h_entry)
+        else:
+            t = t_new
+            V_prev = ep.vectors * np.where(diag >= 0.0, 1.0, -1.0)
+            points.append(EigenPoint(t=t, V=V_prev, lam=ep.values, h=h_step, veering=True))
+            if gaps[i] >= VEERING_EXIT_FACTOR * TOLDIST or t >= 1.0:
+                break
+            if pair_diag > _VEER_EASY:
+                h_v = min(h_v * _VEER_GROW, h_entry)
+        t_new, h_step, _, B_new, ep, gaps, _ = _step(pencil, path, t, h_v, i)
     else:
         raise StepUnderflow(
             f"veering zone starting at t = {t_enter:.12g} did not resolve "
             f"within {_MAX_SUBSTEPS} substeps"
         )
 
-    return _VeeringResult((t_enter, t, pair), points)
+    return _VeeringResult((t_enter, t, i + 1), points)
 
 
 def trace(pencil, path) -> TraceResult:
@@ -393,28 +399,22 @@ def trace(pencil, path) -> TraceResult:
     NotPositiveDefinite, NonFiniteInput
         Propagated from the eigensolve at any evaluated point.
     """
-    state = init_decomposition(pencil, path)
+    return _trace(pencil, path)[0]
+
+
+def _trace(pencil, path) -> tuple[TraceResult, np.ndarray]:
+    """:func:`trace`, and B(0) for :func:`trace_loop`'s signature."""
+    state, B0 = _start(pencil, path, 0.0)
     h = H0_FRAC
     points = [state]
     events: list[tuple[float, float, int]] = []
     rejected = 0
 
     while state.t < 1.0:
-        remaining = 1.0 - state.t
-        clamped = remaining <= h
-        h_try = remaining if clamped else h
-        t_next = 1.0 if clamped else state.t + h_try
-        x, y = path.point(t_next)
-        A_next, B_next = pencil.eval(x, y)
-        ep = gen_eig_ordered(A_next, B_next)
-        gaps = _rel_gaps(ep.values)
-        if gaps.min(initial=math.inf) < TOLDIST:
-            flagged = np.flatnonzero(gaps < TOLDIST)
-            if flagged.size > 1:
-                raise TripleDegeneracy(
-                    f"{flagged.size} pairs simultaneously near-degenerate at t = {t_next:.12g}"
-                )
-            vr = veering_traverse(state, pencil, path, pair=int(flagged[0]) + 1, h_entry=h_try)
+        solved = _step(pencil, path, state.t, h)
+        t_next, h_try, A_next, B_next, ep, _, close = solved
+        if close >= 0:
+            vr = veering_traverse(state, pencil, path, solved)
             events.append(vr.event)
             points.extend(vr.points)
             state = points[-1]
@@ -441,7 +441,7 @@ def trace(pencil, path) -> TraceResult:
             )
 
     stats = {"accepted": len(points) - 1, "rejected": rejected, "veering_events": len(events)}
-    return TraceResult(points=points, veering_events=events, step_stats=stats)
+    return TraceResult(points=points, veering_events=events, step_stats=stats), B0
 
 
 def trace_loop(pencil, loop) -> TraceResult:
@@ -460,14 +460,10 @@ def trace_loop(pencil, loop) -> TraceResult:
     if not getattr(loop, "closed", False):
         raise ValueError("trace_loop requires a closed path")
     try:
-        tr = trace(pencil, loop)
+        tr, B0 = _trace(pencil, loop)
     except PencilError as exc:
         raise LoopUnresolvable(f"{type(exc).__name__}: {exc}") from exc
-    V0 = tr.points[0].V
-    V1 = tr.points[-1].V
-    x, y = loop.point(0.0)
-    _, B0 = pencil.eval(x, y)
-    M = V0.T @ B0 @ V1
+    M = tr.points[0].V.T @ B0 @ tr.points[-1].V
     d = np.diag(M).copy()
     off = float(np.max(np.abs(M - np.diag(d)))) if d.size > 1 else 0.0
     diag_err = float(np.max(np.abs(np.abs(d) - 1.0)))

@@ -53,9 +53,9 @@ class StepUnderflow(PencilError):
 
 
 class TripleDegeneracy(PencilError):
-    """Three or more eigenvalues nearly coalesce at once.
+    """Two pairs of adjacent eigenvalues nearly coalesce at once.
 
-    Nongeneric configuration; traces abort rather than guess.
+    Veering follows one pair at a time; traces abort rather than guess.
     """
 
 

@@ -76,19 +76,18 @@ def dispersion_bound(n: int) -> float:
 class SGPlusRealization:
     """One draw of the SG+ ensemble, reproducible from (n, b, delta, seed).
 
-    L_A and L_B hold four strictly-lower-triangular banded factors each
-    (entries only where 0 < i - j <= b); D_A and D_B are the positive
-    diagonals, stored as length-n vectors.
+    factors, of shape (4, 2, n, n), holds the strictly-lower-triangular
+    banded factors (entries only where 0 < i - j <= b): factors[k-1] is the
+    pair (L_Ak, L_Bk). diags, of shape (2, n, n), holds the positive
+    diagonals D_A and D_B as diagonal matrices.
     """
 
     n: int
     b: int
     delta: float
     seed: int
-    L_A: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    L_B: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    D_A: np.ndarray
-    D_B: np.ndarray
+    factors: np.ndarray
+    diags: np.ndarray
 
 
 def sgplus_bandwidth(n: int, b, delta: float) -> int:
@@ -119,9 +118,12 @@ def sgplus_generate(n: int, b, delta: float, seed: int) -> SGPlusRealization:
     with v_i ~ Gamma(a_i, rate 1) and a_i = (n+1)/(2 delta^2) + (1 - i)/2,
     i = 1..n. The generator is counter-based (Philox) and the draw order is
     fixed: L_A1..L_A4 then L_B1..L_B4, band entries row-major within each
-    factor, then D_A, then D_B. The delta constraint keeps every a_i > 3, so
-    the vectorized gamma sampler stays in its shape >= 1 regime. b may be
-    "full"; (n, b, delta) are checked by :func:`sgplus_bandwidth`.
+    factor, then D_A, then D_B. Each draw is written straight into the
+    layout :meth:`SGPlusPencil.eval` reads: L_Ak is factors[k-1, 0], L_Bk is
+    factors[k-1, 1], and D_A and D_B are the diagonals of diags[0] and
+    diags[1]. The delta constraint keeps every a_i > 3, so the vectorized
+    gamma sampler stays in its shape >= 1 regime. b may be "full"; (n, b,
+    delta) are checked by :func:`sgplus_bandwidth`.
     """
     b = sgplus_bandwidth(n, b, delta)
     sigma = delta / np.sqrt(n + 1)
@@ -129,23 +131,16 @@ def sgplus_generate(n: int, b, delta: float, seed: int) -> SGPlusRealization:
 
     offsets = np.subtract.outer(np.arange(n), np.arange(n))
     rows, cols = np.nonzero((offsets > 0) & (offsets <= b))
-    m = rows.size
-
-    def draw_factor() -> np.ndarray:
-        M = np.zeros((n, n))
-        M[rows, cols] = sigma * rng.standard_normal(m)
-        return M
-
-    L_A = tuple(draw_factor() for _ in range(4))
-    L_B = tuple(draw_factor() for _ in range(4))
+    factors = np.zeros((4, 2, n, n))
+    for k in range(8):  # L_A1..L_A4, then L_B1..L_B4
+        factors[k % 4, k // 4, rows, cols] = sigma * rng.standard_normal(rows.size)
 
     i = np.arange(1, n + 1)
     a = (n + 1) / (2.0 * delta * delta) + (1.0 - i) / 2.0
-    D_A = sigma * np.sqrt(2.0 * rng.standard_gamma(a))
-    D_B = sigma * np.sqrt(2.0 * rng.standard_gamma(a))
-    return SGPlusRealization(
-        n=n, b=b, delta=delta, seed=seed, L_A=L_A, L_B=L_B, D_A=D_A, D_B=D_B
-    )
+    diags = np.zeros((2, n, n))
+    for d in diags:
+        d.flat[:: n + 1] = sigma * np.sqrt(2.0 * rng.standard_gamma(a))
+    return SGPlusRealization(n=n, b=b, delta=delta, seed=seed, factors=factors, diags=diags)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,21 +159,10 @@ class SGPlusPencil(ParametricPencil):
     def n(self) -> int:
         return self.realization.n
 
-    def __post_init__(self):
-        # Per-pencil stacks, so one pass forms both L's: the four factor
-        # pairs (A's and B's side by side) and the two diagonals as matrices.
-        r = self.realization
-        object.__setattr__(self, "_factors", np.stack([np.stack(p) for p in zip(r.L_A, r.L_B)]))
-        object.__setattr__(self, "_diags", np.stack((np.diag(r.D_A), np.diag(r.D_B))))
-
-    def __reduce__(self):
-        # Pickle the realization only; unpickling rebuilds the stacks.
-        return (type(self), (self.realization,))
-
     def eval(self, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-        F = self._factors
+        F = self.realization.factors
         L = np.cos(x) * F[0] + np.sin(x) * F[1] + np.cos(y) * F[2] + np.sin(y) * F[3]
-        L += self._diags
+        L += self.realization.diags
         # numpy computes X @ X.T with syrk, so A and B come out exactly symmetric.
         AB = L @ L.transpose(0, 2, 1)
         return AB[0], AB[1]

@@ -19,9 +19,11 @@ from pencilci.continuation import (
     trace_loop,
     write_trace_csv,
 )
-from pencilci.errors import DegenerateStart, GapTooSmall, LoopUnresolvable
+from pencilci.detect import GridSpec, sweep_grid
+from pencilci.errors import DegenerateStart, GapTooSmall, LoopUnresolvable, TripleDegeneracy
 from pencilci.linalg import gen_eig_ordered, symmetrize
 from pencilci.pencil import (
+    ParametricPencil,
     Path,
     analytic_ci_pencil,
     box_perimeter,
@@ -333,16 +335,35 @@ def test_write_trace_csv_roundtrip(tmp_path):
     assert all(r[-1] in ("0", "1") for r in rows[1:])
 
 
+class _CountingPencil(ParametricPencil):
+    def __init__(self, pencil, counts):
+        self.n = pencil.n
+        self._pencil = pencil
+        self._counts = counts
+
+    def eval(self, x, y):
+        self._counts["evals"] += 1
+        return self._pencil.eval(x, y)
+
+
 def _count_eigensolves(monkeypatch, pencil, loop):
-    """trace_loop with its eigensolves counted, split by veering traversal."""
-    counts = {"solves": 0, "entries": 0, "substeps": 0, "veer_points": 0}
+    """trace_loop with its evals and eigensolves counted, solves split by
+    veering traversal, and the path parameter of each solve recorded."""
+    counts = {"evals": 0, "solves": 0, "entries": 0, "substeps": 0, "veer_points": 0}
+    counts["solved_t"] = []
+    last_t = [None]
     inside_veering = [False]
     solve = continuation.gen_eig_ordered
     traverse = continuation.veering_traverse
 
+    def point(t):
+        last_t[0] = t
+        return loop.point(t)
+
     def counting_solve(A, B):
         counts["solves"] += 1
         counts["substeps"] += inside_veering[0]
+        counts["solved_t"].append(last_t[0])
         return solve(A, B)
 
     def counting_traverse(*args, **kwargs):
@@ -357,7 +378,14 @@ def _count_eigensolves(monkeypatch, pencil, loop):
 
     monkeypatch.setattr(continuation, "gen_eig_ordered", counting_solve)
     monkeypatch.setattr(continuation, "veering_traverse", counting_traverse)
-    return trace_loop(pencil, loop), counts
+    return trace_loop(_CountingPencil(pencil, counts), ClosedCurve(point)), counts
+
+
+def _assert_one_eval_per_solve(counts):
+    # the signature reuses B(0), and veering starts from the solved entry point
+    assert counts["evals"] == counts["solves"]
+    ts = counts["solved_t"]
+    assert all(a != b for a, b in zip(ts, ts[1:]))
 
 
 def test_eigensolve_accounting_without_veering(monkeypatch):
@@ -369,6 +397,7 @@ def test_eigensolve_accounting_without_veering(monkeypatch):
     assert stats["veering_events"] == 0 and counts["entries"] == 0
     assert stats["rejected"] > 0
     assert counts["solves"] == 1 + stats["accepted"] + stats["rejected"]
+    _assert_one_eval_per_solve(counts)
 
 
 def test_eigensolve_accounting_with_veering(monkeypatch):
@@ -387,3 +416,57 @@ def test_eigensolve_accounting_with_veering(monkeypatch):
         + counts["entries"]
         + counts["substeps"]
     )
+    _assert_one_eval_per_solve(counts)
+
+
+class _DiagonalPencil(ParametricPencil):
+    """A = diag(spectrum(x)), B = I; the eigenvalues are the spectrum."""
+
+    def __init__(self, spectrum, n):
+        self.spectrum = spectrum
+        self.n = n
+
+    def eval(self, x, y):
+        return np.diag(self.spectrum(x)), np.eye(self.n)
+
+
+def _unresolved_box(pencil, x_range):
+    sweep = sweep_grid(pencil, GridSpec(rows=1, cols=1, x_range=x_range, y_range=(0.0, 1.0)))
+    (box,) = sweep.boxes
+    assert box.status == "unresolved" and sweep.unresolved == [box]
+    return box.message
+
+
+def test_triple_degeneracy_in_predictor_mode():
+    # three eigenvalues meet at x = 0; the first step of h = 1/64 lands on it
+    pen = _DiagonalPencil(lambda x: [x, 0.0, -x], 3)
+    with pytest.raises(TripleDegeneracy, match=r"pairs \(1, 2\) near-degenerate"):
+        trace(pen, segment((-2.0**-7, 0.0), (63 * 2.0**-7, 0.0)))
+    # the box's bottom edge runs x = -1/16 + 4t, so its first step hits x = 0
+    message = _unresolved_box(pen, (-1 / 16, 15 / 16))
+    assert message.startswith("TripleDegeneracy: pairs (1, 2) near-degenerate")
+
+
+def test_triple_degeneracy_in_veering_mode(monkeypatch):
+    # pair 1's relative gap stays ~5e-13, inside the veering zone, with
+    # constant eigenvectors, so veering starts at the first step and every
+    # substep is that step's h = 1/64. Pair 3, two pairs away, coalesces at
+    # x = 0, which a substep hits exactly.
+    entries = []
+    traverse = continuation.veering_traverse
+
+    def recording_traverse(state, *args):
+        entries.append(state.t)
+        return traverse(state, *args)
+
+    monkeypatch.setattr(continuation, "veering_traverse", recording_traverse)
+    pen = _DiagonalPencil(lambda x: [1.0 + 1e-12, 1.0, abs(x), -abs(x)], 4)
+    # x = -1/16 + t: substeps at t = 1/64 (the entry) .. 4/64, which is x = 0
+    with pytest.raises(TripleDegeneracy, match=r"pairs \(1, 3\) near-degenerate"):
+        trace(pen, segment((-1 / 16, 0.0), (15 / 16, 0.0)))
+    assert entries == [0.0]
+    # bottom edge x = -1/8 + 4t: the entry step t = 1/64 flags pair 1 only,
+    # and the next substep, t = 2/64, lands on x = 0
+    message = _unresolved_box(pen, (-1 / 8, 7 / 8))
+    assert message.startswith("TripleDegeneracy: pairs (1, 3) near-degenerate")
+    assert set(entries) == {0.0}

@@ -32,12 +32,40 @@ from pencilci.pencil import (
 def test_sgplus_deterministic():
     r1 = sgplus_generate(8, 3, 0.45, 99)
     r2 = sgplus_generate(8, 3, 0.45, 99)
-    for M1, M2 in zip(r1.L_A + r1.L_B, r2.L_A + r2.L_B):
-        assert np.array_equal(M1, M2)
-    assert np.array_equal(r1.D_A, r2.D_A)
-    assert np.array_equal(r1.D_B, r2.D_B)
+    assert np.array_equal(r1.factors, r2.factors)
+    assert np.array_equal(r1.diags, r2.diags)
     r3 = sgplus_generate(8, 3, 0.45, 100)
-    assert not np.array_equal(r1.L_A[0], r3.L_A[0])
+    assert not np.array_equal(r1.factors[0, 0], r3.factors[0, 0])
+
+
+def _documented_draws(n, b, delta, seed):
+    """factors and diags drawn one factor at a time in the documented order."""
+    band = n - 1 if b == "full" else b
+    sigma = delta / np.sqrt(n + 1)
+    rng = np.random.Generator(np.random.Philox(seed))
+    entries = [(i, j) for i in range(n) for j in range(n) if 0 < i - j <= band]
+    factors = np.zeros((4, 2, n, n))
+    for side in (0, 1):  # L_A1..L_A4, then L_B1..L_B4
+        for k in range(4):
+            values = sigma * rng.standard_normal(len(entries))
+            for (i, j), v in zip(entries, values):  # row-major band entries
+                factors[k, side, i, j] = v
+    a = (n + 1) / (2.0 * delta * delta) + (1.0 - np.arange(1, n + 1)) / 2.0
+    diags = np.zeros((2, n, n))
+    for side in (0, 1):  # D_A, then D_B
+        diags[side] = np.diag(sigma * np.sqrt(2.0 * rng.standard_gamma(a)))
+    return factors, diags
+
+
+@pytest.mark.parametrize("n", [4, 10])
+@pytest.mark.parametrize("b", [1, "full"])
+def test_sgplus_draw_order(n, b):
+    r = sgplus_generate(n, b, 0.45, 2024)
+    factors, diags = _documented_draws(n, b, 0.45, 2024)
+    assert r.factors.shape == (4, 2, n, n) and r.diags.shape == (2, n, n)
+    # bitwise, zero signs included
+    assert r.factors.tobytes() == factors.tobytes()
+    assert r.diags.tobytes() == diags.tobytes()
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -46,11 +74,11 @@ def test_sgplus_factor_structure(seed):
     n = int(rng.integers(3, 15))
     b = int(rng.integers(1, n))
     r = sgplus_generate(n, b, 0.45, seed)
-    for M in r.L_A + r.L_B:
+    for M in r.factors.reshape(8, n, n):
         assert np.array_equal(M, np.tril(M, -1))
         assert np.array_equal(M, np.triu(M, -b))  # zero below the b-th subdiagonal
-    assert r.D_A.shape == (n,) and np.all(r.D_A > 0)
-    assert r.D_B.shape == (n,) and np.all(r.D_B > 0)
+    for M in r.diags:
+        assert np.array_equal(M, np.diag(np.diag(M))) and np.all(np.diag(M) > 0)
 
 
 def test_sgplus_validation():
@@ -89,18 +117,19 @@ def test_sgplus_pencil_eval_contracts():
     assert np.allclose(B, B2, atol=1e-12)
     # at (0, 0) the factor collapses to L1 + L3 + diag
     r = pen.realization
-    L = r.L_A[0] + r.L_A[2] + np.diag(r.D_A)
+    L = r.factors[0, 0] + r.factors[2, 0] + r.diags[0]
     assert np.allclose(pen.eval(0.0, 0.0)[0], L @ L.T)
 
 
 def _documented_eval(r, x, y):
     """A and B from the class docstring, one factor sum at a time."""
-    def product(parts, diag):
+    def product(side):
+        parts = r.factors[:, side]
         L = (np.cos(x) * parts[0] + np.sin(x) * parts[1]
              + np.cos(y) * parts[2] + np.sin(y) * parts[3])
-        L = L + np.diag(diag)
+        L = L + r.diags[side]
         return symmetrize(L @ L.T)
-    return product(r.L_A, r.D_A), product(r.L_B, r.D_B)
+    return product(0), product(1)
 
 
 @pytest.mark.parametrize("n", [10, 20, 30])
@@ -113,8 +142,9 @@ def test_sgplus_eval_is_bitwise_the_documented_formula(n, b):
         for p in (pen, copy):
             A, B = p.eval(x, y)
             assert np.array_equal(A, A_ref) and np.array_equal(B, B_ref)
-    # the pickle carries the realization, not the per-pencil factor stacks
-    assert len(pickle.dumps(pen)) <= len(pickle.dumps(pen.realization)) + 100
+    # the pickle carries one copy of factors and diags, and little else
+    stored = pen.realization.factors.nbytes + pen.realization.diags.nbytes
+    assert stored < len(pickle.dumps(pen)) <= stored + 1000
 
 
 def test_sgplus_descriptor_roundtrip(tmp_path):
