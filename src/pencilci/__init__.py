@@ -34,7 +34,6 @@ from .continuation import (
     step_control,
     trace,
     trace_loop,
-    veering_traverse,
     write_trace_csv,
 )
 from .detect import (

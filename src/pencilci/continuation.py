@@ -7,6 +7,16 @@ errors, a secant guard against imminent ordering violations, and a dedicated
 traversal mode for veering intervals where two eigenvalues nearly coalesce
 and their eigenvectors rotate rapidly.
 
+Eigenvectors lose smoothness where eigenvalues come close, while the
+projectors onto their joint invariant subspaces stay smooth. Adjacent
+eigenvalues whose relative gap is below CLUSTER_GAP (at the current point or
+at the solved candidate) form a cluster, which a step follows on its
+projector: the predictor leaves out the in-cluster rotation, step control
+measures the cluster's subspace and eigenvalue sum instead of its single
+columns, and the fresh eigenvectors, signed by overlap, may rotate inside the
+cluster by up to about 41 degrees per step. A step with no cluster is the
+plain column-wise step.
+
 Closed loops additionally yield the sign signature D, the diagonal +-1 matrix
 with V(1) = V(0) D; its -1 entries betray eigenvalue coalescences enclosed by
 the loop.
@@ -40,12 +50,12 @@ __all__ = [
     "TraceResult",
     "TOLSTEP",
     "TOLDIST",
+    "CLUSTER_GAP",
     "init_decomposition",
     "predict",
     "sign_correct",
     "step_control",
     "secant_guard",
-    "veering_traverse",
     "trace",
     "trace_loop",
     "write_trace_csv",
@@ -65,6 +75,9 @@ STEP_SAFETY = 0.9
 GROWTH_CAP = 2.0
 # Relative-gap threshold below which a pair counts as close to veering.
 TOLDIST = 1e6 * _EPS
+# Adjacent pairs whose relative gap is below this, at the current point or at
+# the solved candidate, are linked; maximal runs of linked pairs are clusters.
+CLUSTER_GAP = 1e-2
 # A relative gap at or below this makes the divided differences of predict
 # meaningless; a trace can neither start nor predict from such a point.
 MIN_REL_GAP = 10.0 * _EPS
@@ -83,7 +96,8 @@ SIGNATURE_TOL = 1e-6
 
 # Veering traversal: per-substep guards. The in-pair sign decision needs the
 # 2x2 overlap diagonal decisively away from zero (rotation under 45 degrees);
-# outer columns rotate slowly and must overlap strongly.
+# outer columns rotate slowly and must overlap strongly. Clustered predictor
+# steps apply the same diagonal bound to every column of a cluster.
 _PAIR_DIAG_MIN = 0.75
 _PAIR_ORTHO_TOL = 0.05
 _OUTER_DIAG_MIN = 0.9
@@ -98,7 +112,8 @@ class EigenPoint:
 
     h, rho_lambda, rho_V and veering describe the accepted step that reached
     the point (NaN rho entries while veering); a trace start keeps the
-    defaults.
+    defaults. gaps, when set, holds the relative gaps of lam, so steps from
+    the point need not recompute them.
     """
 
     t: float
@@ -108,16 +123,22 @@ class EigenPoint:
     rho_lambda: float = math.nan
     rho_V: float = math.nan
     veering: bool = False
+    gaps: np.ndarray | None = None
 
 
 class StepDecision(NamedTuple):
-    """Outcome of stepsize control for one attempted step."""
+    """Outcome of stepsize control for one attempted step.
+
+    rotation_ok is False when some cluster column rotated too far; the step
+    is then rejected whatever rho says.
+    """
 
     rho: float
     h_new: float
     accept: bool
     rho_lambda: float
     rho_V: float
+    rotation_ok: bool = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +164,18 @@ class _VeeringResult(NamedTuple):
 def _rel_gaps(lam: np.ndarray) -> np.ndarray:
     """Adjacent eigenvalue gaps scaled by (|lambda_i| + 1)."""
     return (lam[:-1] - lam[1:]) / (np.abs(lam[:-1]) + 1.0)
+
+
+def _clusters(links: np.ndarray) -> tuple[tuple[int, int], ...] | None:
+    """Column ranges (start, stop) of the maximal runs of linked adjacent
+    pairs (pair k couples columns k and k + 1), or None when none is linked."""
+    runs: list[list[int]] = []
+    for k in np.flatnonzero(links).tolist():
+        if runs and runs[-1][1] == k + 1:
+            runs[-1][1] = k + 2
+        else:
+            runs.append([k, k + 2])
+    return tuple((a, b) for a, b in runs) or None
 
 
 def _canonical_signs(V: np.ndarray) -> np.ndarray:
@@ -172,17 +205,22 @@ def _start(pencil, path, t: float) -> tuple[EigenPoint, np.ndarray]:
     """:func:`init_decomposition`'s point, and B at that point."""
     A, B = pencil.eval(*path.point(t))
     ep = gen_eig_ordered(A, B)
-    close = np.flatnonzero(_rel_gaps(ep.values) <= MIN_REL_GAP)
+    gaps = _rel_gaps(ep.values)
+    close = np.flatnonzero(gaps <= MIN_REL_GAP)
     if close.size:
         raise DegenerateStart(
             f"adjacent eigenvalues of pairs {tuple(int(p) + 1 for p in close)} "
             f"closer than 10*eps at t = {t:.12g}"
         )
-    return EigenPoint(t=t, V=_canonical_signs(ep.vectors), lam=ep.values), B
+    return EigenPoint(t=t, V=_canonical_signs(ep.vectors), lam=ep.values, gaps=gaps), B
 
 
 def predict(
-    state: EigenPoint, A_next: np.ndarray, B_next: np.ndarray, h: float
+    state: EigenPoint,
+    A_next: np.ndarray,
+    B_next: np.ndarray,
+    h: float,
+    clusters: tuple[tuple[int, int], ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euler predictors for the decomposition at the next parameter value.
 
@@ -197,6 +235,10 @@ def predict(
     and B across the step replace the time derivatives of the underlying
     first-order system, so both predictions carry O(h^2) local error.
 
+    clusters, column ranges (start, stop), also sets H_ik = 0 for i and k in
+    one cluster, without dividing by their small gap: the prediction then
+    follows the cluster's subspace but not the rotation inside it.
+
     Raises
     ------
     GapTooSmall
@@ -207,7 +249,8 @@ def predict(
     V = state.V
     lam = state.lam
     n = lam.size
-    if n > 1 and _rel_gaps(lam).min() <= MIN_REL_GAP:
+    gaps = _rel_gaps(lam) if state.gaps is None else state.gaps
+    if n > 1 and gaps.min() <= MIN_REL_GAP:
         raise GapTooSmall(f"adjacent eigenvalues closer than 10*eps at t = {state.t:.12g}")
     A_V = V.T @ A_next @ V
     A_V = 0.5 * (A_V + A_V.T)
@@ -219,8 +262,12 @@ def predict(
     col = lam[:, None]
     denom = col - lam
     denom.flat[:: n + 1] = 1.0
+    for a, b in clusters or ():
+        denom[a:b, a:b] = 1.0
     H = (0.5 * (col + lam) * B_V - A_V) / denom
     H.flat[:: n + 1] = 0.0
+    for a, b in clusters or ():
+        H[a:b, a:b] = 0.0
     V_pred = V @ (eye + P + H)
     return lam_pred, V_pred
 
@@ -248,6 +295,7 @@ def step_control(
     V_pred: np.ndarray,
     B_new: np.ndarray,
     h: float,
+    clusters: tuple[tuple[int, int], ...] | None = None,
 ) -> StepDecision:
     """Accept/reject an attempted step and propose the next stepsize.
 
@@ -257,15 +305,43 @@ def step_control(
     accepted when rho <= RHO_ACCEPT. Both predictors carry O(h^2) local
     error, so the new stepsize is h * STEP_SAFETY / sqrt(rho), with growth
     capped at GROWTH_CAP * h (also at rho = 0).
+
+    Each cluster c of clusters (column ranges, as passed to :func:`predict`)
+    is measured on its projector. Its columns of V_new - V_pred become
+    V_new,c M_c - V_pred,c, the part of V_pred,c outside the new subspace,
+    with M_c the cluster's block of V_new.T B_new V_pred, and its terms of
+    rho_lambda become one error of its eigenvalue sum,
+    |sum(lam_new_c - lam_pred_c)| / (|sum(lam_new_c)| + size). A diagonal
+    entry of some M_c below _PAIR_DIAG_MIN (a rotation over about 41
+    degrees, which would make the column signs ambiguous) rejects the step
+    with rotation_ok False and h_new at most h / 2.
     """
     n = lam_new.size
-    rho_lambda = float((np.abs(lam_new - lam_pred) / (np.abs(lam_new) + 1.0)).max())
+    lam_err = np.abs(lam_new - lam_pred) / (np.abs(lam_new) + 1.0)
     E = V_new - V_pred
+    diag_min = math.inf
+    for a, b in clusters or ():
+        lam_err[a:b] = abs(float((lam_new[a:b] - lam_pred[a:b]).sum())) / (
+            abs(float(lam_new[a:b].sum())) + (b - a)
+        )
+        Vc = V_new[:, a:b]
+        M = Vc.T @ B_new @ V_pred[:, a:b]
+        E[:, a:b] = Vc @ M - V_pred[:, a:b]
+        diag_min = min(diag_min, float(np.abs(M.diagonal()).min()))
+    rho_lambda = float(lam_err.max())
     rho_V = math.sqrt(max(float((E.T @ B_new @ E).trace()), 0.0) / n)
     rho = max(rho_lambda, rho_V) / TOLSTEP
     h_new = h * min(GROWTH_CAP, STEP_SAFETY / math.sqrt(max(rho, _EPS)))
+    rotation_ok = diag_min >= _PAIR_DIAG_MIN
+    if not rotation_ok:
+        h_new = min(h_new, h / 2.0)
     return StepDecision(
-        rho=rho, h_new=h_new, accept=rho <= RHO_ACCEPT, rho_lambda=rho_lambda, rho_V=rho_V
+        rho=rho,
+        h_new=h_new,
+        accept=rho <= RHO_ACCEPT and rotation_ok,
+        rho_lambda=rho_lambda,
+        rho_V=rho_V,
+        rotation_ok=rotation_ok,
     )
 
 
@@ -369,7 +445,9 @@ def veering_traverse(state: EigenPoint, pencil, path, entry) -> _VeeringResult:
         else:
             t = t_new
             V_prev = ep.vectors * np.where(diag >= 0.0, 1.0, -1.0)
-            points.append(EigenPoint(t=t, V=V_prev, lam=ep.values, h=h_step, veering=True))
+            points.append(
+                EigenPoint(t=t, V=V_prev, lam=ep.values, h=h_step, veering=True, gaps=gaps)
+            )
             if gaps[i] >= VEERING_EXIT_FACTOR * TOLDIST or t >= 1.0:
                 break
             if pair_diag > _VEER_EASY:
@@ -388,9 +466,18 @@ def trace(pencil, path) -> TraceResult:
     """Smooth ordered eigendecomposition of a pencil along a path, t = 0 -> 1.
 
     Predictor-corrector stepping with sign correction and adaptive stepsize;
+    pairs with relative gap below CLUSTER_GAP at either end of a step are
+    stepped as clusters (see :func:`predict` and :func:`step_control`), and
     veering intervals are detected at the candidate point (relative gap below
     TOLDIST) and delegated to :func:`veering_traverse`. The returned result
     has D = None; use :func:`trace_loop` for closed paths.
+
+    step_stats counts accepted predictor and veering steps (accepted), the
+    accepted steps that stepped a cluster (clustered), rejected steps
+    (rejected) split by cause into an ambiguous sign overlap
+    (rejected_ambiguous), a cluster rotation over the cap
+    (rejected_rotation) and a prediction error over budget (rejected_rho),
+    and veering events.
 
     Raises
     ------
@@ -408,11 +495,12 @@ def _trace(pencil, path) -> tuple[TraceResult, np.ndarray]:
     h = H0_FRAC
     points = [state]
     events: list[tuple[float, float, int]] = []
-    rejected = 0
+    clustered = 0
+    rejected = dict.fromkeys(("rejected_rho", "rejected_ambiguous", "rejected_rotation"), 0)
 
     while state.t < 1.0:
         solved = _step(pencil, path, state.t, h)
-        t_next, h_try, A_next, B_next, ep, _, close = solved
+        t_next, h_try, A_next, B_next, ep, gaps, close = solved
         if close >= 0:
             vr = veering_traverse(state, pencil, path, solved)
             events.append(vr.event)
@@ -420,27 +508,38 @@ def _trace(pencil, path) -> tuple[TraceResult, np.ndarray]:
             state = points[-1]
             h = h_try  # the stepsize at which the veering zone was entered
             continue
-        lam_pred, V_pred = predict(state, A_next, B_next, h_try)
+        clusters = _clusters((state.gaps < CLUSTER_GAP) | (gaps < CLUSTER_GAP))
+        lam_pred, V_pred = predict(state, A_next, B_next, h_try, clusters)
         V_corr, _, min_overlap = sign_correct(ep.vectors, B_next, V_pred)
-        dec = step_control(ep.values, lam_pred, V_corr, V_pred, B_next, h_try)
+        dec = step_control(ep.values, lam_pred, V_corr, V_pred, B_next, h_try, clusters)
         if dec.accept and min_overlap >= AMBIGUOUS_OVERLAP:
             h = secant_guard(state.lam, ep.values, min(dec.h_new, H_MAX_FRAC), h_taken=h_try)
             state = EigenPoint(
                 t=t_next, V=V_corr, lam=ep.values, h=h_try,
-                rho_lambda=dec.rho_lambda, rho_V=dec.rho_V,
+                rho_lambda=dec.rho_lambda, rho_V=dec.rho_V, gaps=gaps,
             )
             points.append(state)
+            clustered += clusters is not None
         else:
-            rejected += 1
             h = dec.h_new
             if min_overlap < AMBIGUOUS_OVERLAP:
                 h = min(h, h_try / 2.0)
+                cause = "rejected_ambiguous"
+            else:
+                cause = "rejected_rho" if dec.rotation_ok else "rejected_rotation"
+            rejected[cause] += 1
         if h < H_MIN_FRAC and state.t < 1.0:
             raise StepUnderflow(
                 f"stepsize {h:.3e} below floor {H_MIN_FRAC:.3e} at t = {state.t:.12g}"
             )
 
-    stats = {"accepted": len(points) - 1, "rejected": rejected, "veering_events": len(events)}
+    stats = {
+        "accepted": len(points) - 1,
+        "rejected": sum(rejected.values()),
+        "veering_events": len(events),
+        "clustered": clustered,
+        **rejected,
+    }
     return TraceResult(points=points, veering_events=events, step_stats=stats), B0
 
 

@@ -323,7 +323,7 @@ def refine_box(
                 f"({y0:.6g}, {y1:.6g}) flag pair {pair} "
                 f"(attempts: {sweep.boxes[0].attempts}){causes}"
             )
-        x0, x1, y0, y1 = sweep.rect_of(flagged[0])
+        x0, x1, y0, y1 = flagged[0].rect
     half_diag = 0.5 * math.hypot(x1 - x0, y1 - y0)
     return CIEstimate(
         x=0.5 * (x0 + x1),

@@ -118,6 +118,34 @@ def test_predict_is_bitwise_the_documented_formula(n):
         assert np.array_equal(lam_pred, lam_ref) and np.array_equal(V_pred, V_ref)
 
 
+def test_predict_drops_only_the_in_cluster_rotation():
+    # clusters zero H inside each cluster and leave every other entry of the
+    # documented formula as it was
+    pen = _sg_pencil(8)
+    path = segment((0.3, 0.9), (1.1, 1.7))
+    state = init_decomposition(pen, path, 0.2)
+    A, B = pen.eval(*path.point(0.25))
+    lam_ref, V_ref = predict(state, A, B, 0.05)
+    clusters = ((1, 3), (4, 7))
+    lam_pred, V_pred = predict(state, A, B, 0.05, clusters)
+    assert np.array_equal(lam_pred, lam_ref)
+    # V_pred = V (I + P + H), so V^-1 (V_ref - V_pred) is the part of H dropped
+    dropped = np.linalg.solve(state.V, V_ref - V_pred)
+    inside = np.zeros((8, 8), dtype=bool)
+    for a, b in clusters:
+        inside[a:b, a:b] = True
+    np.fill_diagonal(inside, False)
+    assert np.abs(dropped[~inside]).max() <= 1e-12
+    assert np.abs(dropped[inside]).min() > 1e-8
+    assert np.allclose(dropped, -dropped.T, atol=1e-12)
+
+
+def test_clusters_are_maximal_runs_of_linked_pairs():
+    links = np.array([False, True, True, False, True, False, False])
+    assert continuation._clusters(links) == ((1, 4), (4, 6))
+    assert continuation._clusters(np.zeros(4, dtype=bool)) is None
+
+
 def test_predict_rejects_tiny_gap():
     state = EigenPoint(t=0.0, V=np.eye(2), lam=np.array([1.0, 1.0 - 1e-16]))
     with pytest.raises(GapTooSmall):
@@ -187,6 +215,45 @@ def test_step_control_sizes_for_h_squared_error(err, factor):
     assert dec.rho == pytest.approx(err / 0.01)
     assert dec.accept
     assert dec.h_new == pytest.approx(0.1 * factor)
+
+
+def _rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def test_step_control_on_a_cluster_measures_its_subspace():
+    # V_new rotates V_pred by 30 degrees inside cluster (0, 2): column by
+    # column that is a large error, but the subspace is the same, and the
+    # cluster's eigenvalue sum is exact although its single values are not
+    V_pred = np.eye(3)
+    V_new = np.eye(3)
+    V_new[:2, :2] = _rotation(math.radians(30.0))
+    lam_new = np.array([1.0, 0.99, -2.0])
+    lam_pred = np.array([1.02, 0.97, -2.0])
+    plain = step_control(lam_new, lam_pred, V_new, V_pred, np.eye(3), h=0.1)
+    assert not plain.accept and plain.rotation_ok
+    dec = step_control(lam_new, lam_pred, V_new, V_pred, np.eye(3), h=0.1, clusters=((0, 2),))
+    assert dec.accept and dec.rotation_ok
+    assert dec.rho_V <= 1e-15 and dec.rho_lambda <= 1e-15
+    assert dec.h_new == pytest.approx(0.2)
+
+
+def test_step_control_caps_the_in_cluster_rotation():
+    # 45 degrees puts the overlap diagonal at 0.707, under the 0.75 bound:
+    # reject whatever rho says, and at least halve the step
+    V_pred = np.eye(3)
+    V_new = np.eye(3)
+    V_new[1:, 1:] = _rotation(math.radians(45.0))
+    lam = np.array([3.0, 1.0, 0.995])
+    dec = step_control(lam, lam, V_new, V_pred, np.eye(3), h=0.1, clusters=((1, 3),))
+    assert dec.rho <= 1e-12
+    assert not dec.accept and not dec.rotation_ok
+    assert dec.h_new <= 0.05
+    # 40 degrees (diagonal 0.766) passes
+    V_new[1:, 1:] = _rotation(math.radians(40.0))
+    dec = step_control(lam, lam, V_new, V_pred, np.eye(3), h=0.1, clusters=((1, 3),))
+    assert dec.accept and dec.rotation_ok
 
 
 def test_secant_guard_worked_example():
@@ -397,7 +464,39 @@ def test_eigensolve_accounting_without_veering(monkeypatch):
     assert stats["veering_events"] == 0 and counts["entries"] == 0
     assert stats["rejected"] > 0
     assert counts["solves"] == 1 + stats["accepted"] + stats["rejected"]
+    _assert_one_cause_per_rejection(stats)
     _assert_one_eval_per_solve(counts)
+
+
+def _assert_one_cause_per_rejection(stats):
+    causes = ("rejected_rho", "rejected_ambiguous", "rejected_rotation")
+    assert stats["rejected"] == sum(stats[c] for c in causes)
+
+
+@pytest.mark.parametrize("miss", [1e-4, 1e-6])
+def test_near_miss_steps_the_close_pair_as_a_cluster(monkeypatch, miss):
+    # edges passing miss from the intersection of pair 2 keep its relative
+    # gap between TOLDIST and CLUSTER_GAP: no veering, clustered steps, the
+    # signature of plain column-wise stepping, and fewer eigensolves
+    pen = embed_2x2(analytic_ci_pencil(0.1), 5, 2, (9.0, -7.0, -8.0))
+    cx, cy = pen.inner.ci_location()
+    for x0, D in ((cx + miss, [1] * 5), (cx - 1.0 + miss, [1, -1, -1, 1, 1])):
+        loop = box_perimeter(x0, cy - 0.5, 1.0, 1.0)
+        with monkeypatch.context() as m:
+            m.setattr(continuation, "CLUSTER_GAP", 0.0)
+            plain, plain_counts = _count_eigensolves(m, pen, loop)
+        res, counts = _count_eigensolves(monkeypatch, pen, loop)
+        stats = res.step_stats
+        gaps = np.array([continuation._rel_gaps(p.lam).min() for p in res.points])
+        assert continuation.TOLDIST < gaps.min() < continuation.CLUSTER_GAP
+        assert stats["veering_events"] == 0 and stats["clustered"] > 0
+        assert plain.step_stats["clustered"] == 0
+        assert res.D.tolist() == plain.D.tolist() == D
+        assert counts["solves"] == 1 + stats["accepted"] + stats["rejected"]
+        assert counts["solves"] < plain_counts["solves"]
+        _assert_one_cause_per_rejection(stats)
+        _assert_one_eval_per_solve(counts)
+        _assert_decompositions(pen, loop, res)
 
 
 def test_eigensolve_accounting_with_veering(monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 import math
@@ -367,3 +368,22 @@ def test_torus_sweep_counts_every_pair_evenly():
     assert not sw.unresolved
     assert sw.total_count == 128
     assert all(count % 2 == 0 for count in sw.pair_counts().values())
+
+
+def test_n50_b3_block_flags_are_pinned():
+    # rows 8..11 and columns 24..31 of the 16x32 grid over [0, pi] x [0, 2 pi]
+    # for the SG+ pencil of census cell (seed 0, b 3, delta 0.45, n 50,
+    # realization 0): a narrow band, where close pairs are stepped as clusters
+    full = GridSpec(rows=16, cols=32, x_range=(0.0, math.pi), y_range=(0.0, 2.0 * math.pi))
+    block = GridSpec(
+        rows=4,
+        cols=8,
+        x_range=(full.box(8, 24)[0], full.box(11, 31)[1]),
+        y_range=(full.box(8, 24)[2], full.box(11, 31)[3]),
+    )
+    pencil = sgplus_pencil(sgplus_generate(50, 3, 0.45, cell_seed(0, 3, 0, 50, 0)))
+    sweep = sweep_grid(pencil, block, seed=0)
+    flags = [(b.row, b.col, b.pairs) for b in sweep.boxes if b.pairs]
+    assert not sweep.unresolved
+    assert sweep.total_count == 183
+    assert hashlib.sha256(repr(flags).encode()).hexdigest()[:16] == "8250d9f741dee19a"
