@@ -166,16 +166,16 @@ def _rel_gaps(lam: np.ndarray) -> np.ndarray:
     return (lam[:-1] - lam[1:]) / (np.abs(lam[:-1]) + 1.0)
 
 
-def _clusters(links: np.ndarray) -> tuple[tuple[int, int], ...] | None:
-    """Column ranges (start, stop) of the maximal runs of linked adjacent
-    pairs (pair k couples columns k and k + 1), or None when none is linked."""
-    runs: list[list[int]] = []
-    for k in np.flatnonzero(links).tolist():
-        if runs and runs[-1][1] == k + 1:
-            runs[-1][1] = k + 2
-        else:
-            runs.append([k, k + 2])
-    return tuple((a, b) for a, b in runs) or None
+def _clusters(links: np.ndarray) -> np.ndarray | None:
+    """Cluster labels of the columns, or None when no adjacent pair is linked.
+
+    Pair k couples columns k and k + 1. Column k's label counts the unlinked
+    pairs before it, so a maximal run of linked pairs shares one label (a
+    cluster), and a column linked to neither neighbour has a label of its own.
+    """
+    if not links.any():
+        return None
+    return np.concatenate(([0], (~links).cumsum()))
 
 
 def _canonical_signs(V: np.ndarray) -> np.ndarray:
@@ -220,7 +220,7 @@ def predict(
     A_next: np.ndarray,
     B_next: np.ndarray,
     h: float,
-    clusters: tuple[tuple[int, int], ...] | None = None,
+    clusters: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euler predictors for the decomposition at the next parameter value.
 
@@ -235,9 +235,10 @@ def predict(
     and B across the step replace the time derivatives of the underlying
     first-order system, so both predictions carry O(h^2) local error.
 
-    clusters, column ranges (start, stop), also sets H_ik = 0 for i and k in
-    one cluster, without dividing by their small gap: the prediction then
-    follows the cluster's subspace but not the rotation inside it.
+    clusters, a label per column (see _clusters), also sets H_ik = 0 for i
+    and k with one label, without dividing by their small gap: the
+    prediction then follows each cluster's subspace but not the rotation
+    inside it.
 
     Raises
     ------
@@ -262,12 +263,13 @@ def predict(
     col = lam[:, None]
     denom = col - lam
     denom.flat[:: n + 1] = 1.0
-    for a, b in clusters or ():
-        denom[a:b, a:b] = 1.0
+    if clusters is not None:
+        inside = clusters[:, None] == clusters
+        denom[inside] = 1.0
     H = (0.5 * (col + lam) * B_V - A_V) / denom
     H.flat[:: n + 1] = 0.0
-    for a, b in clusters or ():
-        H[a:b, a:b] = 0.0
+    if clusters is not None:
+        H[inside] = 0.0
     V_pred = V @ (eye + P + H)
     return lam_pred, V_pred
 
@@ -295,7 +297,7 @@ def step_control(
     V_pred: np.ndarray,
     B_new: np.ndarray,
     h: float,
-    clusters: tuple[tuple[int, int], ...] | None = None,
+    clusters: np.ndarray | None = None,
 ) -> StepDecision:
     """Accept/reject an attempted step and propose the next stepsize.
 
@@ -306,33 +308,38 @@ def step_control(
     error, so the new stepsize is h * STEP_SAFETY / sqrt(rho), with growth
     capped at GROWTH_CAP * h (also at rho = 0).
 
-    Each cluster c of clusters (column ranges, as passed to :func:`predict`)
-    is measured on its projector. Its columns of V_new - V_pred become
-    V_new,c M_c - V_pred,c, the part of V_pred,c outside the new subspace,
-    with M_c the cluster's block of V_new.T B_new V_pred, and its terms of
-    rho_lambda become one error of its eigenvalue sum,
+    Each cluster c of clusters (a label per column, as passed to
+    :func:`predict`) is measured on its projector. With M = V_new.T B_new
+    V_pred, its columns of V_new - V_pred become V_new,c M_c - V_pred,c, the
+    part of V_pred,c outside the new subspace (M_c the cluster's block of
+    M), and its terms of rho_lambda become one error of its eigenvalue sum,
     |sum(lam_new_c - lam_pred_c)| / (|sum(lam_new_c)| + size). A diagonal
-    entry of some M_c below _PAIR_DIAG_MIN (a rotation over about 41
-    degrees, which would make the column signs ambiguous) rejects the step
-    with rotation_ok False and h_new at most h / 2.
+    entry of M in a cluster column below _PAIR_DIAG_MIN (a rotation over
+    about 41 degrees, which would make the column signs ambiguous) rejects
+    the step with rotation_ok False and h_new at most h / 2.
     """
     n = lam_new.size
-    lam_err = np.abs(lam_new - lam_pred) / (np.abs(lam_new) + 1.0)
-    E = V_new - V_pred
-    diag_min = math.inf
-    for a, b in clusters or ():
-        lam_err[a:b] = abs(float((lam_new[a:b] - lam_pred[a:b]).sum())) / (
-            abs(float(lam_new[a:b].sum())) + (b - a)
+    if clusters is None:
+        lam_err = np.abs(lam_new - lam_pred) / (np.abs(lam_new) + 1.0)
+        E = V_new - V_pred
+        rotation_ok = True
+    else:
+        # per label; a label of one column gives that column's plain error
+        size = np.bincount(clusters)
+        lam_err = np.abs(np.bincount(clusters, lam_new - lam_pred)) / (
+            np.abs(np.bincount(clusters, lam_new)) + size
         )
-        Vc = V_new[:, a:b]
-        M = Vc.T @ B_new @ V_pred[:, a:b]
-        E[:, a:b] = Vc @ M - V_pred[:, a:b]
-        diag_min = min(diag_min, float(np.abs(M.diagonal()).min()))
+        clustered = size[clusters] > 1
+        M = V_new.T @ (B_new @ V_pred)
+        # Q is M on the cluster blocks and the identity elsewhere
+        Q = np.where((clusters[:, None] == clusters) & clustered, M, np.eye(n))
+        E = V_new @ Q - V_pred
+        diag_min = np.abs(M.diagonal()).min(where=clustered, initial=math.inf)
+        rotation_ok = float(diag_min) >= _PAIR_DIAG_MIN
     rho_lambda = float(lam_err.max())
-    rho_V = math.sqrt(max(float((E.T @ B_new @ E).trace()), 0.0) / n)
+    rho_V = math.sqrt(max(float((E * (B_new @ E)).sum()), 0.0) / n)
     rho = max(rho_lambda, rho_V) / TOLSTEP
     h_new = h * min(GROWTH_CAP, STEP_SAFETY / math.sqrt(max(rho, _EPS)))
-    rotation_ok = diag_min >= _PAIR_DIAG_MIN
     if not rotation_ok:
         h_new = min(h_new, h / 2.0)
     return StepDecision(
@@ -400,7 +407,9 @@ def veering_traverse(state: EigenPoint, pencil, path, entry) -> _VeeringResult:
     invariant subspace stays smooth, so each substep must keep the pair's
     2x2 overlap block close to orthogonal with a decisive diagonal (rotation
     under 45 degrees); the stepsize halves until that holds. Outer columns
-    must overlap strongly with their predecessors.
+    must overlap strongly with their predecessors. After an easy substep
+    (pair diagonal above _VEER_EASY) the stepsize grows by _VEER_GROW, up to
+    the predictor's cap H_MAX_FRAC.
 
     The traversal ends at the first substep whose relative gap is at least
     VEERING_EXIT_FACTOR * TOLDIST; that substep's decomposition, signs
@@ -418,8 +427,8 @@ def veering_traverse(state: EigenPoint, pencil, path, entry) -> _VeeringResult:
     """
     t_enter = t = state.t
     V_prev = state.V
-    t_new, h_entry, _, B_new, ep, gaps, i = entry
-    h_step = h_v = h_entry
+    t_new, h_step, _, B_new, ep, gaps, i = entry
+    h_v = h_step
     points: list[EigenPoint] = []
     outer = np.array([k for k in range(state.lam.size) if k not in (i, i + 1)], dtype=int)
     pair_block = np.ix_([i, i + 1], [i, i + 1])
@@ -451,7 +460,7 @@ def veering_traverse(state: EigenPoint, pencil, path, entry) -> _VeeringResult:
             if gaps[i] >= VEERING_EXIT_FACTOR * TOLDIST or t >= 1.0:
                 break
             if pair_diag > _VEER_EASY:
-                h_v = min(h_v * _VEER_GROW, h_entry)
+                h_v = min(h_v * _VEER_GROW, H_MAX_FRAC)
         t_new, h_step, _, B_new, ep, gaps, _ = _step(pencil, path, t, h_v, i)
     else:
         raise StepUnderflow(

@@ -15,6 +15,7 @@ point(0) == point(1) exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +152,11 @@ class SGPlusPencil(ParametricPencil):
     L(x, y) = cos(x) L1 + sin(x) L2 + cos(y) L3 + sin(y) L4 + D;
     same for B with its own factors. B is SPD by construction: its L is lower
     triangular with strictly positive diagonal D_B.
+
+    eval forms both L's with one product of the coefficient vector
+    c = (cos x, sin x, cos y, sin y) and the factor stack,
+    L = (c @ factors.reshape(4, -1)).reshape(2, n, n) + diags,
+    and A and B with one batched L @ L.T.
     """
 
     realization: SGPlusRealization
@@ -160,9 +166,10 @@ class SGPlusPencil(ParametricPencil):
         return self.realization.n
 
     def eval(self, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-        F = self.realization.factors
-        L = np.cos(x) * F[0] + np.sin(x) * F[1] + np.cos(y) * F[2] + np.sin(y) * F[3]
-        L += self.realization.diags
+        r = self.realization
+        c = np.array((math.cos(x), math.sin(x), math.cos(y), math.sin(y)))
+        L = (c @ r.factors.reshape(4, -1)).reshape(2, r.n, r.n)
+        L += r.diags
         # numpy computes X @ X.T with syrk, so A and B come out exactly symmetric.
         AB = L @ L.transpose(0, 2, 1)
         return AB[0], AB[1]

@@ -126,13 +126,13 @@ def test_predict_drops_only_the_in_cluster_rotation():
     state = init_decomposition(pen, path, 0.2)
     A, B = pen.eval(*path.point(0.25))
     lam_ref, V_ref = predict(state, A, B, 0.05)
-    clusters = ((1, 3), (4, 7))
+    clusters = np.array([0, 1, 1, 2, 3, 3, 3, 4])  # columns 1..2 and 4..6
     lam_pred, V_pred = predict(state, A, B, 0.05, clusters)
     assert np.array_equal(lam_pred, lam_ref)
     # V_pred = V (I + P + H), so V^-1 (V_ref - V_pred) is the part of H dropped
     dropped = np.linalg.solve(state.V, V_ref - V_pred)
     inside = np.zeros((8, 8), dtype=bool)
-    for a, b in clusters:
+    for a, b in ((1, 3), (4, 7)):
         inside[a:b, a:b] = True
     np.fill_diagonal(inside, False)
     assert np.abs(dropped[~inside]).max() <= 1e-12
@@ -141,8 +141,10 @@ def test_predict_drops_only_the_in_cluster_rotation():
 
 
 def test_clusters_are_maximal_runs_of_linked_pairs():
+    # pair k couples columns k and k + 1; columns that share a label are a
+    # cluster: here columns 1..3 and 4..5
     links = np.array([False, True, True, False, True, False, False])
-    assert continuation._clusters(links) == ((1, 4), (4, 6))
+    assert continuation._clusters(links).tolist() == [0, 1, 1, 1, 2, 2, 3, 4]
     assert continuation._clusters(np.zeros(4, dtype=bool)) is None
 
 
@@ -223,9 +225,10 @@ def _rotation(theta):
 
 
 def test_step_control_on_a_cluster_measures_its_subspace():
-    # V_new rotates V_pred by 30 degrees inside cluster (0, 2): column by
-    # column that is a large error, but the subspace is the same, and the
-    # cluster's eigenvalue sum is exact although its single values are not
+    # V_new rotates V_pred by 30 degrees inside the cluster of columns 0 and
+    # 1: column by column that is a large error, but the subspace is the
+    # same, and the cluster's eigenvalue sum is exact although its single
+    # values are not
     V_pred = np.eye(3)
     V_new = np.eye(3)
     V_new[:2, :2] = _rotation(math.radians(30.0))
@@ -233,7 +236,9 @@ def test_step_control_on_a_cluster_measures_its_subspace():
     lam_pred = np.array([1.02, 0.97, -2.0])
     plain = step_control(lam_new, lam_pred, V_new, V_pred, np.eye(3), h=0.1)
     assert not plain.accept and plain.rotation_ok
-    dec = step_control(lam_new, lam_pred, V_new, V_pred, np.eye(3), h=0.1, clusters=((0, 2),))
+    dec = step_control(
+        lam_new, lam_pred, V_new, V_pred, np.eye(3), h=0.1, clusters=np.array([0, 0, 1])
+    )
     assert dec.accept and dec.rotation_ok
     assert dec.rho_V <= 1e-15 and dec.rho_lambda <= 1e-15
     assert dec.h_new == pytest.approx(0.2)
@@ -246,13 +251,13 @@ def test_step_control_caps_the_in_cluster_rotation():
     V_new = np.eye(3)
     V_new[1:, 1:] = _rotation(math.radians(45.0))
     lam = np.array([3.0, 1.0, 0.995])
-    dec = step_control(lam, lam, V_new, V_pred, np.eye(3), h=0.1, clusters=((1, 3),))
+    dec = step_control(lam, lam, V_new, V_pred, np.eye(3), h=0.1, clusters=np.array([0, 1, 1]))
     assert dec.rho <= 1e-12
     assert not dec.accept and not dec.rotation_ok
     assert dec.h_new <= 0.05
     # 40 degrees (diagonal 0.766) passes
     V_new[1:, 1:] = _rotation(math.radians(40.0))
-    dec = step_control(lam, lam, V_new, V_pred, np.eye(3), h=0.1, clusters=((1, 3),))
+    dec = step_control(lam, lam, V_new, V_pred, np.eye(3), h=0.1, clusters=np.array([0, 1, 1]))
     assert dec.accept and dec.rotation_ok
 
 
@@ -548,9 +553,10 @@ def test_triple_degeneracy_in_predictor_mode():
 
 def test_triple_degeneracy_in_veering_mode(monkeypatch):
     # pair 1's relative gap stays ~5e-13, inside the veering zone, with
-    # constant eigenvectors, so veering starts at the first step and every
-    # substep is that step's h = 1/64. Pair 3, two pairs away, coalesces at
-    # x = 0, which a substep hits exactly.
+    # constant eigenvectors, so veering starts at the first step (h = 1/64)
+    # and every substep is easy: h grows by 1.5 per substep, to 3/128 and
+    # 9/256. Pair 3, two pairs away, coalesces at x = 0, which a substep
+    # hits exactly.
     entries = []
     traverse = continuation.veering_traverse
 
@@ -560,12 +566,13 @@ def test_triple_degeneracy_in_veering_mode(monkeypatch):
 
     monkeypatch.setattr(continuation, "veering_traverse", recording_traverse)
     pen = _DiagonalPencil(lambda x: [1.0 + 1e-12, 1.0, abs(x), -abs(x)], 4)
-    # x = -1/16 + t: substeps at t = 1/64 (the entry) .. 4/64, which is x = 0
+    # x = -19/256 + t: substeps at t = 1/64 (the entry), 5/128 and 19/256,
+    # which is x = 0
     with pytest.raises(TripleDegeneracy, match=r"pairs \(1, 3\) near-degenerate"):
-        trace(pen, segment((-1 / 16, 0.0), (15 / 16, 0.0)))
+        trace(pen, segment((-19 / 256, 0.0), (237 / 256, 0.0)))
     assert entries == [0.0]
-    # bottom edge x = -1/8 + 4t: the entry step t = 1/64 flags pair 1 only,
-    # and the next substep, t = 2/64, lands on x = 0
-    message = _unresolved_box(pen, (-1 / 8, 7 / 8))
+    # bottom edge x = -5/32 + 4t: the entry step t = 1/64 flags pair 1 only,
+    # and the next substep, t = 5/128, lands on x = 0
+    message = _unresolved_box(pen, (-5 / 32, 27 / 32))
     assert message.startswith("TripleDegeneracy: pairs (1, 3) near-degenerate")
     assert set(entries) == {0.0}

@@ -343,16 +343,18 @@ class _StandardForm:
         return symmetrize(self._reduce(A, B)), np.eye(self.n)
 
 
+def _block(rows, cols):
+    """The boxes rows x cols (ranges) of the 16x32 grid over [0, pi] x [0, 2 pi]."""
+    full = GridSpec(rows=16, cols=32, x_range=(0.0, math.pi), y_range=(0.0, 2.0 * math.pi))
+    first, last = full.box(rows[0], cols[0]), full.box(rows[-1], cols[-1])
+    return GridSpec(
+        rows=len(rows), cols=len(cols), x_range=(first[0], last[1]), y_range=(first[2], last[3])
+    )
+
+
 @pytest.mark.parametrize("reduce", [_cholesky_form, _sqrt_form], ids=["cholesky", "sqrt"])
 def test_standard_form_sweep_matches_pencil(reduce):
-    # rows 12..15 and columns 16..23 of the 16x32 grid over [0, pi] x [0, 2 pi]
-    full = GridSpec(rows=16, cols=32, x_range=(0.0, math.pi), y_range=(0.0, 2.0 * math.pi))
-    block = GridSpec(
-        rows=4,
-        cols=8,
-        x_range=(full.box(12, 16)[0], full.box(15, 23)[1]),
-        y_range=(full.box(12, 16)[2], full.box(15, 23)[3]),
-    )
+    block = _block(range(12, 16), range(16, 24))
     pencil = _baseline_pencil(10)
     own = sweep_grid(pencil, block, seed=0)
     reduced = sweep_grid(_StandardForm(pencil, reduce), block, seed=0)
@@ -370,20 +372,32 @@ def test_torus_sweep_counts_every_pair_evenly():
     assert all(count % 2 == 0 for count in sw.pair_counts().values())
 
 
-def test_n50_b3_block_flags_are_pinned():
-    # rows 8..11 and columns 24..31 of the 16x32 grid over [0, pi] x [0, 2 pi]
-    # for the SG+ pencil of census cell (seed 0, b 3, delta 0.45, n 50,
-    # realization 0): a narrow band, where close pairs are stepped as clusters
-    full = GridSpec(rows=16, cols=32, x_range=(0.0, math.pi), y_range=(0.0, 2.0 * math.pi))
-    block = GridSpec(
-        rows=4,
-        cols=8,
-        x_range=(full.box(8, 24)[0], full.box(11, 31)[1]),
-        y_range=(full.box(8, 24)[2], full.box(11, 31)[3]),
-    )
-    pencil = sgplus_pencil(sgplus_generate(50, 3, 0.45, cell_seed(0, 3, 0, 50, 0)))
-    sweep = sweep_grid(pencil, block, seed=0)
-    flags = [(b.row, b.col, b.pairs) for b in sweep.boxes if b.pairs]
+def _block_flags(pencil, rows, cols):
+    """Count, flags (row, col, pairs) and flag digest of a sweep over
+    _block(rows, cols); row and col count from the block's corner."""
+    sweep = sweep_grid(pencil, _block(rows, cols), seed=0)
     assert not sweep.unresolved
-    assert sweep.total_count == 183
-    assert hashlib.sha256(repr(flags).encode()).hexdigest()[:16] == "8250d9f741dee19a"
+    flags = [(b.row, b.col, b.pairs) for b in sweep.boxes if b.pairs]
+    return sweep.total_count, flags, hashlib.sha256(repr(flags).encode()).hexdigest()[:16]
+
+
+def test_n50_b3_block_flags_are_pinned():
+    # rows 8..11 and columns 24..31 for the SG+ pencil of census cell
+    # (seed 0, b 3, delta 0.45, n 50, realization 0): a narrow band, where
+    # close pairs are stepped as clusters
+    pencil = sgplus_pencil(sgplus_generate(50, 3, 0.45, cell_seed(0, 3, 0, 50, 0)))
+    count, _, digest = _block_flags(pencil, range(8, 12), range(24, 32))
+    assert count == 183
+    assert digest == "8250d9f741dee19a"
+
+
+def test_n30_full_block_flags_are_pinned():
+    # rows 12..15 and columns 16..23 for census cell (seed 0, full, delta
+    # 0.45, n 30, realization 1). Step rules that save eigensolves by
+    # stepping past avoided crossings inside a cluster lose flags here: with
+    # linked pairs left out of the secant guard the block flags 41.
+    pencil = sgplus_pencil(sgplus_generate(30, "full", 0.45, cell_seed(0, "full", 0, 30, 1)))
+    count, flags, digest = _block_flags(pencil, range(12, 16), range(16, 24))
+    assert count == 43
+    assert (0, 6, (9, 20)) in flags and (1, 1, (25,)) in flags
+    assert digest == "89106e3065a51ca4"

@@ -122,14 +122,11 @@ def test_sgplus_pencil_eval_contracts():
 
 
 def _documented_eval(r, x, y):
-    """A and B from the class docstring, one factor sum at a time."""
-    def product(side):
-        parts = r.factors[:, side]
-        L = (np.cos(x) * parts[0] + np.sin(x) * parts[1]
-             + np.cos(y) * parts[2] + np.sin(y) * parts[3])
-        L = L + r.diags[side]
-        return symmetrize(L @ L.T)
-    return product(0), product(1)
+    """A and B from the class docstring: both L's from one product of the
+    coefficient vector and the factor stack, then L @ L.T one side at a time."""
+    c = np.array([math.cos(x), math.sin(x), math.cos(y), math.sin(y)])
+    L = (c @ r.factors.reshape(4, -1)).reshape(2, r.n, r.n) + r.diags
+    return symmetrize(L[0] @ L[0].T), symmetrize(L[1] @ L[1].T)
 
 
 @pytest.mark.parametrize("n", [10, 20, 30])
