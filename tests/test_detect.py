@@ -391,6 +391,15 @@ def test_n50_b3_block_flags_are_pinned():
     assert digest == "8250d9f741dee19a"
 
 
+@pytest.mark.parametrize("n, count, digest", [(20, 23, "ade869b7033123f4"), (30, 52, "157b30b713fb4556")])
+def test_banded_block_flags_are_pinned(n, count, digest):
+    # rows 12..15 and columns 16..23 (the perfbench block) for census cell
+    # (seed 0, b 3, delta 0.45, n, realization 0): a narrow band, where most
+    # steps step clusters, so the choice of CLUSTER_GAP must keep these flags
+    pencil = sgplus_pencil(sgplus_generate(n, 3, 0.45, cell_seed(0, 3, 0, n, 0)))
+    assert _block_flags(pencil, range(12, 16), range(16, 24))[::2] == (count, digest)
+
+
 def test_n30_full_block_flags_are_pinned():
     # rows 12..15 and columns 16..23 for census cell (seed 0, full, delta
     # 0.45, n 30, realization 1). Step rules that save eigensolves by
