@@ -52,6 +52,7 @@ from .errors import (
     BandwidthOutOfRange,
     DegenerateStart,
     DispersionOutOfRange,
+    EvaluationFailed,
     GapTooSmall,
     LoopUnresolvable,
     NonFiniteInput,

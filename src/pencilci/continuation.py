@@ -9,13 +9,15 @@ and their eigenvectors rotate rapidly.
 
 Eigenvectors lose smoothness where eigenvalues come close, while the
 projectors onto their joint invariant subspaces stay smooth. Adjacent
-eigenvalues whose relative gap is below CLUSTER_GAP (at the current point or
-at the solved candidate) form a cluster, which a step follows on its
+eigenvalues whose relative gap is below CLUSTER_GAP = 3e-2 (at the current
+point or at the solved candidate) form a cluster, which a step follows on its
 projector: the predictor leaves out the in-cluster rotation, step control
 measures the cluster's subspace and eigenvalue sum instead of its single
 columns, and the fresh eigenvectors, signed by overlap, may rotate inside the
 cluster by up to about 41 degrees per step. A step with no cluster is the
-plain column-wise step.
+plain column-wise step. 3e-2 is the largest gap scanned at which steps of
+SG+ loops at n = 30 stay sized by their error estimate; above it clusters
+grow and the cap H_MAX_FRAC becomes the step rule.
 
 Closed loops additionally yield the sign signature D, the diagonal +-1 matrix
 with V(1) = V(0) D; its -1 entries betray eigenvalue coalescences enclosed by
@@ -36,6 +38,7 @@ import numpy as np
 
 from .errors import (
     DegenerateStart,
+    EvaluationFailed,
     GapTooSmall,
     LoopUnresolvable,
     PencilError,
@@ -77,7 +80,11 @@ GROWTH_CAP = 2.0
 TOLDIST = 1e6 * _EPS
 # Adjacent pairs whose relative gap is below this, at the current point or at
 # the solved candidate, are linked; maximal runs of linked pairs are clusters.
-CLUSTER_GAP = 1e-2
+# Of the gaps scanned on SG+ loops (1e-2, 3e-2, 5e-2, 1e-1), 3e-2 is the
+# largest at which n = 30 steps stay sized by their error estimate: at 3e-2,
+# 30 of 842 accepted steps are capped by H_MAX_FRAC, at 5e-2, 277 of 727, and
+# the largest cluster grows from 5 to 15 columns.
+CLUSTER_GAP = 3e-2
 # A relative gap at or below this makes the divided differences of predict
 # meaningless; a trace can neither start nor predict from such a point.
 MIN_REL_GAP = 10.0 * _EPS
@@ -159,6 +166,7 @@ class TraceResult:
 class _VeeringResult(NamedTuple):
     event: tuple[float, float, int]
     points: list[EigenPoint]  # one per accepted substep; the last is the exit state
+    substeps: int  # eigensolves after the entry step
 
 
 def _rel_gaps(lam: np.ndarray) -> np.ndarray:
@@ -201,9 +209,27 @@ def init_decomposition(pencil, path, t: float = 0.0) -> EigenPoint:
     return _start(pencil, path, t)[0]
 
 
+def _eval(pencil, path, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """A and B at path parameter t.
+
+    Any exception from the pencil's own eval that is not a PencilError is
+    raised again as EvaluationFailed, so a bad evaluation fails one trace
+    like any other PencilError.
+    """
+    x, y = path.point(t)
+    try:
+        return pencil.eval(x, y)
+    except PencilError:
+        raise
+    except Exception as exc:
+        raise EvaluationFailed(
+            f"{type(exc).__name__}: {exc} at (x, y) = ({x:.12g}, {y:.12g})"
+        ) from exc
+
+
 def _start(pencil, path, t: float) -> tuple[EigenPoint, np.ndarray]:
     """:func:`init_decomposition`'s point, and B at that point."""
-    A, B = pencil.eval(*path.point(t))
+    A, B = _eval(pencil, path, t)
     ep = gen_eig_ordered(A, B)
     gaps = _rel_gaps(ep.values)
     close = np.flatnonzero(gaps <= MIN_REL_GAP)
@@ -384,7 +410,7 @@ def _step(pencil, path, t: float, h: float, pair: int = -1):
     """
     h_step = min(h, 1.0 - t)
     t_new = 1.0 if h_step == 1.0 - t else t + h_step
-    A, B = pencil.eval(*path.point(t_new))
+    A, B = _eval(pencil, path, t_new)
     ep = gen_eig_ordered(A, B)
     gaps = _rel_gaps(ep.values)
     close = -1
@@ -434,7 +460,7 @@ def veering_traverse(state: EigenPoint, pencil, path, entry) -> _VeeringResult:
     pair_block = np.ix_([i, i + 1], [i, i + 1])
     eye2 = np.eye(2)
 
-    for _ in range(_MAX_SUBSTEPS):
+    for substeps in range(_MAX_SUBSTEPS):
         M = V_prev.T @ B_new @ ep.vectors
         diag = M.diagonal()
         Mp = M[pair_block]
@@ -468,7 +494,7 @@ def veering_traverse(state: EigenPoint, pencil, path, entry) -> _VeeringResult:
             f"within {_MAX_SUBSTEPS} substeps"
         )
 
-    return _VeeringResult((t_enter, t, i + 1), points)
+    return _VeeringResult((t_enter, t, i + 1), points, substeps)
 
 
 def trace(pencil, path) -> TraceResult:
@@ -481,9 +507,11 @@ def trace(pencil, path) -> TraceResult:
     TOLDIST) and delegated to :func:`veering_traverse`. The returned result
     has D = None; use :func:`trace_loop` for closed paths.
 
-    step_stats counts accepted predictor and veering steps (accepted), the
-    accepted steps that stepped a cluster (clustered), rejected steps
-    (rejected) split by cause into an ambiguous sign overlap
+    step_stats counts eigensolves (the start, every predictor step and every
+    veering substep), accepted predictor and veering steps (accepted), the
+    accepted steps that stepped a cluster (clustered), the accepted steps
+    whose next stepsize secant_guard shortened (secant_caps), rejected
+    steps (rejected) split by cause into an ambiguous sign overlap
     (rejected_ambiguous), a cluster rotation over the cap
     (rejected_rotation) and a prediction error over budget (rejected_rho),
     and veering events.
@@ -494,6 +522,8 @@ def trace(pencil, path) -> TraceResult:
         Propagated from the starting decomposition and the stepping modes.
     NotPositiveDefinite, NonFiniteInput
         Propagated from the eigensolve at any evaluated point.
+    EvaluationFailed
+        When the pencil's eval raises anything but a PencilError.
     """
     return _trace(pencil, path)[0]
 
@@ -504,14 +534,17 @@ def _trace(pencil, path) -> tuple[TraceResult, np.ndarray]:
     h = H0_FRAC
     points = [state]
     events: list[tuple[float, float, int]] = []
-    clustered = 0
+    eigensolves = 1
+    clustered = secant_caps = 0
     rejected = dict.fromkeys(("rejected_rho", "rejected_ambiguous", "rejected_rotation"), 0)
 
     while state.t < 1.0:
         solved = _step(pencil, path, state.t, h)
+        eigensolves += 1
         t_next, h_try, A_next, B_next, ep, gaps, close = solved
         if close >= 0:
             vr = veering_traverse(state, pencil, path, solved)
+            eigensolves += vr.substeps
             events.append(vr.event)
             points.extend(vr.points)
             state = points[-1]
@@ -522,7 +555,9 @@ def _trace(pencil, path) -> tuple[TraceResult, np.ndarray]:
         V_corr, _, min_overlap = sign_correct(ep.vectors, B_next, V_pred)
         dec = step_control(ep.values, lam_pred, V_corr, V_pred, B_next, h_try, clusters)
         if dec.accept and min_overlap >= AMBIGUOUS_OVERLAP:
-            h = secant_guard(state.lam, ep.values, min(dec.h_new, H_MAX_FRAC), h_taken=h_try)
+            h_cap = min(dec.h_new, H_MAX_FRAC)
+            h = secant_guard(state.lam, ep.values, h_cap, h_taken=h_try)
+            secant_caps += h < h_cap
             state = EigenPoint(
                 t=t_next, V=V_corr, lam=ep.values, h=h_try,
                 rho_lambda=dec.rho_lambda, rho_V=dec.rho_V, gaps=gaps,
@@ -543,10 +578,12 @@ def _trace(pencil, path) -> tuple[TraceResult, np.ndarray]:
             )
 
     stats = {
+        "eigensolves": eigensolves,
         "accepted": len(points) - 1,
         "rejected": sum(rejected.values()),
         "veering_events": len(events),
         "clustered": clustered,
+        "secant_caps": secant_caps,
         **rejected,
     }
     return TraceResult(points=points, veering_events=events, step_stats=stats), B0

@@ -13,6 +13,14 @@ class NonFiniteInput(PencilError):
     """A pencil evaluation produced a NaN or infinite entry."""
 
 
+class EvaluationFailed(PencilError):
+    """A pencil's own eval raised an exception that is not a PencilError.
+
+    The message names the original exception's type and message and the
+    point (x, y); the original is chained as the cause.
+    """
+
+
 class SeriesDiverged(PencilError):
     """Square-root series terms stopped contracting.
 

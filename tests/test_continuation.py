@@ -469,6 +469,7 @@ def test_eigensolve_accounting_without_veering(monkeypatch):
     assert stats["veering_events"] == 0 and counts["entries"] == 0
     assert stats["rejected"] > 0
     assert counts["solves"] == 1 + stats["accepted"] + stats["rejected"]
+    assert stats["eigensolves"] == counts["solves"]
     _assert_one_cause_per_rejection(stats)
     _assert_one_eval_per_solve(counts)
 
@@ -478,11 +479,12 @@ def _assert_one_cause_per_rejection(stats):
     assert stats["rejected"] == sum(stats[c] for c in causes)
 
 
-@pytest.mark.parametrize("miss", [1e-4, 1e-6])
+@pytest.mark.parametrize("miss", [8e-3, 1e-4, 1e-6])
 def test_near_miss_steps_the_close_pair_as_a_cluster(monkeypatch, miss):
     # edges passing miss from the intersection of pair 2 keep its relative
-    # gap between TOLDIST and CLUSTER_GAP: no veering, clustered steps, the
-    # signature of plain column-wise stepping, and fewer eigensolves
+    # gap between TOLDIST and CLUSTER_GAP (about 1.6e-2 at its smallest for
+    # miss 8e-3): no veering, clustered steps, the signature of plain
+    # column-wise stepping, and fewer eigensolves
     pen = embed_2x2(analytic_ci_pencil(0.1), 5, 2, (9.0, -7.0, -8.0))
     cx, cy = pen.inner.ci_location()
     for x0, D in ((cx + miss, [1] * 5), (cx - 1.0 + miss, [1, -1, -1, 1, 1])):
@@ -513,6 +515,7 @@ def test_eigensolve_accounting_with_veering(monkeypatch):
     stats = res.step_stats
     assert counts["entries"] == stats["veering_events"] >= 1
     assert counts["substeps"] > 0
+    assert stats["eigensolves"] == counts["solves"]
     assert counts["solves"] == (
         1
         + (stats["accepted"] - counts["veer_points"])

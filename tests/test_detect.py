@@ -206,13 +206,18 @@ class _FaultyPencil:
         return A, B
 
 
+def _raise_value_error(A, B):
+    raise ValueError("no pencil here")
+
+
 @pytest.mark.parametrize(
     "fault, cause",
     [
         (lambda A, B: (A, -B), "NotPositiveDefinite"),
         (lambda A, B: (np.full_like(A, np.nan), B), "NonFiniteInput"),
+        (_raise_value_error, "EvaluationFailed: ValueError: no pencil here at (x, y) = ("),
     ],
-    ids=["indefinite_B", "nan_A"],
+    ids=["indefinite_B", "nan_A", "eval_raises"],
 )
 def test_sweep_bad_evaluation_stays_local(fault, cause, tmp_path):
     grid = GridSpec(rows=4, cols=4, x_range=(-1.0, 1.0), y_range=(-1.0, 1.0))
