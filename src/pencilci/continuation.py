@@ -15,9 +15,9 @@ projector: the predictor leaves out the in-cluster rotation, step control
 measures the cluster's subspace and eigenvalue sum instead of its single
 columns, and the fresh eigenvectors, signed by overlap, may rotate inside the
 cluster by up to about 41 degrees per step. A step with no cluster is the
-plain column-wise step. 3e-2 is the largest gap scanned at which steps of
-SG+ loops at n = 30 stay sized by their error estimate; above it clusters
-grow and the cap H_MAX_FRAC becomes the step rule.
+plain column-wise step. 3e-2 is the largest gap scanned at which the steps
+of n = 30 SG+ loops stay sized by their error estimate; above it clusters
+grow and the stepsize cap H_MAX_FRAC becomes the step rule.
 
 Closed loops additionally yield the sign signature D, the diagonal +-1 matrix
 with V(1) = V(0) D; its -1 entries betray eigenvalue coalescences enclosed by
@@ -80,10 +80,10 @@ GROWTH_CAP = 2.0
 TOLDIST = 1e6 * _EPS
 # Adjacent pairs whose relative gap is below this, at the current point or at
 # the solved candidate, are linked; maximal runs of linked pairs are clusters.
-# Of the gaps scanned on SG+ loops (1e-2, 3e-2, 5e-2, 1e-1), 3e-2 is the
-# largest at which n = 30 steps stay sized by their error estimate: at 3e-2,
-# 30 of 842 accepted steps are capped by H_MAX_FRAC, at 5e-2, 277 of 727, and
-# the largest cluster grows from 5 to 15 columns.
+# Of the gaps scanned on a 4x8 block of SG+ boxes (1e-2, 3e-2, 5e-2, 1e-1),
+# 3e-2 is the largest at which n = 30 steps stay sized by their error
+# estimate: 30 of its 842 accepted steps run at H_MAX_FRAC, against 277 of
+# 727 at 5e-2, where the largest cluster also grows from 5 to 15 columns.
 CLUSTER_GAP = 3e-2
 # A relative gap at or below this makes the divided differences of predict
 # meaningless; a trace can neither start nor predict from such a point.
@@ -205,6 +205,8 @@ def init_decomposition(pencil, path, t: float = 0.0) -> EigenPoint:
     DegenerateStart
         If some adjacent pair's relative gap is at or below MIN_REL_GAP, the
         rule :func:`predict` applies, so every trace start can be stepped from.
+    EvaluationFailed
+        When the pencil's eval raises anything but a PencilError.
     """
     return _start(pencil, path, t)[0]
 
