@@ -162,6 +162,7 @@ def _run_cell(task: tuple) -> str:
         "count": result.total_count,
         "pair_counts": {str(k): v for k, v in result.pair_counts().items()},
         "n_unresolved": len(result.unresolved),
+        "step_stats": result.step_stats,
         "wall_time": wall,
     }
     write_json(out_path, payload)

@@ -41,6 +41,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _write_manifest(args, outputs: list[str]) -> None:
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     doc = {"command": args.command, "version": __version__, "config": config}
@@ -187,7 +194,7 @@ def _build_parser() -> _Parser:
     pooled.add_argument(
         "--workers",
         type=flag(partial(read_int, minimum=1)),
-        default=os.cpu_count() or 1,
+        default=_available_cpus(),
         help="worker processes (default: available parallelism)",
     )
     common = argparse.ArgumentParser(add_help=False)

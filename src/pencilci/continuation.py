@@ -17,7 +17,8 @@ columns, and the fresh eigenvectors, signed by overlap, may rotate inside the
 cluster by up to about 41 degrees per step. A step with no cluster is the
 plain column-wise step. 3e-2 is the largest gap scanned at which the steps
 of n = 30 SG+ loops stay sized by their error estimate; above it clusters
-grow and the stepsize cap H_MAX_FRAC becomes the step rule.
+grow and the stepsize cap H_MAX_FRAC becomes the step rule (scanned with
+H_MAX_FRAC = 1/16).
 
 Closed loops additionally yield the sign signature D, the diagonal +-1 matrix
 with V(1) = V(0) D; its -1 entries betray eigenvalue coalescences enclosed by
@@ -82,8 +83,9 @@ TOLDIST = 1e6 * _EPS
 # the solved candidate, are linked; maximal runs of linked pairs are clusters.
 # Of the gaps scanned on a 4x8 block of SG+ boxes (1e-2, 3e-2, 5e-2, 1e-1),
 # 3e-2 is the largest at which n = 30 steps stay sized by their error
-# estimate: 30 of its 842 accepted steps run at H_MAX_FRAC, against 277 of
-# 727 at 5e-2, where the largest cluster also grows from 5 to 15 columns.
+# estimate: 30 of its 842 accepted steps ran at H_MAX_FRAC, against 277 of
+# 727 at 5e-2, where the largest cluster also grows from 5 to 15 columns
+# (measured with H_MAX_FRAC = 1/16).
 CLUSTER_GAP = 3e-2
 # A relative gap at or below this makes the divided differences of predict
 # meaningless; a trace can neither start nor predict from such a point.
@@ -93,9 +95,14 @@ VEERING_EXIT_FACTOR = 10.0
 # Sign decisions with overlap below this are unreliable; reject the step.
 AMBIGUOUS_OVERLAP = 0.1
 # Initial stepsize, stepsize cap and stepsize floor, as fractions of the path
-# span t = 0 -> 1.
+# span t = 0 -> 1. A loop around one intersection turns the pair's
+# eigenvectors by pi whatever the loop's size, so near an intersection the cap
+# sets the step count. At 1/8 a step turns the pair by 22.5 degrees on
+# average, about half the cluster rotation cap (_PAIR_DIAG_MIN, about 41
+# degrees); at 1/4 it would be 45 degrees, and rotation rejections would
+# size the steps.
 H0_FRAC = 1.0 / 64.0
-H_MAX_FRAC = 1.0 / 16.0
+H_MAX_FRAC = 1.0 / 8.0
 H_MIN_FRAC = 1e-14
 # Signature entries must sit within this distance of +-1 (diagonal) and 0
 # (off-diagonal) before rounding.
@@ -303,7 +310,10 @@ def predict(
 
 
 def sign_correct(
-    V_raw: np.ndarray, B_next: np.ndarray, V_pred: np.ndarray
+    V_raw: np.ndarray,
+    B_next: np.ndarray,
+    V_pred: np.ndarray,
+    BV_pred: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Choose column signs of V_raw to best match the prediction.
 
@@ -311,9 +321,12 @@ def sign_correct(
     || S V_raw.T B_next V_pred - I ||_F over diagonal sign matrices. Returns
     (V_raw S, S diagonal, smallest overlap magnitude). Exact zero overlaps
     resolve to +1; :func:`trace` rejects any step whose smallest overlap is
-    below AMBIGUOUS_OVERLAP.
+    below AMBIGUOUS_OVERLAP. BV_pred, when given, is the product
+    B_next @ V_pred already formed, which :func:`step_control` reuses.
     """
-    d = np.einsum("ij,ij->j", V_raw, B_next @ V_pred)
+    if BV_pred is None:
+        BV_pred = B_next @ V_pred
+    d = np.einsum("ij,ij->j", V_raw, BV_pred)
     s = np.where(d >= 0.0, 1.0, -1.0)
     return V_raw * s, s, float(np.abs(d).min())
 
@@ -326,6 +339,7 @@ def step_control(
     B_new: np.ndarray,
     h: float,
     clusters: np.ndarray | None = None,
+    BV_pred: np.ndarray | None = None,
 ) -> StepDecision:
     """Accept/reject an attempted step and propose the next stepsize.
 
@@ -344,7 +358,8 @@ def step_control(
     |sum(lam_new_c - lam_pred_c)| / (|sum(lam_new_c)| + size). A diagonal
     entry of M in a cluster column below _PAIR_DIAG_MIN (a rotation over
     about 41 degrees, which would make the column signs ambiguous) rejects
-    the step with rotation_ok False and h_new at most h / 2.
+    the step with rotation_ok False and h_new at most h / 2. BV_pred, when
+    given, is the product B_new @ V_pred that :func:`sign_correct` used.
     """
     n = lam_new.size
     if clusters is None:
@@ -358,7 +373,9 @@ def step_control(
             np.abs(np.bincount(clusters, lam_new)) + size
         )
         clustered = size[clusters] > 1
-        M = V_new.T @ (B_new @ V_pred)
+        if BV_pred is None:
+            BV_pred = B_new @ V_pred
+        M = V_new.T @ BV_pred
         # Q is M on the cluster blocks and the identity elsewhere
         Q = np.where((clusters[:, None] == clusters) & clustered, M, np.eye(n))
         E = V_new @ Q - V_pred
@@ -554,8 +571,11 @@ def _trace(pencil, path) -> tuple[TraceResult, np.ndarray]:
             continue
         clusters = _clusters((state.gaps < CLUSTER_GAP) | (gaps < CLUSTER_GAP))
         lam_pred, V_pred = predict(state, A_next, B_next, h_try, clusters)
-        V_corr, _, min_overlap = sign_correct(ep.vectors, B_next, V_pred)
-        dec = step_control(ep.values, lam_pred, V_corr, V_pred, B_next, h_try, clusters)
+        BV_pred = B_next @ V_pred
+        V_corr, _, min_overlap = sign_correct(ep.vectors, B_next, V_pred, BV_pred)
+        dec = step_control(
+            ep.values, lam_pred, V_corr, V_pred, B_next, h_try, clusters, BV_pred
+        )
         if dec.accept and min_overlap >= AMBIGUOUS_OVERLAP:
             h_cap = min(dec.h_new, H_MAX_FRAC)
             h = secant_guard(state.lam, ep.values, h_cap, h_taken=h_try)

@@ -16,7 +16,7 @@ import csv
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,7 +134,9 @@ class BoxResult:
     """Outcome for one grid box; pairs lists the flagged 1-based indices.
 
     rect is the rectangle traced, attempts the sweep attempt whose tiling it
-    belongs to (the same for every box of a sweep).
+    belongs to (the same for every box of a sweep). step_stats are those of
+    the box's final trace (see continuation.trace), empty when it is
+    unresolved.
     """
 
     row: int
@@ -144,6 +146,7 @@ class BoxResult:
     status: str  # "ok" or "unresolved"
     attempts: int
     message: str = ""
+    step_stats: dict = field(default_factory=dict, hash=False)
 
     @property
     def center(self) -> tuple[float, float]:
@@ -175,6 +178,14 @@ class SweepResult:
             c.update(b.pairs)
         return dict(sorted(c.items()))
 
+    @property
+    def step_stats(self) -> dict[str, int]:
+        """Key-wise sums of the boxes' step_stats."""
+        c: Counter = Counter()
+        for b in self.boxes:
+            c.update(b.step_stats)
+        return dict(c)
+
     def rect_of(self, box: BoxResult) -> tuple[float, float, float, float]:
         """Rectangle actually traced for this box, with any retry's moved lines.
 
@@ -185,14 +196,14 @@ class SweepResult:
 
 
 def _trace_box(pencil, rect):
-    """Loop signature of one box perimeter: (pairs, error message)."""
+    """Loop signature of one box perimeter: (pairs, error message, step_stats)."""
     x0, x1, y0, y1 = rect
     loop = box_perimeter(x0, y0, x1 - x0, y1 - y0)
     try:
         res = trace_loop(pencil, loop)
     except LoopUnresolvable as exc:
-        return None, str(exc)
-    return decode_signature(res.D), ""
+        return None, str(exc), {}
+    return decode_signature(res.D), "", res.step_stats
 
 
 def _retry_shift(seed: int, attempt: int, sx: float, sy: float) -> tuple[float, float]:
@@ -249,7 +260,7 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
                 outcomes = list(pool.map(_trace_box, [pencil] * len(rects), rects))
             else:
                 outcomes = [_trace_box(pencil, rect) for rect in rects]
-            if all(pairs is not None for pairs, _ in outcomes):
+            if all(pairs is not None for pairs, _, _ in outcomes):
                 break
     finally:
         if pool is not None:
@@ -263,8 +274,9 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
             status="ok" if pairs is not None else "unresolved",
             attempts=attempt + 1,
             message=msg,
+            step_stats=stats,
         )
-        for (r, c), rect, (pairs, msg) in zip(cells, rects, outcomes)
+        for (r, c), rect, (pairs, msg, stats) in zip(cells, rects, outcomes)
     ]
     return SweepResult(grid=grid, boxes=boxes)
 
@@ -348,7 +360,10 @@ def write_ci_csv(result: SweepResult, path) -> None:
 
 
 def write_sweep_summary(result: SweepResult, path) -> None:
-    """JSON summary: box counts, per-pair totals, attempts, unresolved boxes and causes."""
+    """JSON summary: box counts, per-pair totals, attempts, unresolved boxes and causes.
+
+    step_stats holds the boxes' step_stats summed key-wise.
+    """
     summary = {
         "rows": result.grid.rows,
         "cols": result.grid.cols,
@@ -361,5 +376,6 @@ def write_sweep_summary(result: SweepResult, path) -> None:
         "pair_counts": {str(k): v for k, v in result.pair_counts().items()},
         "attempts": max(b.attempts for b in result.boxes),
         "unresolved_boxes": [[b.row, b.col, b.message] for b in result.unresolved],
+        "step_stats": result.step_stats,
     }
     write_json(path, summary)

@@ -167,6 +167,15 @@ def test_census_cell_matches_direct_sweep(tmp_path):
     assert report.fits[("full", 0)] is None  # one n cannot pin a slope
 
 
+def test_census_cell_carries_its_sweep_step_stats(tmp_path):
+    spec = ExperimentSpec(**TINY_SGPLUS)
+    cell = run_census(spec, tmp_path).cells[0]
+    seed = cell_seed(0, "full", 0, 4, 0)
+    direct = sweep_grid(sgplus_pencil(sgplus_generate(4, "full", 0.45, seed)), spec.grid, seed=seed)
+    assert cell["step_stats"] == direct.step_stats
+    assert cell["step_stats"]["eigensolves"] > 0
+
+
 def test_census_reruns_cell_file_that_is_not_an_object(tmp_path):
     spec = ExperimentSpec(**TINY_SGPLUS)
     path = tmp_path / "cells" / _cell_filename("full", 0, 4, 0)

@@ -467,6 +467,19 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(argv):
     assert exc.value.code == 1
 
 
+def test_workers_default_is_the_affinity_set(monkeypatch):
+    # a run pinned to one core of two (taskset -c 0) starts one worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    for argv in (["sweep", "--pencil", "p.json", "--rows", "1", "--cols", "1",
+                  "--x-range", "0", "1", "--y-range", "0", "1"],
+                 ["census", "--spec", "spec.json"]):
+        assert _build_parser().parse_args(argv).workers == 1
+    # where the OS has no affinity set, every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _build_parser().parse_args(["census", "--spec", "spec.json"]).workers == 2
+
+
 def test_unknown_subcommand_exits_one():
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")

@@ -261,6 +261,23 @@ def test_step_control_caps_the_in_cluster_rotation():
     assert dec.accept and dec.rotation_ok
 
 
+def test_shared_product_leaves_sign_correct_and_step_control_bitwise_unchanged():
+    # trace forms B_next @ V_pred once and passes it to both calls
+    rng = np.random.default_rng(11)
+    B = rand_spd(rng, 5)
+    ep = gen_eig_ordered(np.diag(np.arange(5.0)), B)
+    V_pred = ep.vectors + 1e-3 * rng.standard_normal((5, 5))
+    BV_pred = B @ V_pred
+    own = sign_correct(ep.vectors, B, V_pred)
+    shared = sign_correct(ep.vectors, B, V_pred, BV_pred)
+    assert all(np.array_equal(a, b) for a, b in zip(own, shared))
+    lam_new = ep.values
+    lam_pred = lam_new + 1e-4 * rng.standard_normal(5)
+    for clusters in (None, np.array([0, 0, 1, 2, 2])):
+        args = (lam_new, lam_pred, own[0], V_pred, B, 0.1, clusters)
+        assert step_control(*args) == step_control(*args, BV_pred)
+
+
 def test_secant_guard_worked_example():
     # gap 1, secant slopes -1 and +1, candidate h=1: crossing at 1/2, keep 0.45
     lam_prev = np.array([2.0, -1.0])
@@ -321,6 +338,18 @@ def test_loop_signature_shapes_around_origin():
         assert res.D.tolist() == [-1, -1]
     res = trace_loop(pen, circle(2.0, 0.0, 0.5))
     assert res.D.tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("side", [1e-3, 1e-6])
+def test_small_loop_around_intersection_is_capped_by_rotation_not_size(side):
+    # the pair turns by pi around any loop enclosing the intersection, so the
+    # step count does not shrink with the loop: the cap of 1/8 of the loop
+    # sets it, and no step turns the pair past the rotation cap
+    loop = box_perimeter(-side / 2, -side / 3, side, side)
+    res = trace_loop(analytic_ci_pencil(0.0), loop)
+    assert res.D.tolist() == [-1, -1]
+    assert res.step_stats["eigensolves"] <= 12
+    assert res.step_stats["rejected_rotation"] == 0
 
 
 def test_double_loop_gives_identity():

@@ -20,9 +20,10 @@ from pencilci.detect import (
     write_sweep_summary,
 )
 from pencilci.census import cell_seed
+from pencilci.continuation import trace_loop
 from pencilci.errors import OddSignCount, RefinementInconsistent
 from pencilci.linalg import spd_sqrt, symmetrize
-from pencilci.pencil import analytic_ci_pencil, sgplus_generate, sgplus_pencil
+from pencilci.pencil import analytic_ci_pencil, box_perimeter, sgplus_generate, sgplus_pencil
 
 
 def test_decode_signature_examples():
@@ -260,6 +261,33 @@ def test_sweep_reports(tmp_path):
     assert summary["pair_counts"] == {"1": 1}
     assert summary["attempts"] == 1
     assert summary["unresolved_boxes"] == []
+
+
+def test_sweep_carries_each_box_step_stats(tmp_path):
+    # box (0, 0) encloses the intersection at (-0.025, -0.03125)
+    pen = analytic_ci_pencil(0.1)
+    grid = GridSpec(rows=2, cols=2, x_range=(-1.0, 1.0), y_range=(-1.0, 1.0))
+    sw = sweep_grid(pen, grid, seed=0)
+    for box in sw.boxes:
+        x0, x1, y0, y1 = box.rect
+        loop = box_perimeter(x0, y0, x1 - x0, y1 - y0)
+        assert box.step_stats == trace_loop(pen, loop).step_stats
+    assert sw.boxes[0].pairs == (1,) and not sw.unresolved
+    totals = {k: sum(b.step_stats[k] for b in sw.boxes) for k in sw.boxes[0].step_stats}
+    assert sw.step_stats == totals
+    assert totals["eigensolves"] == totals["accepted"] + totals["rejected"] + 4
+
+    write_sweep_summary(sw, tmp_path / "summary.json")
+    with open(tmp_path / "summary.json") as fh:
+        assert json.load(fh)["step_stats"] == totals
+
+
+def test_unresolved_box_has_no_step_stats():
+    # a corner on the intersection at every attempt: the domain corner never moves
+    sw = sweep_grid(analytic_ci_pencil(0.0), GridSpec(1, 1, (0.0, 1.0), (0.0, 1.0)))
+    (box,) = sw.unresolved
+    assert box.step_stats == {}
+    assert sw.step_stats == {}
 
 
 def test_refine_box_converges():
