@@ -2,9 +2,9 @@
 
 For every cell (b, delta, n, realization) a random SPD pencil is generated,
 its parameter domain swept for eigenvalue coalescences, and the count stored
-as one JSON file. Completed cells are skipped on restart, so interrupted runs
-resume exactly; all aggregation is order-deterministic, making the aggregated
-CSV outputs byte-identical across reruns and resumptions with the same spec.
+as one JSON file. A restart skips cells already done for the same seed, delta
+and grid, and all aggregation is order-deterministic, so reruns and
+resumptions of one spec write byte-identical aggregated CSV outputs.
 
 Mean counts per (b, delta, n) feed a log-log least-squares power-law fit
 count ~ c * n**p per (b, delta) group.
@@ -132,33 +132,38 @@ def _cell_filename(b, delta_index: int, n: int, realization: int) -> str:
     return f"cell_b{b}_d{delta_index}_n{n}_r{realization}.json"
 
 
-def _cell_valid(path: str) -> bool:
+def _cell_identity(spec: ExperimentSpec, key: tuple) -> dict:
+    """The fields that tie a cell file to its cell of spec: key, seed, delta and grid."""
+    b, delta_index, n, realization = key
+    grid = {"rows": spec.rows, "cols": spec.cols, "x_range": [*spec.x_range],
+            "y_range": [*spec.y_range]}
+    return {"b": b, "delta": spec.delta_list[delta_index], "delta_index": delta_index, "n": n,
+            "realization": realization, "seed": cell_seed(spec.seed, *key), "grid": grid}
+
+
+def _cell_valid(path: str, identity: dict) -> bool:
+    """Whether the cell file at path holds the counts the report reads and identity."""
     try:
-        read_int(read_object(read_json(path), "cell file").get("count"), "count", minimum=0)
+        cell = read_object(read_json(path), "cell file")
+        for name in ("count", "n_unresolved"):
+            read_int(cell.get(name), name, minimum=0)
     except (OSError, ValueError):
         return False
-    return True
+    return all(cell.get(name) == value for name, value in identity.items())
 
 
 def _run_cell(task: tuple) -> str:
     """Sweep one cell and persist its JSON atomically; returns the path.
 
-    task is (spec, (b, delta_index, n, realization), out_path, sweep_workers).
+    task is (spec, the cell's _cell_identity, out_path, sweep_workers).
     """
-    spec, (b, delta_index, n, realization), out_path, sweep_workers = task
-    seed = cell_seed(spec.seed, b, delta_index, n, realization)
-    delta = spec.delta_list[delta_index]
-    pencil = sgplus_pencil(sgplus_generate(n, b, delta, seed))
+    spec, cell, out_path, sweep_workers = task
+    pencil = sgplus_pencil(sgplus_generate(cell["n"], cell["b"], cell["delta"], cell["seed"]))
     start = time.perf_counter()
-    result = sweep_grid(pencil, spec.grid, seed=seed, workers=sweep_workers)
+    result = sweep_grid(pencil, spec.grid, seed=cell["seed"], workers=sweep_workers)
     wall = time.perf_counter() - start
     payload = {
-        "b": b,
-        "delta": delta,
-        "delta_index": delta_index,
-        "n": n,
-        "realization": realization,
-        "seed": seed,
+        **cell,
         "count": result.total_count,
         "pair_counts": {str(k): v for k, v in result.pair_counts().items()},
         "n_unresolved": len(result.unresolved),
@@ -255,21 +260,22 @@ def run_census(
     """Run (or resume) the census described by spec, persisting into out_dir.
 
     Each cell writes out_dir/cells/<cell>.json atomically on completion; with
-    resume=True, existing valid cell files are kept and only missing cells
-    run. With more pending cells than one, workers > 1 parallelizes over
-    cells (sweeps inside each cell stay serial); otherwise the sweep level
-    uses the worker budget. Logs cells done, elapsed time and ETA at INFO as
-    each cell finishes, in cell order.
+    resume=True, a cell file is kept when it holds the counts the report
+    reads and the cell's seed, delta and grid under this spec; every other
+    cell runs again and overwrites its file. With more pending cells than
+    one, workers > 1 parallelizes over cells (sweeps inside each cell stay
+    serial); otherwise the sweep level uses the worker budget. Logs cells
+    done, elapsed time and ETA at INFO as each cell finishes, in cell order.
     """
     cell_dir = os.path.join(out_dir, "cells")
     os.makedirs(cell_dir, exist_ok=True)
     pending = []
     for key in spec.cells():
-        out_path = os.path.join(cell_dir, _cell_filename(*key))
-        if not (resume and _cell_valid(out_path)):
-            pending.append((key, out_path))
+        cell, out_path = _cell_identity(spec, key), os.path.join(cell_dir, _cell_filename(*key))
+        if not (resume and _cell_valid(out_path, cell)):
+            pending.append((cell, out_path))
     parallel = workers > 1 and len(pending) > 1
-    tasks = [(spec, key, out_path, 1 if parallel else workers) for key, out_path in pending]
+    tasks = [(spec, cell, out_path, 1 if parallel else workers) for cell, out_path in pending]
     skipped, start = len(spec.cells()) - len(tasks), time.perf_counter()
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         finished = pool.map(_run_cell, tasks) if parallel else map(_run_cell, tasks)

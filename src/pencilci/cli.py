@@ -34,7 +34,10 @@ log = logging.getLogger("pencilci")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with code 1, not 2."""
+    """argparse parser that takes no abbreviated flag; usage errors exit 1, not 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -93,9 +96,9 @@ def _cmd_generate(args) -> int:
     else:
         desc = {"kind": "sgplus", "n": args.n, "b": args.b, "delta": args.delta, "seed": args.seed}
     pencil = pencil_from_descriptor(desc)
-    out = args.out or os.path.join(args.out_dir, "pencil.json")
+    out = os.path.join(args.out_dir, "pencil.json")
     save_pencil(pencil, out)
-    _write_manifest(args, [os.path.basename(out)])
+    _write_manifest(args, ["pencil.json"])
     log.info("wrote %s", out)
     return 0
 
@@ -216,7 +219,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--b", type=flag(read_bandwidth), help="bandwidth (integer or 'full')")
     p.add_argument("--delta", type=float, help="dispersion")
     p.add_argument("--eps", type=float, default=0.0, help="offset of the analytic family")
-    p.add_argument("--out", help="descriptor path (default <out-dir>/pencil.json)")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("trace", parents=[common], help="trace a path, report the signature")

@@ -48,7 +48,7 @@ class DegenerateStart(PencilError):
 class GapTooSmall(PencilError):
     """Eigenvalue gap too small for the Euler predictor.
 
-    Signals that veering handling must take over.
+    Only direct callers of ``predict`` meet it; ``trace`` never predicts there.
     """
 
 

@@ -18,7 +18,7 @@ from pencilci.census import (
     run_census,
     write_report,
 )
-from pencilci.census import _cell_filename, sweep_grid
+from pencilci.census import _cell_filename, _cell_identity, sweep_grid
 from pencilci.cli import main
 from pencilci.errors import NonPositiveCount
 from pencilci.pencil import sgplus_generate, sgplus_pencil
@@ -192,10 +192,32 @@ def test_census_reruns_cell_file_with_a_bad_count(tmp_path):
     spec = ExperimentSpec(**TINY_SGPLUS)
     path = tmp_path / "cells" / _cell_filename("full", 0, 4, 0)
     run_census(spec, tmp_path)
-    for count in ("true", "-1"):  # a bool is not an integer; a count is never negative
+    # a bool is not an integer; a count is never negative; a count alone
+    # lacks the fields the report reads
+    for count in ("true", "-1", "3"):
         path.write_text(f'{{"count": {count}}}')
         report = run_census(spec, tmp_path)
         assert report.cells[0]["count"] == 4
+
+
+@pytest.mark.parametrize(
+    "change",
+    [dict(seed=5), dict(delta_list=(0.3,)), dict(rows=8, cols=8),
+     dict(seed=5, delta_list=(0.3,), rows=8, cols=8)],
+    ids=["seed", "delta", "grid", "all"],
+)
+def test_census_reruns_cell_files_of_another_spec(tmp_path, change):
+    # both specs name their one cell alike, so spec b finds spec a's file; a's
+    # count is 15, and b's is 13 (seed), 14 (delta) or 17 (grid, all)
+    spec_a = ExperimentSpec(seed=0, n_list=(6,), rows=4, cols=4)
+    spec_b = ExperimentSpec(**{**asdict(spec_a), **change})
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    assert run_census(spec_a, shared).cells[0]["count"] == 15
+    write_report(run_census(spec_b, shared), shared)
+    write_report(run_census(spec_b, fresh), fresh)
+    assert _read_aggregates(shared) == _read_aggregates(fresh)
+    with open(shared / "cells" / _cell_filename("full", 0, 6, 0)) as fh:
+        assert json.load(fh)["count"] != 15
 
 
 def test_census_empty_n_list(tmp_path):
@@ -252,9 +274,9 @@ def _synthetic_census(out_dir):
     os.makedirs(out_dir / "cells")
     for b, di, n, r in SYNTHETIC_SPEC.cells():
         cell = {
-            "b": b, "delta": SYNTHETIC_SPEC.delta_list[di], "delta_index": di, "n": n,
-            "realization": r, "seed": 0, "count": SYNTHETIC_COUNTS[(b, di, n)][r],
-            "pair_counts": {}, "n_unresolved": r, "wall_time": 1.0,
+            **_cell_identity(SYNTHETIC_SPEC, (b, di, n, r)),
+            "count": SYNTHETIC_COUNTS[(b, di, n)][r], "pair_counts": {}, "n_unresolved": r,
+            "wall_time": 1.0,
         }
         with open(out_dir / "cells" / _cell_filename(b, di, n, r), "w") as fh:
             json.dump(cell, fh)

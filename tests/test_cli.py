@@ -458,8 +458,9 @@ def test_fit_needs_a_known_count_column(tmp_path):
         ("fit", "--data", "counts.csv", "--workers", 2),
         ("trace", "--pencil", "pencil.json", "--loop", "{}", "--seed", 1),
         ("generate", "--workers", 2),
+        ("generate", "--out", "p.json"),
     ],
-    ids=["census-seed", "fit-workers", "trace-seed", "generate-workers"],
+    ids=["census-seed", "fit-workers", "trace-seed", "generate-workers", "generate-out"],
 )
 def test_flag_the_subcommand_does_not_read_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
