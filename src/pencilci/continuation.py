@@ -31,6 +31,7 @@ Pair indices in public interfaces are 1-based: pair i couples the i-th and
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -190,9 +191,27 @@ def _clusters(links: np.ndarray) -> np.ndarray | None:
     None selects the plain column-wise step, cheaper when no pair is close: on
     such a step at n = 10, step_control takes 13-16 us plain, 31-37 us as a cluster.
     """
-    if not links.any():
+    if not np.logical_or.reduce(links):
         return None
-    return np.concatenate(([0], (~links).cumsum()))
+    labels = np.zeros(links.size + 1, dtype=np.intp)
+    np.add.accumulate(~links, dtype=np.intp, out=labels[1:])
+    return labels
+
+
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, built once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+@functools.cache
+def _off_diagonal(n: int) -> np.ndarray:
+    """The n x n mask of off-diagonal entries, built once per n and read-only."""
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _canonical_signs(V: np.ndarray) -> np.ndarray:
@@ -288,26 +307,21 @@ def predict(
     V = state.V
     lam = state.lam
     n = lam.size
-    if n > 1 and state.gaps.min() <= MIN_REL_GAP:
+    if n > 1 and np.minimum.reduce(state.gaps) <= MIN_REL_GAP:
         raise GapTooSmall(f"adjacent eigenvalues closer than 10*eps at t = {state.t:.12g}")
     A_V = V.T @ A_next @ V
     A_V = 0.5 * (A_V + A_V.T)
     B_V = V.T @ B_next @ V
     B_V = 0.5 * (B_V + B_V.T)
     lam_pred = A_V.diagonal() - lam * (B_V.diagonal() - 1.0)
-    eye = np.eye(n)
-    P = 0.5 * (eye - B_V)
+    eye = _eye(n)
     col = lam[:, None]
-    denom = col - lam
-    denom.flat[:: n + 1] = 1.0
-    if clusters is not None:
-        inside = clusters[:, None] == clusters
-        denom[inside] = 1.0
-    H = (0.5 * (col + lam) * B_V - A_V) / denom
-    H.flat[:: n + 1] = 0.0
-    if clusters is not None:
-        H[inside] = 0.0
-    V_pred = V @ (eye + P + H)
+    # H is zero on the diagonal and inside clusters, the divided difference elsewhere
+    outside = _off_diagonal(n) if clusters is None else clusters[:, None] != clusters
+    H = np.divide(
+        0.5 * (col + lam) * B_V - A_V, col - lam, out=np.zeros((n, n)), where=outside
+    )
+    V_pred = V @ (eye + 0.5 * (eye - B_V) + H)
     return lam_pred, V_pred
 
 
@@ -323,7 +337,7 @@ def sign_correct(V_raw: np.ndarray, BV_pred: np.ndarray) -> tuple[np.ndarray, np
     """
     d = np.einsum("ij,ij->j", V_raw, BV_pred)
     s = np.where(d >= 0.0, 1.0, -1.0)
-    return V_raw * s, s, float(np.abs(d).min())
+    return V_raw * s, s, float(np.minimum.reduce(np.abs(d)))
 
 
 def step_control(
@@ -369,13 +383,14 @@ def step_control(
         )
         clustered = size[clusters] > 1
         M = V_new.T @ BV_pred
-        # Q is M on the cluster blocks and the identity elsewhere
-        Q = np.where((clusters[:, None] == clusters) & clustered, M, np.eye(n))
-        E = V_new @ Q - V_pred
-        diag_min = np.abs(M.diagonal()).min(where=clustered, initial=math.inf)
+        # V_new times M on the cluster blocks and the identity elsewhere
+        in_block = clusters[:, None] == clusters
+        in_block &= clustered
+        E = V_new @ np.where(in_block, M, _eye(n)) - V_pred
+        diag_min = np.minimum.reduce(np.abs(M.diagonal()), where=clustered, initial=math.inf)
         rotation_ok = float(diag_min) >= _PAIR_DIAG_MIN
-    rho_lambda = float(lam_err.max())
-    rho_V = math.sqrt(max(float((E * (B_new @ E)).sum()), 0.0) / n)
+    rho_lambda = float(np.maximum.reduce(lam_err))
+    rho_V = math.sqrt(max(float(np.add.reduce(E * (B_new @ E), axis=None)), 0.0) / n)
     rho = max(rho_lambda, rho_V) / TOLSTEP
     h_new = h * min(GROWTH_CAP, STEP_SAFETY / math.sqrt(max(rho, _EPS)))
     if not rotation_ok:
@@ -404,7 +419,7 @@ def secant_guard(
     slopes = (lam_new - lam_prev) / h_taken
     sec = lam_new + h * slopes
     viol = sec[:-1] < sec[1:]
-    if not bool(viol.any()):
+    if not np.logical_or.reduce(viol):
         return h
     gaps = lam_new[:-1] - lam_new[1:]
     sdiff = slopes[1:] - slopes[:-1]
@@ -426,7 +441,7 @@ def _step(pencil, path, t: float, h: float, pair: int = -1):
     ep = gen_eig_ordered(A, B)
     gaps = _rel_gaps(ep.values)
     close = -1
-    if gaps.min(initial=math.inf) < TOLDIST:
+    if np.minimum.reduce(gaps, initial=math.inf) < TOLDIST:
         flagged = np.flatnonzero(gaps < TOLDIST)
         close = int(flagged[0])
         if flagged.size > 1 or pair not in (-1, close):
@@ -562,7 +577,8 @@ def _trace(pencil, path) -> tuple[TraceResult, np.ndarray]:
             state = points[-1]
             h = h_try  # the stepsize at which the veering zone was entered
             continue
-        clusters = _clusters((state.gaps < CLUSTER_GAP) | (gaps < CLUSTER_GAP))
+        # fmin, not minimum: a NaN gap at one end must not hide the other end's link
+        clusters = _clusters(np.fmin(state.gaps, gaps) < CLUSTER_GAP)
         lam_pred, V_pred = predict(state, A_next, B_next, h_try, clusters)
         BV_pred = B_next @ V_pred
         V_corr, _, min_overlap = sign_correct(ep.vectors, BV_pred)

@@ -11,6 +11,7 @@ symmetric by construction via :func:`symmetrize`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -146,6 +147,14 @@ def sqrt_derivative(S: np.ndarray, dB: np.ndarray) -> np.ndarray:
     return symmetrize(X)
 
 
+@functools.cache
+def _zeros(size: int) -> np.ndarray:
+    """A read-only vector of size zeros, built once per size."""
+    z = np.zeros(size)
+    z.flags.writeable = False
+    return z
+
+
 def gen_eig_ordered(A: np.ndarray, B: np.ndarray) -> EigenPair:
     """Ordered eigendecomposition of the symmetric-definite pencil (A, B).
 
@@ -164,7 +173,10 @@ def gen_eig_ordered(A: np.ndarray, B: np.ndarray) -> EigenPair:
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+    # 0 * x is 0 for every finite x and NaN for an infinite or NaN x, so each
+    # dot product with zeros is 0 exactly when its matrix is finite; no
+    # finite entry, however large, can overflow it.
+    if not math.isfinite(np.vdot(A, _zeros(A.size)) + np.vdot(B, _zeros(B.size))):
         raise NonFiniteInput("pencil has non-finite entries")
     w, V, info = dsygvd(A, B)
     if info != 0:

@@ -91,7 +91,7 @@ def test_predict_local_orders():
             assert 3.0 <= a / b <= 5.0
 
 
-def _documented_predict(state, A_next, B_next):
+def _documented_predict(state, A_next, B_next, clusters=None):
     """predict's docstring formula, one numpy step at a time."""
     V, lam = state.V, state.lam
     n = lam.size
@@ -103,18 +103,36 @@ def _documented_predict(state, A_next, B_next):
     np.fill_diagonal(denom, 1.0)
     H = (0.5 * np.add.outer(lam, lam) * B_V - A_V) / denom
     np.fill_diagonal(H, 0.0)
+    if clusters is not None:
+        for label in np.unique(clusters):
+            inside = np.flatnonzero(clusters == label)
+            H[np.ix_(inside, inside)] = 0.0
     return lam_pred, V @ (np.eye(n) + P + H)
 
 
-@pytest.mark.parametrize("n", [10, 30])
-def test_predict_is_bitwise_the_documented_formula(n):
+def _split_labels(n):
+    """Columns 1..2 and 4..6 clustered, every other column alone."""
+    return np.array([0, 1, 1, 2, 3, 3, 3] + list(range(4, n - 3)))
+
+
+@pytest.mark.parametrize(
+    "n, labels",
+    [
+        pytest.param(10, None, id="10"),
+        pytest.param(30, None, id="30"),
+        pytest.param(10, _split_labels, id="10-clusters"),
+        pytest.param(30, _split_labels, id="30-clusters"),
+    ],
+)
+def test_predict_is_bitwise_the_documented_formula(n, labels):
     pen = _sg_pencil(n)
     path = segment((0.3, 0.9), (1.1, 1.7))
     state = init_decomposition(pen, path, 0.2)
+    clusters = None if labels is None else labels(n)
     for h in (0.05, 0.01):
         A, B = pen.eval(*path.point(0.2 + h))
-        lam_pred, V_pred = predict(state, A, B, h)
-        lam_ref, V_ref = _documented_predict(state, A, B)
+        lam_pred, V_pred = predict(state, A, B, h, clusters)
+        lam_ref, V_ref = _documented_predict(state, A, B, clusters)
         assert np.array_equal(lam_pred, lam_ref) and np.array_equal(V_pred, V_ref)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -120,11 +122,22 @@ def test_gen_eig_ordered_rejects_non_finite(bad):
     rng = np.random.default_rng(0)
     A = rand_sym(rng, 3)
     B = rand_spd(rng, 3)
-    for which in (0, 1):
+    # in A, in B, and in both with opposite signs (+inf in A, -inf in B)
+    for entries in ((bad, None), (None, bad), (bad, -bad)):
         M = [A.copy(), B.copy()]
-        M[which][1, 2] = M[which][2, 1] = bad
+        for X, value in zip(M, entries):
+            if value is not None:
+                X[1, 2] = X[2, 1] = value
         with pytest.raises(NonFiniteInput):
             gen_eig_ordered(*M)
+
+
+def test_gen_eig_ordered_accepts_finite_entries_whose_sum_overflows():
+    # the finiteness check must not sum the entries: 1e308 + 1e308 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ep = gen_eig_ordered(np.diag([1e308, 1e308, -1.0]), np.eye(3))
+    assert ep.values.tolist() == [1e308, 1e308, -1.0]
 
 
 @given(st.integers(0, 2**32 - 1))
