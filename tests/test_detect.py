@@ -414,6 +414,13 @@ def _block_flags(pencil, rows, cols):
     return sweep.total_count, flags, hashlib.sha256(repr(flags).encode()).hexdigest()[:16]
 
 
+def test_full_baseline_grid_flags_are_pinned():
+    # the whole 16x32 grid of the ROADMAP baseline at n = 10
+    count, _, digest = _block_flags(_baseline_pencil(10), range(16), range(32))
+    assert count == 74
+    assert digest == "790a924116cbb670"
+
+
 def test_n50_b3_block_flags_are_pinned():
     # rows 8..11 and columns 24..31 for the SG+ pencil of census cell
     # (seed 0, b 3, delta 0.45, n 50, realization 0): a narrow band, where
