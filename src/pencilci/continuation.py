@@ -22,7 +22,9 @@ H_MAX_FRAC = 1/16).
 
 Closed loops additionally yield the sign signature D, the diagonal +-1 matrix
 with V(1) = V(0) D; its -1 entries betray eigenvalue coalescences enclosed by
-the loop.
+the loop. D is a product over the loop's pieces: a box perimeter is traced as
+four open sides, each from a canonically signed basis at its start corner to
+the one at its end, so the boxes of a grid can share their sides.
 
 Pair indices in public interfaces are 1-based: pair i couples the i-th and
 (i+1)-th eigenvalues in decreasing order.
@@ -33,6 +35,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -48,6 +51,7 @@ from .errors import (
     TripleDegeneracy,
 )
 from .linalg import gen_eig_ordered
+from .pencil import BoxPerimeter, segment
 
 __all__ = [
     "EigenPoint",
@@ -161,7 +165,8 @@ class TraceResult:
     """A completed trace; D is None for open paths.
 
     D, when present, is the length-n vector of +-1 signature entries with
-    V(1) = V(0) diag(D); signature_raw holds the pre-rounding diagonal.
+    V(1) = V(0) diag(D); signature_raw holds the pre-rounding diagonal, the
+    product of the loop's pieces' diagonals (see :func:`trace_loop`).
     """
 
     points: list[EigenPoint]
@@ -175,6 +180,7 @@ class _VeeringResult(NamedTuple):
     event: tuple[float, float, int]
     points: list[EigenPoint]  # one per accepted substep; the last is the exit state
     substeps: int  # eigensolves after the entry step
+    B: np.ndarray  # B at the exit state
 
 
 def _rel_gaps(lam: np.ndarray) -> np.ndarray:
@@ -261,14 +267,27 @@ def _start(pencil, path, t: float) -> tuple[EigenPoint, np.ndarray]:
     """:func:`init_decomposition`'s point, and B at that point."""
     A, B = _eval(pencil, path, t)
     ep = gen_eig_ordered(A, B)
-    gaps = _rel_gaps(ep.values)
-    close = np.flatnonzero(gaps <= MIN_REL_GAP)
+    return _anchor(EigenPoint(t=t, V=ep.vectors, lam=ep.values, gaps=_rel_gaps(ep.values))), B
+
+
+def _anchor(point: EigenPoint) -> EigenPoint:
+    """A solved point as a trace start: canonical column signs, no step record.
+
+    The signs depend only on the solve, so the end point of a trace, whatever
+    signs the trace gave it, anchors bitwise as a fresh solve there.
+
+    Raises
+    ------
+    DegenerateStart
+        If some adjacent relative gap is at or below MIN_REL_GAP.
+    """
+    close = np.flatnonzero(point.gaps <= MIN_REL_GAP)
     if close.size:
         raise DegenerateStart(
             f"adjacent eigenvalues of pairs {tuple(int(p) + 1 for p in close)} "
-            f"closer than 10*eps at t = {t:.12g}"
+            f"closer than 10*eps at t = {point.t:.12g}"
         )
-    return EigenPoint(t=t, V=_canonical_signs(ep.vectors), lam=ep.values, gaps=gaps), B
+    return EigenPoint(t=point.t, V=_canonical_signs(point.V), lam=point.lam, gaps=point.gaps)
 
 
 def predict(
@@ -325,17 +344,20 @@ def predict(
     return lam_pred, V_pred
 
 
-def sign_correct(V_raw: np.ndarray, BV_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def sign_correct(
+    V_raw: np.ndarray, BV_pred: np.ndarray, overlaps: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Choose column signs of V_raw to best match the prediction.
 
     BV_pred is B_next @ V_pred, which :func:`step_control` reuses. The sign
     matrix S = diag(sign(diag(V_raw.T BV_pred))) minimizes
-    || S V_raw.T BV_pred - I ||_F over diagonal sign matrices. Returns
+    || S V_raw.T BV_pred - I ||_F over diagonal sign matrices. overlaps, when
+    given, is that diagonal, taken from a product the caller formed. Returns
     (V_raw S, S diagonal, smallest overlap magnitude). Exact zero overlaps
     resolve to +1; :func:`trace` rejects any step whose smallest overlap is
     below AMBIGUOUS_OVERLAP.
     """
-    d = np.einsum("ij,ij->j", V_raw, BV_pred)
+    d = np.einsum("ij,ij->j", V_raw, BV_pred) if overlaps is None else overlaps
     s = np.where(d >= 0.0, 1.0, -1.0)
     return V_raw * s, s, float(np.minimum.reduce(np.abs(d)))
 
@@ -349,6 +371,7 @@ def step_control(
     BV_pred: np.ndarray,
     h: float,
     clusters: np.ndarray | None = None,
+    M: np.ndarray | None = None,
 ) -> StepDecision:
     """Accept/reject an attempted step and propose the next stepsize.
 
@@ -368,7 +391,8 @@ def step_control(
     |sum(lam_new_c - lam_pred_c)| / (|sum(lam_new_c)| + size). A diagonal
     entry of M in a cluster column below _PAIR_DIAG_MIN (a rotation over
     about 41 degrees, which would make the column signs ambiguous) rejects
-    the step with rotation_ok False and h_new at most h / 2.
+    the step with rotation_ok False and h_new at most h / 2. A caller that
+    has formed M passes it, and step_control then does not form it again.
     """
     n = lam_new.size
     if clusters is None:
@@ -382,7 +406,8 @@ def step_control(
             np.abs(np.bincount(clusters, lam_new)) + size
         )
         clustered = size[clusters] > 1
-        M = V_new.T @ BV_pred
+        if M is None:
+            M = V_new.T @ BV_pred
         # V_new times M on the cluster blocks and the identity elsewhere
         in_block = clusters[:, None] == clusters
         in_block &= clustered
@@ -450,7 +475,7 @@ def _step(pencil, path, t: float, h: float, pair: int = -1):
     return t_new, h_step, A, B, ep, gaps, close
 
 
-def veering_traverse(state: EigenPoint, pencil, path, entry) -> _VeeringResult:
+def veering_traverse(state: EigenPoint, pencil, path, entry, h_max: float) -> _VeeringResult:
     """Advance past the veering interval that the step from state entered.
 
     entry, the solved step whose relative gap fell below TOLDIST, is the
@@ -462,7 +487,7 @@ def veering_traverse(state: EigenPoint, pencil, path, entry) -> _VeeringResult:
     under 45 degrees); the stepsize halves until that holds. Outer columns
     must overlap strongly with their predecessors. After an easy substep
     (pair diagonal above _VEER_EASY) the stepsize grows by _VEER_GROW, up to
-    the predictor's cap H_MAX_FRAC.
+    the predictor's cap h_max.
 
     The traversal ends at the first substep whose relative gap is at least
     VEERING_EXIT_FACTOR * TOLDIST; that substep's decomposition, signs
@@ -505,7 +530,7 @@ def veering_traverse(state: EigenPoint, pencil, path, entry) -> _VeeringResult:
                     f"(substep {h_v:.3e} below floor {H_MIN_FRAC:.3e})"
                 )
         else:
-            t = t_new
+            t, B_prev = t_new, B_new
             V_prev = ep.vectors * np.where(diag >= 0.0, 1.0, -1.0)
             points.append(
                 EigenPoint(t=t, V=V_prev, lam=ep.values, h=h_step, veering=True, gaps=gaps)
@@ -513,7 +538,7 @@ def veering_traverse(state: EigenPoint, pencil, path, entry) -> _VeeringResult:
             if gaps[i] >= VEERING_EXIT_FACTOR * TOLDIST or t >= 1.0:
                 break
             if pair_diag > _VEER_EASY:
-                h_v = min(h_v * _VEER_GROW, H_MAX_FRAC)
+                h_v = min(h_v * _VEER_GROW, h_max)
         t_new, h_step, _, B_new, ep, gaps, _ = _step(pencil, path, t, h_v, i)
     else:
         raise StepUnderflow(
@@ -521,7 +546,7 @@ def veering_traverse(state: EigenPoint, pencil, path, entry) -> _VeeringResult:
             f"within {_MAX_SUBSTEPS} substeps"
         )
 
-    return _VeeringResult((t_enter, t, i + 1), points, substeps)
+    return _VeeringResult((t_enter, t, i + 1), points, substeps, B_prev)
 
 
 def trace(pencil, path) -> TraceResult:
@@ -531,8 +556,9 @@ def trace(pencil, path) -> TraceResult:
     pairs with relative gap below CLUSTER_GAP at either end of a step are
     stepped as clusters (see :func:`predict` and :func:`step_control`), and
     veering intervals are detected at the candidate point (relative gap below
-    TOLDIST) and delegated to :func:`veering_traverse`. The returned result
-    has D = None; use :func:`trace_loop` for closed paths.
+    TOLDIST) and delegated to :func:`veering_traverse`. The first step is
+    H0_FRAC and every step at most H_MAX_FRAC. The returned result has
+    D = None; use :func:`trace_loop` for closed paths.
 
     step_stats counts eigensolves (the start, every predictor step and every
     veering substep), accepted predictor and veering steps (accepted), the
@@ -552,17 +578,23 @@ def trace(pencil, path) -> TraceResult:
     EvaluationFailed
         When the pencil's eval raises anything but a PencilError.
     """
-    return _trace(pencil, path)[0]
+    result, _ = _trace(pencil, path, _start(pencil, path, 0.0), H0_FRAC, H_MAX_FRAC)
+    result.step_stats["eigensolves"] += 1  # the start
+    return result
 
 
-def _trace(pencil, path) -> tuple[TraceResult, np.ndarray]:
-    """:func:`trace`, and B(0) for :func:`trace_loop`'s signature."""
-    state, B0 = _start(pencil, path, 0.0)
-    h = H0_FRAC
+def _trace(
+    pencil, path, start: tuple[EigenPoint, np.ndarray], h: float, h_max: float
+) -> tuple[TraceResult, np.ndarray]:
+    """:func:`trace` from a solved start (its point at t = 0 and B there), with
+    first step h and stepsize cap h_max; also returns B at the last point.
+
+    step_stats["eigensolves"] counts the steps' solves only, not the start's.
+    """
+    state, B_state = start
     points = [state]
     events: list[tuple[float, float, int]] = []
-    eigensolves = 1
-    clustered = secant_caps = 0
+    eigensolves = clustered = secant_caps = 0
     rejected = dict.fromkeys(("rejected_rho", "rejected_ambiguous", "rejected_rotation"), 0)
 
     while state.t < 1.0:
@@ -570,27 +602,38 @@ def _trace(pencil, path) -> tuple[TraceResult, np.ndarray]:
         eigensolves += 1
         t_next, h_try, A_next, B_next, ep, gaps, close = solved
         if close >= 0:
-            vr = veering_traverse(state, pencil, path, solved)
+            vr = veering_traverse(state, pencil, path, solved, h_max)
             eigensolves += vr.substeps
             events.append(vr.event)
             points.extend(vr.points)
-            state = points[-1]
+            state, B_state = points[-1], vr.B
             h = h_try  # the stepsize at which the veering zone was entered
             continue
         # fmin, not minimum: a NaN gap at one end must not hide the other end's link
         clusters = _clusters(np.fmin(state.gaps, gaps) < CLUSTER_GAP)
         lam_pred, V_pred = predict(state, A_next, B_next, h_try, clusters)
         BV_pred = B_next @ V_pred
-        V_corr, _, min_overlap = sign_correct(ep.vectors, BV_pred)
-        dec = step_control(ep.values, lam_pred, V_corr, V_pred, B_next, BV_pred, h_try, clusters)
+        if clusters is None:
+            V_corr, _, min_overlap = sign_correct(ep.vectors, BV_pred)
+            M = None
+        else:
+            # one product for both: a sign scaling of its rows is exact, so
+            # s M is bitwise V_corr.T BV_pred
+            M = ep.vectors.T @ BV_pred
+            V_corr, s, min_overlap = sign_correct(ep.vectors, BV_pred, M.diagonal())
+            M = s[:, None] * M
+        dec = step_control(
+            ep.values, lam_pred, V_corr, V_pred, B_next, BV_pred, h_try, clusters, M
+        )
         if dec.accept and min_overlap >= AMBIGUOUS_OVERLAP:
-            h_cap = min(dec.h_new, H_MAX_FRAC)
+            h_cap = min(dec.h_new, h_max)
             h = secant_guard(state.lam, ep.values, h_cap, h_taken=h_try)
             secant_caps += h < h_cap
             state = EigenPoint(
                 t=t_next, V=V_corr, lam=ep.values, h=h_try,
                 rho_lambda=dec.rho_lambda, rho_V=dec.rho_V, gaps=gaps,
             )
+            B_state = B_next
             points.append(state)
             clustered += clusters is not None
         else:
@@ -615,29 +658,50 @@ def _trace(pencil, path) -> tuple[TraceResult, np.ndarray]:
         "secant_caps": secant_caps,
         **rejected,
     }
-    return TraceResult(points=points, veering_events=events, step_stats=stats), B0
+    return TraceResult(points=points, veering_events=events, step_stats=stats), B_state
 
 
-def trace_loop(pencil, loop) -> TraceResult:
-    """Trace a closed loop and extract the sign signature D.
+class _Piece(NamedTuple):
+    """An open trace that is part of a loop.
 
-    D is computed as the rounded diagonal of V(0).T B(0) V(1); pre-rounding
-    entries must sit within SIGNATURE_TOL of +-1 (diagonal) and 0
-    (off-diagonal), and D must have an even number of -1 entries.
-
-    Raises
-    ------
-    LoopUnresolvable
-        On any PencilError inside the trace (the message starts with its
-        class name), or when the signature fails the cleanliness checks.
+    path runs from corner start to corner end (labels local to the loop),
+    loop t = t0 + dt * path t, and h0 is the first step.
     """
-    if not getattr(loop, "closed", False):
-        raise ValueError("trace_loop requires a closed path")
-    try:
-        tr, B0 = _trace(pencil, loop)
-    except PencilError as exc:
-        raise LoopUnresolvable(f"{type(exc).__name__}: {exc}") from exc
-    M = tr.points[0].V.T @ B0 @ tr.points[-1].V
+
+    path: object
+    start: int
+    end: int
+    t0: float
+    dt: float
+    h0: float
+
+
+def _pieces(loop) -> list[_Piece]:
+    """The open traces a closed loop is made of, in the order they are traced.
+
+    A box is its four sides, each traced in the +x or +y direction from its
+    lower-left end: bottom and left from the box's start corner, then right
+    and top from where bottom and left end. A side's first step is its cap,
+    the loop's H_MAX_FRAC in units of the side, so its trace depends only on
+    its two ends. Any other loop is one piece from t = 0 back to t = 1 with
+    the first step H0_FRAC of a free trace.
+    """
+    if not isinstance(loop, BoxPerimeter):
+        return [_Piece(loop, 0, 0, 0.0, 1.0, H0_FRAC)]
+    corners = ((loop.x0, loop.y0), (loop.x1, loop.y0), (loop.x1, loop.y1), (loop.x0, loop.y1))
+    # (start, end, t0, dt): bottom, left, right, top; the loop runs top and left backwards
+    sides = ((0, 1, 0.0, 0.25), (0, 3, 1.0, -0.25), (1, 2, 0.25, 0.25), (3, 2, 0.75, -0.25))
+    h = 4.0 * H_MAX_FRAC
+    return [_Piece(segment(corners[a], corners[b]), a, b, t0, dt, h) for a, b, t0, dt in sides]
+
+
+def _piece_signs(anchor: EigenPoint, B: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The diagonal of anchor.V.T B V, for a piece that reached anchor's point with V.
+
+    Raises LoopUnresolvable unless the diagonal is within SIGNATURE_TOL of
+    +-1 and the off-diagonal within SIGNATURE_TOL of 0.
+    """
+    M = anchor.V.T @ B @ V
     d = np.diag(M).copy()
     off = float(np.max(np.abs(M - np.diag(d)))) if d.size > 1 else 0.0
     diag_err = float(np.max(np.abs(np.abs(d) - 1.0)))
@@ -646,10 +710,97 @@ def trace_loop(pencil, loop) -> TraceResult:
             f"signature not clean: diagonal within {diag_err:.3e} of +-1, "
             f"off-diagonal magnitude {off:.3e} (tolerance {SIGNATURE_TOL})"
         )
+    return d
+
+
+def trace_loop(pencil, loop, sides: dict | None = None) -> TraceResult:
+    """Trace a closed loop piece by piece and extract the sign signature D.
+
+    A box perimeter is traced as its four sides, each an open trace in the +x
+    or +y direction from a canonically signed anchor at its start corner,
+    whose first step is its cap, half the side (the loop's H_MAX_FRAC); any
+    other closed loop is one piece from its start back to it, stepped as
+    :func:`trace` steps. Each piece's
+    sign vector is the diagonal of V_a.T B V, with V the traced basis at the
+    piece's end and V_a, B the canonically signed anchor there; its entries
+    must sit within SIGNATURE_TOL of +-1 (off-diagonal entries of 0). The
+    loop's signature_raw is the product of its pieces' diagonals, and D, the
+    product of their rounded signs, gives V(1) = V(0) diag(D) around the
+    loop; it must have an even number of -1 entries.
+
+    sides, shared by the loops of a grid, maps each piece's path to its
+    diagonal or, if it failed, to the cause; a piece found there is not
+    traced again, and a failed one fails this loop with the same cause. A
+    side's sign vector depends only on its two ends, so sharing changes no
+    D. The loop's own start corner is solved once, and a side starting at
+    another corner starts from the anchor at the end of the side that led
+    there, which is bitwise a fresh solve there.
+
+    points holds the starts this call solved and the accepted points of the
+    pieces it traced, at loop parameter t; veering_events hold (t_lo, t_hi,
+    pair) in loop parameter. step_stats (see :func:`trace`) count only the
+    solves this call made.
+
+    Raises
+    ------
+    LoopUnresolvable
+        On any PencilError inside a piece (the message starts with its class
+        name, and for a box side ends with the side), when a sign vector
+        fails the cleanliness checks, or when D has an odd count of -1.
+    """
+    if not getattr(loop, "closed", False):
+        raise ValueError("trace_loop requires a closed path")
+    sides = {} if sides is None else sides
+    anchors: dict[int, tuple[EigenPoint, np.ndarray]] = {}
+    points: list[EigenPoint] = []
+    events: list[tuple[float, float, int]] = []
+    stats: Counter = Counter(eigensolves=0)
+    d = 1.0
+    for piece in _pieces(loop):
+        found = sides.get(piece.path)
+        if found is None:
+            try:
+                if piece.start not in anchors:
+                    anchors[piece.start] = _start(pencil, piece.path, 0.0)
+                    stats["eigensolves"] += 1
+                    points.append(replace(anchors[piece.start][0], t=_loop_t(piece, 0.0)))
+                h_max = H_MAX_FRAC / abs(piece.dt)
+                tr, B = _trace(pencil, piece.path, anchors[piece.start], piece.h0, h_max)
+                anchor = _anchor(tr.points[-1])
+                anchors[piece.end] = (replace(anchor, t=0.0), B)
+                found = _piece_signs(anchor, B, tr.points[-1].V)
+            except PencilError as exc:
+                name = "" if isinstance(exc, LoopUnresolvable) else f"{type(exc).__name__}: "
+                found = f"{name}{exc}{_where(piece, loop)}"
+            else:
+                stats.update(tr.step_stats)
+                points.extend(replace(p, t=_loop_t(piece, p.t)) for p in tr.points[1:])
+                for t_enter, t_exit, pair in tr.veering_events:
+                    t_lo, t_hi = sorted((_loop_t(piece, t_enter), _loop_t(piece, t_exit)))
+                    events.append((t_lo, t_hi, pair))
+            sides[piece.path] = found
+        if isinstance(found, str):
+            raise LoopUnresolvable(found)
+        d = d * found
     D = np.where(d > 0.0, 1, -1).astype(int)
     if int(np.prod(D)) != 1:
         raise LoopUnresolvable("signature has an odd number of -1 entries")
-    return replace(tr, D=D, signature_raw=d)
+    return TraceResult(
+        points=points, veering_events=events, step_stats=dict(stats), D=D, signature_raw=d
+    )
+
+
+def _loop_t(piece: _Piece, t: float) -> float:
+    """The loop parameter of the piece's parameter t."""
+    return piece.t0 + piece.dt * t
+
+
+def _where(piece: _Piece, loop) -> str:
+    """The side a cause happened on; empty for a loop traced as one piece."""
+    if piece.path is loop:
+        return ""
+    p = piece.path
+    return f" on the side ({p.x0:.12g}, {p.y0:.12g}) -> ({p.x1:.12g}, {p.y1:.12g})"
 
 
 def write_trace_csv(result: TraceResult, path) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from .continuation import trace_loop
 from .errors import LoopUnresolvable, OddSignCount, RefinementInconsistent
 from .fields import read_seed, write_json
-from .pencil import box_perimeter
+from .pencil import BoxPerimeter
 
 __all__ = [
     "GridSpec",
@@ -134,9 +134,11 @@ class BoxResult:
     """Outcome for one grid box; pairs lists the flagged 1-based indices.
 
     rect is the rectangle traced, attempts the sweep attempt whose tiling it
-    belongs to (the same for every box of a sweep). step_stats are those of
-    the box's final trace (see continuation.trace), empty when it is
-    unresolved.
+    belongs to (the same for every box of a sweep). step_stats count the
+    solves of the box's final trace_loop call (see continuation.trace):
+    its start corner and the steps of the sides it traced itself, not of
+    sides shared from boxes traced before it; empty when it is unresolved.
+    They describe the work, not the result, and take no part in equality.
     """
 
     row: int
@@ -146,7 +148,7 @@ class BoxResult:
     status: str  # "ok" or "unresolved"
     attempts: int
     message: str = ""
-    step_stats: dict = field(default_factory=dict, hash=False)
+    step_stats: dict = field(default_factory=dict, hash=False, compare=False)
 
     @property
     def center(self) -> tuple[float, float]:
@@ -195,15 +197,29 @@ class SweepResult:
         return box.rect
 
 
-def _trace_box(pencil, rect):
-    """Loop signature of one box perimeter: (pairs, error message, step_stats)."""
+def _trace_box(pencil, rect, sides: dict):
+    """Loop signature of one box perimeter: (pairs, error message, step_stats).
+
+    sides is the shared dict of traced sides that trace_loop reads and fills.
+    """
     x0, x1, y0, y1 = rect
-    loop = box_perimeter(x0, y0, x1 - x0, y1 - y0)
     try:
-        res = trace_loop(pencil, loop)
+        res = trace_loop(pencil, BoxPerimeter(x0, y0, x1, y1), sides)
     except LoopUnresolvable as exc:
         return None, str(exc), {}
     return decode_signature(res.D), "", res.step_stats
+
+
+def _trace_boxes(pencil, rects: list) -> list:
+    """_trace_box outcomes of rects, in order, from one dict of sides.
+
+    The boxes are traced from the last to the first, so on a block of rows
+    in (row, col) order each box's right and top sides are already traced,
+    by the boxes right of and above it, or start where its own bottom and
+    left sides end; the box solves only its start corner besides its steps.
+    """
+    sides: dict = {}
+    return [_trace_box(pencil, rect, sides) for rect in rects[::-1]][::-1]
 
 
 def _retry_shift(seed: int, attempt: int, sx: float, sy: float) -> tuple[float, float]:
@@ -237,9 +253,14 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
     Boxes still failing at the last attempt are reported with status
     "unresolved", no pairs, and the cause as message.
 
-    With workers > 1 the boxes run in a process pool; the pencil must then
-    be picklable. Results are in (row, col) order regardless of completion
-    order.
+    Each box is traced as its four sides (see continuation.trace_loop), and
+    an attempt traces each side of the grid once: the boxes share one dict
+    of traced sides. With workers > 1 each row of boxes is one task of a
+    process pool, with a dict of its own, so the sides between rows are
+    traced by both rows; the pencil must then be picklable. A side's sign
+    vector depends only on its two ends, so flags and messages do not
+    depend on workers; step_stats do. Results are in (row, col) order
+    regardless of completion order.
 
     Raises
     ------
@@ -257,9 +278,11 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
             my = [ys[0], *(y + sy for y in ys[1:-1]), ys[-1]]
             rects = [(mx[r], mx[r + 1], my[c], my[c + 1]) for r, c in cells]
             if pool is not None:
-                outcomes = list(pool.map(_trace_box, [pencil] * len(rects), rects))
+                rows = [rects[r * grid.cols : (r + 1) * grid.cols] for r in range(grid.rows)]
+                done = pool.map(_trace_boxes, [pencil] * grid.rows, rows)
+                outcomes = [outcome for row in done for outcome in row]
             else:
-                outcomes = [_trace_box(pencil, rect) for rect in rects]
+                outcomes = _trace_boxes(pencil, rects)
             if all(pairs is not None for pairs, _, _ in outcomes):
                 break
     finally:

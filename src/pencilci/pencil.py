@@ -356,26 +356,39 @@ class Path:
 
 @dataclass(frozen=True)
 class BoxPerimeter(Path):
-    """Counterclockwise rectangle perimeter; corners at t = 0, 1/4, 1/2, 3/4.
+    """Counterclockwise perimeter of [x0, x1] x [y0, y1]; corners at t = 0, 1/4, 1/2, 3/4.
 
-    The parameter is taken mod 1, so point(0) == point(1) exactly and the
-    corner parameters hit the corner coordinates without roundoff.
+    The parameter is taken mod 1, so point(0) == point(1) exactly, and the
+    corner parameters return the corner coordinates themselves, so boxes
+    built from the same grid lines share their corners bit for bit.
     """
 
     x0: float
     y0: float
-    side_x: float
-    side_y: float
+    x1: float
+    y1: float
     closed = True
+
+    def __post_init__(self):
+        if not (self.x0 < self.x1 and self.y0 < self.y1):
+            raise ValueError("box sides must be positive")
+
+    @property
+    def side_x(self) -> float:
+        return self.x1 - self.x0
+
+    @property
+    def side_y(self) -> float:
+        return self.y1 - self.y0
 
     def point(self, t: float) -> tuple[float, float]:
         s = 4.0 * (t % 1.0)
         if s < 1.0:
             return (self.x0 + s * self.side_x, self.y0)
         if s < 2.0:
-            return (self.x0 + self.side_x, self.y0 + (s - 1.0) * self.side_y)
+            return (self.x1, self.y0 + (s - 1.0) * self.side_y)
         if s < 3.0:
-            return (self.x0 + (3.0 - s) * self.side_x, self.y0 + self.side_y)
+            return (self.x0 + (3.0 - s) * self.side_x, self.y1)
         return (self.x0, self.y0 + (4.0 - s) * self.side_y)
 
 
@@ -395,7 +408,11 @@ class CirclePath(Path):
 
 @dataclass(frozen=True)
 class SegmentPath(Path):
-    """Straight open segment from (x0, y0) at t=0 to (x1, y1) at t=1."""
+    """Straight open segment from (x0, y0) at t=0 to (x1, y1) at t=1.
+
+    Both ends are returned exactly, so segments that share an end meet there
+    bit for bit.
+    """
 
     x0: float
     y0: float
@@ -404,6 +421,8 @@ class SegmentPath(Path):
     closed = False
 
     def point(self, t: float) -> tuple[float, float]:
+        if t == 1.0:
+            return (self.x1, self.y1)
         return (self.x0 + t * (self.x1 - self.x0), self.y0 + t * (self.y1 - self.y0))
 
 
@@ -411,7 +430,7 @@ def box_perimeter(x0: float, y0: float, side_x: float, side_y: float) -> BoxPeri
     """Closed counterclockwise perimeter of [x0, x0+side_x] x [y0, y0+side_y]."""
     if side_x <= 0 or side_y <= 0:
         raise ValueError("box sides must be positive")
-    return BoxPerimeter(x0=x0, y0=y0, side_x=side_x, side_y=side_y)
+    return BoxPerimeter(x0=x0, y0=y0, x1=x0 + side_x, y1=y0 + side_y)
 
 
 def circle(cx: float, cy: float, radius: float) -> CirclePath:

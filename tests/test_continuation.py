@@ -611,8 +611,9 @@ def test_triple_degeneracy_in_veering_mode(monkeypatch):
     with pytest.raises(TripleDegeneracy, match=r"pairs \(1, 3\) near-degenerate"):
         trace(pen, segment((-19 / 256, 0.0), (237 / 256, 0.0)))
     assert entries == [0.0]
-    # bottom edge x = -5/32 + 4t: the entry step t = 1/64 flags pair 1 only,
-    # and the next substep, t = 5/128, lands on x = 0
-    message = _unresolved_box(pen, (-5 / 32, 27 / 32))
+    # a box side's steps start at its cap, half the side. Bottom side
+    # x = (t - 1)/2: the entry step t = 1/2 flags pair 1 only, and the next
+    # substep, t = 1, lands on x = 0
+    message = _unresolved_box(pen, (-0.5, 0.0))
     assert message.startswith("TripleDegeneracy: pairs (1, 3) near-degenerate")
     assert set(entries) == {0.0}

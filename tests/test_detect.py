@@ -268,10 +268,11 @@ def test_sweep_carries_each_box_step_stats(tmp_path):
     pen = analytic_ci_pencil(0.1)
     grid = GridSpec(rows=2, cols=2, x_range=(-1.0, 1.0), y_range=(-1.0, 1.0))
     sw = sweep_grid(pen, grid, seed=0)
-    for box in sw.boxes:
-        x0, x1, y0, y1 = box.rect
-        loop = box_perimeter(x0, y0, x1 - x0, y1 - y0)
-        assert box.step_stats == trace_loop(pen, loop).step_stats
+    # the last box is traced first, all four sides itself, as a lone loop is;
+    # the others share the sides traced before them
+    first = sw.boxes[-1]
+    x0, x1, y0, y1 = first.rect
+    assert first.step_stats == trace_loop(pen, box_perimeter(x0, y0, x1 - x0, y1 - y0)).step_stats
     assert sw.boxes[0].pairs == (1,) and not sw.unresolved
     totals = {k: sum(b.step_stats[k] for b in sw.boxes) for k in sw.boxes[0].step_stats}
     assert sw.step_stats == totals
@@ -383,6 +384,70 @@ def _block(rows, cols):
     return GridSpec(
         rows=len(rows), cols=len(cols), x_range=(first[0], last[1]), y_range=(first[2], last[3])
     )
+
+
+_PERFBENCH_BLOCK = _block(range(12, 16), range(16, 24))
+
+
+class _RecordingPencil:
+    """Forwards eval and records each evaluated point."""
+
+    def __init__(self, pencil):
+        self.n = pencil.n
+        self._pencil = pencil
+        self.points = []
+
+    def eval(self, x, y):
+        self.points.append((x, y))
+        return self._pencil.eval(x, y)
+
+
+def test_sweep_traces_each_side_once():
+    # a side's trace evaluates points inside it (its first step is its
+    # midpoint) and its end corner; dropping corners, each trace is one run
+    # of points inside one side, so a side traced twice has two runs
+    pen = _RecordingPencil(_baseline_pencil(10))
+    sw = sweep_grid(pen, _PERFBENCH_BLOCK, seed=0, workers=1)
+    assert not sw.unresolved and sw.boxes[0].attempts == 1
+    xs, ys = _PERFBENCH_BLOCK.lines()
+
+    def side(x, y):
+        if y in ys and x not in xs:
+            return ("x", max(i for i, v in enumerate(xs) if v < x), ys.index(y))
+        if x in xs and y not in ys:
+            return (xs.index(x), "y", max(j for j, v in enumerate(ys) if v < y))
+        assert x in xs and y in ys, (x, y)  # a corner
+        return None
+
+    sides = [s for s in map(side, *zip(*pen.points)) if s is not None]
+    runs = [s for k, s in enumerate(sides) if k == 0 or s != sides[k - 1]]
+    assert len(runs) == len(set(runs)) == 4 * 9 + 5 * 8
+    # no veering here: each solve is a box's start corner or a step
+    stats = sw.step_stats
+    assert stats["veering_events"] == 0
+    assert stats["eigensolves"] == len(sw.boxes) + stats["accepted"] + stats["rejected"]
+    assert stats["eigensolves"] == len(pen.points)
+
+
+def test_shared_sides_change_no_result():
+    pen = _baseline_pencil(10)
+    sw = sweep_grid(pen, _PERFBENCH_BLOCK, seed=0)
+    assert sw.total_count == 6
+    for box in sw.boxes:
+        x0, x1, y0, y1 = box.rect
+        lone = trace_loop(pen, box_perimeter(x0, y0, x1 - x0, y1 - y0))
+        assert box.pairs == decode_signature(lone.D)
+    # rows traced apart, with sides of their own: the same pairs, statuses
+    # and causes, on a grid with resolved boxes and one with unresolved ones
+    faulty = (_FaultyPencil(_raise_value_error), GridSpec(4, 4, (-1.0, 1.0), (-1.0, 1.0)))
+    for pencil, grid in ((pen, _PERFBENCH_BLOCK), faulty):
+        one, two = (sweep_grid(pencil, grid, seed=0, workers=w) for w in (1, 2))
+        assert [_outcome(b) for b in one.boxes] == [_outcome(b) for b in two.boxes]
+    assert one.unresolved
+
+
+def _outcome(box):
+    return box.pairs, box.status, box.message, box.attempts
 
 
 @pytest.mark.parametrize("reduce", [_cholesky_form, _sqrt_form], ids=["cholesky", "sqrt"])
