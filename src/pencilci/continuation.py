@@ -51,7 +51,7 @@ from .errors import (
     TripleDegeneracy,
 )
 from .linalg import gen_eig_ordered
-from .pencil import BoxPerimeter, segment
+from .pencil import BoxPerimeter, Path, segment
 
 __all__ = [
     "EigenPoint",
@@ -668,7 +668,7 @@ class _Piece(NamedTuple):
     loop t = t0 + dt * path t, and h0 is the first step.
     """
 
-    path: object
+    path: Path
     start: int
     end: int
     t0: float
@@ -720,11 +720,11 @@ def trace_loop(pencil, loop, sides: dict | None = None) -> TraceResult:
     or +y direction from a canonically signed anchor at its start corner,
     whose first step is its cap, half the side (the loop's H_MAX_FRAC); any
     other closed loop is one piece from its start back to it, stepped as
-    :func:`trace` steps. Each piece's
-    sign vector is the diagonal of V_a.T B V, with V the traced basis at the
-    piece's end and V_a, B the canonically signed anchor there; its entries
-    must sit within SIGNATURE_TOL of +-1 (off-diagonal entries of 0). The
-    loop's signature_raw is the product of its pieces' diagonals, and D, the
+    :func:`trace` steps. Each piece's sign vector is the diagonal of
+    V_a.T B V, with V the traced basis at the piece's end and V_a, B the
+    canonically signed anchor there; its entries must sit within
+    SIGNATURE_TOL of +-1 (off-diagonal entries of 0). The loop's
+    signature_raw is the product of its pieces' diagonals, and D, the
     product of their rounded signs, gives V(1) = V(0) diag(D) around the
     loop; it must have an even number of -1 entries.
 

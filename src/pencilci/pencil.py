@@ -428,8 +428,6 @@ class SegmentPath(Path):
 
 def box_perimeter(x0: float, y0: float, side_x: float, side_y: float) -> BoxPerimeter:
     """Closed counterclockwise perimeter of [x0, x0+side_x] x [y0, y0+side_y]."""
-    if side_x <= 0 or side_y <= 0:
-        raise ValueError("box sides must be positive")
     return BoxPerimeter(x0=x0, y0=y0, x1=x0 + side_x, y1=y0 + side_y)
 
 
