@@ -23,6 +23,7 @@ from .census import (
 )
 from .continuation import (
     EigenPoint,
+    LoopResult,
     StepDecision,
     TOLDIST,
     TOLSTEP,

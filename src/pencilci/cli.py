@@ -108,18 +108,17 @@ def _cmd_trace(args) -> int:
     path = _parse_loop(args.loop)
     outputs = ["trace.csv"]
     if path.closed:
-        result = trace_loop(pencil, path)
+        loop = trace_loop(pencil, path)
         sig = {
-            "D": [int(v) for v in result.D],
-            "pairs": [int(p) for p in decode_signature(result.D)],
-            "signature_raw": [float(v) for v in result.signature_raw],
+            "D": [int(v) for v in loop.D],
+            "pairs": [int(p) for p in decode_signature(loop.D)],
+            "signature_raw": [float(v) for v in loop.signature_raw],
         }
         write_json(os.path.join(args.out_dir, "signature.json"), sig)
         outputs.append("signature.json")
-        print("D =", " ".join(str(v) for v in result.D))
+        print("D =", " ".join(str(v) for v in loop.D))
         print("flagged pairs:", " ".join(str(p) for p in sig["pairs"]) or "none")
-    else:
-        result = trace(pencil, path)
+    result = trace(pencil, path)
     write_trace_csv(result, os.path.join(args.out_dir, "trace.csv"))
     fmt = "accepted %(accepted)d steps, rejected %(rejected)d, veering events %(veering_events)d"
     log.info(fmt, result.step_stats)  # a lone mapping argument fills the named fields

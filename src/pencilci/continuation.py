@@ -57,6 +57,7 @@ __all__ = [
     "EigenPoint",
     "StepDecision",
     "TraceResult",
+    "LoopResult",
     "TOLSTEP",
     "TOLDIST",
     "CLUSTER_GAP",
@@ -162,18 +163,26 @@ class StepDecision(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class TraceResult:
-    """A completed trace; D is None for open paths.
+    """A completed trace of a path, open or closed, from t = 0 to 1.
 
-    D, when present, is the length-n vector of +-1 signature entries with
-    V(1) = V(0) diag(D); signature_raw holds the pre-rounding diagonal, the
-    product of the loop's pieces' diagonals (see :func:`trace_loop`).
+    points holds the start and every accepted point, veering_events the
+    (t_enter, t_exit, pair) of each veering traversal, and step_stats the
+    counts described in :func:`trace`.
     """
 
     points: list[EigenPoint]
     veering_events: list[tuple[float, float, int]]
     step_stats: dict
-    D: np.ndarray | None = None
-    signature_raw: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class LoopResult:
+    """A closed loop's +-1 signature D, with V(1) = V(0) diag(D), its diagonal
+    before rounding (signature_raw) and step_stats (see :func:`trace_loop`)."""
+
+    D: np.ndarray
+    signature_raw: np.ndarray
+    step_stats: dict
 
 
 class _VeeringResult(NamedTuple):
@@ -557,8 +566,9 @@ def trace(pencil, path) -> TraceResult:
     stepped as clusters (see :func:`predict` and :func:`step_control`), and
     veering intervals are detected at the candidate point (relative gap below
     TOLDIST) and delegated to :func:`veering_traverse`. The first step is
-    H0_FRAC and every step at most H_MAX_FRAC. The returned result has
-    D = None; use :func:`trace_loop` for closed paths.
+    H0_FRAC and every step at most H_MAX_FRAC. This is the one source of
+    decompositions along a path, open or closed; :func:`trace_loop` gives a
+    closed path's signature.
 
     step_stats counts eigensolves (the start, every predictor step and every
     veering substep), accepted predictor and veering steps (accepted), the
@@ -664,16 +674,15 @@ def _trace(
 class _Piece(NamedTuple):
     """An open trace that is part of a loop.
 
-    path runs from corner start to corner end (labels local to the loop),
-    loop t = t0 + dt * path t, and h0 is the first step.
+    path runs from corner start to corner end (labels local to the loop), h0
+    is its first step and h_max its stepsize cap, in units of the path.
     """
 
     path: Path
     start: int
     end: int
-    t0: float
-    dt: float
     h0: float
+    h_max: float
 
 
 def _pieces(loop) -> list[_Piece]:
@@ -684,15 +693,15 @@ def _pieces(loop) -> list[_Piece]:
     and top from where bottom and left end. A side's first step is its cap,
     the loop's H_MAX_FRAC in units of the side, so its trace depends only on
     its two ends. Any other loop is one piece from t = 0 back to t = 1 with
-    the first step H0_FRAC of a free trace.
+    the first step and cap of a free trace.
     """
     if not isinstance(loop, BoxPerimeter):
-        return [_Piece(loop, 0, 0, 0.0, 1.0, H0_FRAC)]
+        return [_Piece(loop, 0, 0, H0_FRAC, H_MAX_FRAC)]
     corners = ((loop.x0, loop.y0), (loop.x1, loop.y0), (loop.x1, loop.y1), (loop.x0, loop.y1))
-    # (start, end, t0, dt): bottom, left, right, top; the loop runs top and left backwards
-    sides = ((0, 1, 0.0, 0.25), (0, 3, 1.0, -0.25), (1, 2, 0.25, 0.25), (3, 2, 0.75, -0.25))
+    # (start, end): bottom, left, right, top; a side is a quarter of the loop
+    sides = ((0, 1), (0, 3), (1, 2), (3, 2))
     h = 4.0 * H_MAX_FRAC
-    return [_Piece(segment(corners[a], corners[b]), a, b, t0, dt, h) for a, b, t0, dt in sides]
+    return [_Piece(segment(corners[a], corners[b]), a, b, h, h) for a, b in sides]
 
 
 def _piece_signs(anchor: EigenPoint, B: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -713,7 +722,7 @@ def _piece_signs(anchor: EigenPoint, B: np.ndarray, V: np.ndarray) -> np.ndarray
     return d
 
 
-def trace_loop(pencil, loop, sides: dict | None = None) -> TraceResult:
+def trace_loop(pencil, loop, sides: dict | None = None) -> LoopResult:
     """Trace a closed loop piece by piece and extract the sign signature D.
 
     A box perimeter is traced as its four sides, each an open trace in the +x
@@ -736,10 +745,9 @@ def trace_loop(pencil, loop, sides: dict | None = None) -> TraceResult:
     another corner starts from the anchor at the end of the side that led
     there, which is bitwise a fresh solve there.
 
-    points holds the starts this call solved and the accepted points of the
-    pieces it traced, at loop parameter t; veering_events hold (t_lo, t_hi,
-    pair) in loop parameter. step_stats (see :func:`trace`) count only the
-    solves this call made.
+    The result holds no points: :func:`trace` gives the decompositions along
+    the loop. step_stats (see :func:`trace`) count only the solves this call
+    made.
 
     Raises
     ------
@@ -752,8 +760,6 @@ def trace_loop(pencil, loop, sides: dict | None = None) -> TraceResult:
         raise ValueError("trace_loop requires a closed path")
     sides = {} if sides is None else sides
     anchors: dict[int, tuple[EigenPoint, np.ndarray]] = {}
-    points: list[EigenPoint] = []
-    events: list[tuple[float, float, int]] = []
     stats: Counter = Counter(eigensolves=0)
     d = 1.0
     for piece in _pieces(loop):
@@ -763,9 +769,7 @@ def trace_loop(pencil, loop, sides: dict | None = None) -> TraceResult:
                 if piece.start not in anchors:
                     anchors[piece.start] = _start(pencil, piece.path, 0.0)
                     stats["eigensolves"] += 1
-                    points.append(replace(anchors[piece.start][0], t=_loop_t(piece, 0.0)))
-                h_max = H_MAX_FRAC / abs(piece.dt)
-                tr, B = _trace(pencil, piece.path, anchors[piece.start], piece.h0, h_max)
+                tr, B = _trace(pencil, piece.path, anchors[piece.start], piece.h0, piece.h_max)
                 anchor = _anchor(tr.points[-1])
                 anchors[piece.end] = (replace(anchor, t=0.0), B)
                 found = _piece_signs(anchor, B, tr.points[-1].V)
@@ -774,10 +778,6 @@ def trace_loop(pencil, loop, sides: dict | None = None) -> TraceResult:
                 found = f"{name}{exc}{_where(piece, loop)}"
             else:
                 stats.update(tr.step_stats)
-                points.extend(replace(p, t=_loop_t(piece, p.t)) for p in tr.points[1:])
-                for t_enter, t_exit, pair in tr.veering_events:
-                    t_lo, t_hi = sorted((_loop_t(piece, t_enter), _loop_t(piece, t_exit)))
-                    events.append((t_lo, t_hi, pair))
             sides[piece.path] = found
         if isinstance(found, str):
             raise LoopUnresolvable(found)
@@ -785,14 +785,7 @@ def trace_loop(pencil, loop, sides: dict | None = None) -> TraceResult:
     D = np.where(d > 0.0, 1, -1).astype(int)
     if int(np.prod(D)) != 1:
         raise LoopUnresolvable("signature has an odd number of -1 entries")
-    return TraceResult(
-        points=points, veering_events=events, step_stats=dict(stats), D=D, signature_raw=d
-    )
-
-
-def _loop_t(piece: _Piece, t: float) -> float:
-    """The loop parameter of the piece's parameter t."""
-    return piece.t0 + piece.dt * t
+    return LoopResult(D=D, signature_raw=d, step_stats=dict(stats))
 
 
 def _where(piece: _Piece, loop) -> str:
@@ -804,7 +797,8 @@ def _where(piece: _Piece, loop) -> str:
 
 
 def write_trace_csv(result: TraceResult, path) -> None:
-    """One row per accepted step: t, h, eigenvalues, rho values, veering flag."""
+    """One row per accepted step of a :func:`trace`, in order of t: t, h,
+    eigenvalues, rho values, veering flag. The start point has no row."""
     n = result.points[0].lam.size
     header = ["t", "h"] + [f"lambda_{k + 1}" for k in range(n)] + [
         "rho_lambda",

@@ -255,9 +255,10 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
 
     Each box is traced as its four sides (see continuation.trace_loop), and
     an attempt traces each side of the grid once: the boxes share one dict
-    of traced sides. With workers > 1 each row of boxes is one task of a
-    process pool, with a dict of its own, so the sides between rows are
-    traced by both rows; the pencil must then be picklable. A side's sign
+    of traced sides. With workers > 1 the rows are split into one band of
+    whole rows per worker (at most rows bands), each a task of a process
+    pool with a dict of its own, so only the sides between bands are traced
+    twice, by both bands; the pencil must then be picklable. A side's sign
     vector depends only on its two ends, so flags and messages do not
     depend on workers; step_stats do. Results are in (row, col) order
     regardless of completion order.
@@ -278,9 +279,11 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
             my = [ys[0], *(y + sy for y in ys[1:-1]), ys[-1]]
             rects = [(mx[r], mx[r + 1], my[c], my[c + 1]) for r, c in cells]
             if pool is not None:
-                rows = [rects[r * grid.cols : (r + 1) * grid.cols] for r in range(grid.rows)]
-                done = pool.map(_trace_boxes, [pencil] * grid.rows, rows)
-                outcomes = [outcome for row in done for outcome in row]
+                bands = min(workers, grid.rows)  # band k starts at row rows * k // bands
+                cuts = [grid.cols * (grid.rows * k // bands) for k in range(bands + 1)]
+                tasks = [rects[a:b] for a, b in zip(cuts, cuts[1:])]
+                done = pool.map(_trace_boxes, [pencil] * bands, tasks)
+                outcomes = [outcome for band in done for outcome in band]
             else:
                 outcomes = _trace_boxes(pencil, rects)
             if all(pairs is not None for pairs, _, _ in outcomes):

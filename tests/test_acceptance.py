@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import rand_spd, rand_sym
 from pencilci.census import ExperimentSpec, fit_power_law, run_census, write_report
-from pencilci.continuation import init_decomposition, predict, trace_loop
+from pencilci.continuation import init_decomposition, predict, trace, trace_loop
 from pencilci.detect import GridSpec, decode_signature, refine_box, signature_from_counts, sweep_grid
 from pencilci.errors import LoopUnresolvable
 from pencilci.linalg import (
@@ -172,7 +172,8 @@ def test_criterion_5_loop_invariants():
         except LoopUnresolvable:
             continue
         completed += 1
-        for pt in res.points:
+        # a circle is one piece: trace gives the points that trace_loop stepped
+        for pt in trace(pen, loop).points:
             A, B = pen.eval(*loop.point(pt.t))
             worst_orth = max(worst_orth, np.linalg.norm(pt.V.T @ B @ pt.V - np.eye(n)))
             worst_resid = max(worst_resid, np.linalg.norm(A @ pt.V - B @ pt.V @ np.diag(pt.lam)))

@@ -12,8 +12,10 @@ import pytest
 import pencilci
 from pencilci.census import ExperimentSpec, fit_power_law
 from pencilci.cli import _build_parser, main
+from pencilci.continuation import trace_loop
 from pencilci.pencil import (
     analytic_ci_pencil,
+    box_perimeter,
     load_pencil,
     save_pencil,
     sgplus_generate,
@@ -156,6 +158,28 @@ def test_trace_loop_spec_from_file(tmp_path, analytic_descriptor):
     assert rc == 0
     with open(tmp_path / "signature.json") as fh:
         assert json.load(fh)["pairs"] == [1]
+
+
+def test_trace_box_writes_one_trace_from_0_to_1(tmp_path):
+    # trace.csv of a box is one trace of its perimeter, t = 0 -> 1, while
+    # signature.json holds the signature traced side by side
+    assert run("generate", "--n", 6, "--b", "full", "--delta", 0.4, "--out-dir", tmp_path) == 0
+    rc = run(
+        "trace", "--pencil", tmp_path / "pencil.json",
+        "--loop", '{"kind": "box", "rect": [0, 1, 0, 1]}', "--out-dir", tmp_path,
+    )
+    assert rc == 0
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    ts = [float(r["t"]) for r in rows]
+    assert all(a < b for a, b in zip(ts, ts[1:])) and ts[-1] == 1.0
+    for prev, row in zip([0.0] + ts, rows):
+        assert float(row["h"]) == pytest.approx(float(row["t"]) - prev, rel=1e-12, abs=0.0)
+    with open(tmp_path / "signature.json") as fh:
+        sig = json.load(fh)
+    loop = trace_loop(load_pencil(tmp_path / "pencil.json"), box_perimeter(0.0, 0.0, 1.0, 1.0))
+    assert sig["D"] == loop.D.tolist() == [1] * 6 and sig["pairs"] == []
+    assert sig["signature_raw"] == loop.signature_raw.tolist()
 
 
 def test_trace_open_segment_through_coalescence(tmp_path, analytic_descriptor):

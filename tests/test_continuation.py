@@ -310,7 +310,6 @@ def test_trace_invariants_and_determinism():
     pen = analytic_ci_pencil(0.0)
     loop = circle(0.0, 0.0, 1.0)
     res = trace(pen, loop)
-    assert res.D is None
     ts = [p.t for p in res.points]
     assert ts == sorted(ts) and ts[0] == 0.0 and ts[-1] == 1.0
     det_signs = set()
@@ -406,11 +405,14 @@ def test_veering_near_miss_keeps_signature():
         outside_loop = box_perimeter(5e-11, -0.5, 1.0, 1.0)
         outside = trace_loop(pen, outside_loop)
         assert outside.D.tolist() == [1] * n
-        assert len(outside.veering_events) >= 1
+        assert outside.step_stats["veering_events"] >= 1
         inside_loop = box_perimeter(-1.0 + 5e-11, -0.5, 1.0, 1.0)
         inside = trace_loop(pen, inside_loop)
         assert inside.D.tolist() == np.where(in_pair, -1, 1).tolist()
-        assert len(inside.veering_events) >= 1
+        assert inside.step_stats["veering_events"] >= 1
+        # the veering points and events come from a trace of the same boxes
+        outside, inside = trace(pen, outside_loop), trace(pen, inside_loop)
+        assert len(outside.veering_events) >= 1 and len(inside.veering_events) >= 1
         t_lo, t_hi, event_pair = outside.veering_events[0]
         assert event_pair == pair
         assert 0.75 <= t_lo <= t_hi <= 1.0
@@ -429,7 +431,7 @@ def test_sgplus_loop_signature_properties():
 
 def test_write_trace_csv_roundtrip(tmp_path):
     pen = _sg_pencil(n=4, seed=9)
-    res = trace_loop(pen, circle(0.5, 0.5, 0.3))
+    res = trace(pen, circle(0.5, 0.5, 0.3))
     out = tmp_path / "trace.csv"
     write_trace_csv(res, out)
     with open(out, newline="") as fh:
@@ -531,8 +533,6 @@ def test_near_miss_steps_the_close_pair_as_a_cluster(monkeypatch, miss):
             plain, plain_counts = _count_eigensolves(m, pen, loop)
         res, counts = _count_eigensolves(monkeypatch, pen, loop)
         stats = res.step_stats
-        gaps = np.array([continuation._rel_gaps(p.lam).min() for p in res.points])
-        assert continuation.TOLDIST < gaps.min() < continuation.CLUSTER_GAP
         assert stats["veering_events"] == 0 and stats["clustered"] > 0
         assert plain.step_stats["clustered"] == 0
         assert res.D.tolist() == plain.D.tolist() == D
@@ -540,7 +540,11 @@ def test_near_miss_steps_the_close_pair_as_a_cluster(monkeypatch, miss):
         assert counts["solves"] < plain_counts["solves"]
         _assert_one_cause_per_rejection(stats)
         _assert_one_eval_per_solve(counts)
-        _assert_decompositions(pen, loop, res)
+        # the counting patch is still active: the trace comes after the counts
+        traced = trace(pen, loop)
+        gaps = np.array([continuation._rel_gaps(p.lam).min() for p in traced.points])
+        assert continuation.TOLDIST < gaps.min() < continuation.CLUSTER_GAP
+        _assert_decompositions(pen, loop, traced)
 
 
 def test_eigensolve_accounting_with_veering(monkeypatch):

@@ -437,13 +437,26 @@ def test_shared_sides_change_no_result():
         x0, x1, y0, y1 = box.rect
         lone = trace_loop(pen, box_perimeter(x0, y0, x1 - x0, y1 - y0))
         assert box.pairs == decode_signature(lone.D)
-    # rows traced apart, with sides of their own: the same pairs, statuses
-    # and causes, on a grid with resolved boxes and one with unresolved ones
+    # bands of rows traced apart, with sides of their own: the same pairs,
+    # statuses and causes, on a grid with resolved boxes and one with
+    # unresolved ones
     faulty = (_FaultyPencil(_raise_value_error), GridSpec(4, 4, (-1.0, 1.0), (-1.0, 1.0)))
     for pencil, grid in ((pen, _PERFBENCH_BLOCK), faulty):
         one, two = (sweep_grid(pencil, grid, seed=0, workers=w) for w in (1, 2))
         assert [_outcome(b) for b in one.boxes] == [_outcome(b) for b in two.boxes]
     assert one.unresolved
+
+
+def test_pool_tasks_are_bands_of_rows():
+    # each pool task is a band of whole rows with sides of its own: two
+    # bands trace only the sides between them twice, four bands of one row
+    # the sides between every two rows
+    pen = _baseline_pencil(10)
+    solves = [
+        sweep_grid(pen, _PERFBENCH_BLOCK, seed=0, workers=w).step_stats["eigensolves"]
+        for w in (1, 2, 4)
+    ]
+    assert solves[0] < solves[1] < solves[2]
 
 
 def _outcome(box):
