@@ -21,7 +21,7 @@ from functools import partial
 
 from . import __version__
 from .census import GOE_REFERENCE_EXPONENTS, ExperimentSpec, group_fits, run_census, write_report
-from .continuation import trace, trace_loop, write_trace_csv
+from .continuation import _trace_loop, trace, write_trace_csv
 from .detect import GridSpec, decode_signature, sweep_grid, write_ci_csv, write_sweep_summary
 from .errors import PencilError
 from .fields import (
@@ -107,8 +107,9 @@ def _cmd_trace(args) -> int:
     pencil = load_pencil(args.pencil)
     path = _parse_loop(args.loop)
     outputs = ["trace.csv"]
+    traces: dict = {}
     if path.closed:
-        loop = trace_loop(pencil, path)
+        loop = _trace_loop(pencil, path, {}, traces)
         sig = {
             "D": [int(v) for v in loop.D],
             "pairs": [int(p) for p in decode_signature(loop.D)],
@@ -118,7 +119,8 @@ def _cmd_trace(args) -> int:
         outputs.append("signature.json")
         print("D =", " ".join(str(v) for v in loop.D))
         print("flagged pairs:", " ".join(str(p) for p in sig["pairs"]) or "none")
-    result = trace(pencil, path)
+    # a loop traced as one piece (a circle) is already trace()'s result
+    result = traces[path] if path in traces else trace(pencil, path)
     write_trace_csv(result, os.path.join(args.out_dir, "trace.csv"))
     fmt = "accepted %(accepted)d steps, rejected %(rejected)d, veering events %(veering_events)d"
     log.info(fmt, result.step_stats)  # a lone mapping argument fills the named fields

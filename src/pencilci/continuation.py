@@ -756,9 +756,16 @@ def trace_loop(pencil, loop, sides: dict | None = None) -> LoopResult:
         name, and for a box side ends with the side), when a sign vector
         fails the cleanliness checks, or when D has an odd count of -1.
     """
+    return _trace_loop(pencil, loop, {} if sides is None else sides, {})
+
+
+def _trace_loop(pencil, loop, sides: dict, traces: dict) -> LoopResult:
+    """:func:`trace_loop`, which also maps the path of each piece it traces
+    to the piece's TraceResult in traces. A loop traced as one piece maps
+    to :func:`trace`'s result, except that its step_stats leave out the
+    start's solve."""
     if not getattr(loop, "closed", False):
         raise ValueError("trace_loop requires a closed path")
-    sides = {} if sides is None else sides
     anchors: dict[int, tuple[EigenPoint, np.ndarray]] = {}
     stats: Counter = Counter(eigensolves=0)
     d = 1.0
@@ -778,6 +785,7 @@ def trace_loop(pencil, loop, sides: dict | None = None) -> LoopResult:
                 found = f"{name}{exc}{_where(piece, loop)}"
             else:
                 stats.update(tr.step_stats)
+                traces[piece.path] = tr
             sides[piece.path] = found
         if isinstance(found, str):
             raise LoopUnresolvable(found)

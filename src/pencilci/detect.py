@@ -4,7 +4,7 @@ A coalescence between adjacent eigenvalues of (A(x, y), B(x, y)) flips the
 signs of the associated eigenvector pair when transported around any small
 enclosing loop. Tracing the boundary of each box of a grid therefore flags
 exactly those boxes whose interior holds an odd number of coalescences per
-pair; recursive subdivision of a flagged box then pins the location.
+pair; bisection of a flagged box then pins the location.
 
 Pair indices are 1-based throughout: pair i couples eigenvalues i and i+1 in
 decreasing order. Box rows index the first coordinate, columns the second.
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuation import trace_loop
+from .continuation import _pieces, trace_loop
 from .errors import LoopUnresolvable, OddSignCount, RefinementInconsistent
 from .fields import read_seed, write_json
 from .pencil import BoxPerimeter
@@ -326,42 +326,49 @@ def refine_box(
     depth: int = 10,
     seed: int = 0,
 ) -> CIEstimate:
-    """Pin a coalescence inside a flagged box by recursive 2x2 subdivision.
+    """Pin a coalescence inside a flagged box by bisection.
 
-    Each level is a 2x2 sweep_grid of the current rectangle, with the
-    sweep's retry: children that fail are traced again with the two centre
-    lines moved, and the children still tile the parent. Exactly one child
-    must flag the target pair (an odd child count matches the parent's
-    flag, and a single enclosed coalescence gives one); it becomes the next
-    rectangle. The estimate is the center of the depth-th rectangle with
-    the half-diagonal as uncertainty.
+    The start rectangle is traced once and must flag the target pair. Each
+    level then splits the current rectangle at its midpoint in x and then
+    in y, carrying the sign vectors of its four sides from split to split.
+    A split traces only its upper half (the half at the larger x or y),
+    whose outer side is the rectangle's own: one trace_loop call from one
+    start solve, over three sides. The lower half's sides are products of
+    known sign vectors: each half of a cut side is the rectangle's side
+    times the upper half's, its inner side is the upper half's, and its
+    outer side the rectangle's. So the lower half's signature is the
+    product of the rectangle's and the upper half's, and it flags the pair
+    exactly when the upper half does not; the half that flags it becomes
+    the next rectangle. An upper half that fails is traced again with the
+    split line, and only it, moved by the sweep's retry offset along the
+    split axis, up to _SWEEP_ATTEMPTS tries in all; the outer sides never
+    move. The estimate is the center of the rectangle after depth levels,
+    with the half-diagonal as uncertainty.
 
     Raises
     ------
     RefinementInconsistent
-        If at some level a child stays unresolved, or a number of children
-        other than one flags the pair. The message names the level, the
-        number of flagged children and the cause of each unresolved child.
+        If the start rectangle does not flag the pair, or an upper half
+        stays unresolved at every try. The message names the level, the
+        split axis and the cause.
     """
     seed = read_seed(seed, "seed")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if not 1 <= pair <= pencil.n - 1:
         raise ValueError(f"pair must be in 1..{pencil.n - 1}, got {pair}")
-    x0, x1, y0, y1 = rect
+    known: dict = {}
+    pairs, cause, _ = _trace_box(pencil, rect, known)
+    if pair not in (pairs or ()):
+        found = f"unresolved: {cause}" if pairs is None else f"flags {pairs}"
+        raise RefinementInconsistent(
+            f"level 0: the start rectangle {_show(rect)} does not flag pair {pair}: {found}"
+        )
+    signs = _signs(rect, known)
     for level in range(depth):
-        sweep = sweep_grid(pencil, GridSpec(2, 2, (x0, x1), (y0, y1)), seed=seed)
-        flagged = [b for b in sweep.boxes if pair in b.pairs]
-        if len(flagged) != 1 or sweep.unresolved:
-            causes = "".join(
-                f"; child ({b.row}, {b.col}) unresolved: {b.message}" for b in sweep.unresolved
-            )
-            raise RefinementInconsistent(
-                f"level {level}: {len(flagged)} children of ({x0:.6g}, {x1:.6g}) x "
-                f"({y0:.6g}, {y1:.6g}) flag pair {pair} "
-                f"(attempts: {sweep.boxes[0].attempts}){causes}"
-            )
-        x0, x1, y0, y1 = flagged[0].rect
+        for axis in (0, 1):
+            rect, signs = _bisect(pencil, rect, signs, axis, pair, seed, level)
+    x0, x1, y0, y1 = rect
     half_diag = 0.5 * math.hypot(x1 - x0, y1 - y0)
     return CIEstimate(
         x=0.5 * (x0 + x1),
@@ -369,8 +376,60 @@ def refine_box(
         uncertainty=half_diag,
         pair=pair,
         depth=depth,
-        rect=(x0, x1, y0, y1),
+        rect=rect,
     )
+
+
+# Per split axis (x, y), as indices into _sides' order: the two sides that a
+# split cuts in two, and the outer sides of the lower and the upper half.
+_CUT = ((0, 3), (1, 2))
+_OUTER = ((1, 2), (0, 3))
+
+
+def _sides(rect) -> tuple:
+    """The four side paths of a rectangle, as trace_loop keys them in sides:
+    bottom, left, right, top."""
+    x0, x1, y0, y1 = rect
+    return tuple(piece.path for piece in _pieces(BoxPerimeter(x0, y0, x1, y1)))
+
+
+def _signs(rect, known: dict) -> list:
+    """The +-1 sign vectors of rect's sides, read from a dict of traced sides."""
+    return [np.sign(known[side]) for side in _sides(rect)]
+
+
+def _bisect(pencil, rect, signs, axis, pair, seed, level):
+    """One split of refine_box: the half of rect that flags pair, and its side signs."""
+    half = (0.5 * (rect[1] - rect[0]), 0.5 * (rect[3] - rect[2]))
+    below, above = _OUTER[axis]
+    for attempt in range(_SWEEP_ATTEMPTS):
+        cut = rect[2 * axis] + half[axis] + _retry_shift(seed, attempt, *half)[axis]
+        upper = list(rect)
+        upper[2 * axis] = cut
+        known = {_sides(upper)[above]: signs[above]}
+        pairs, cause, _ = _trace_box(pencil, tuple(upper), known)
+        if pairs is not None:
+            break
+    else:
+        raise RefinementInconsistent(
+            f"level {level}: the upper half of {_show(rect)} split in {'xy'[axis]} at "
+            f"{cut:.6g} stays unresolved after {_SWEEP_ATTEMPTS} attempts: {cause}"
+        )
+    up = _signs(upper, known)
+    if pair in pairs:
+        return tuple(upper), up
+    lower = list(rect)
+    lower[2 * axis + 1] = cut
+    down = list(signs)
+    for k in _CUT[axis]:
+        down[k] = signs[k] * up[k]
+    down[above] = up[below]
+    return tuple(lower), down
+
+
+def _show(rect) -> str:
+    x0, x1, y0, y1 = rect
+    return f"({x0:.6g}, {x1:.6g}) x ({y0:.6g}, {y1:.6g})"
 
 
 def write_ci_csv(result: SweepResult, path) -> None:

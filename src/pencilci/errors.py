@@ -80,7 +80,7 @@ class OddSignCount(PencilError):
 
 
 class RefinementInconsistent(PencilError):
-    """Child box flags contradict the parent flag parity during refinement."""
+    """Refinement cannot go on: its start box does not flag the pair, or a half stays unresolved."""
 
 
 class NonPositiveCount(UserWarning):

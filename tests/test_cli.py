@@ -12,10 +12,12 @@ import pytest
 import pencilci
 from pencilci.census import ExperimentSpec, fit_power_law
 from pencilci.cli import _build_parser, main
-from pencilci.continuation import trace_loop
+import pencilci.continuation as continuation
+from pencilci.continuation import trace, trace_loop
 from pencilci.pencil import (
     analytic_ci_pencil,
     box_perimeter,
+    circle,
     load_pencil,
     save_pencil,
     sgplus_generate,
@@ -180,6 +182,25 @@ def test_trace_box_writes_one_trace_from_0_to_1(tmp_path):
     loop = trace_loop(load_pencil(tmp_path / "pencil.json"), box_perimeter(0.0, 0.0, 1.0, 1.0))
     assert sig["D"] == loop.D.tolist() == [1] * 6 and sig["pairs"] == []
     assert sig["signature_raw"] == loop.signature_raw.tolist()
+
+
+def test_trace_circle_is_traced_once(tmp_path, analytic_descriptor, monkeypatch):
+    # a circle is one piece: its signature and trace.csv come from one trace
+    circle_spec = {"kind": "circle", "center": [0.5, 0.5], "radius": 0.3}
+    once = trace(load_pencil(analytic_descriptor), circle(0.5, 0.5, 0.3))
+    solve = continuation.gen_eig_ordered
+    solves = []
+    monkeypatch.setattr(
+        continuation, "gen_eig_ordered", lambda A, B: solves.append(1) or solve(A, B)
+    )
+    rc = run(
+        "trace", "--pencil", analytic_descriptor, "--loop", json.dumps(circle_spec),
+        "--out-dir", tmp_path,
+    )
+    assert rc == 0
+    assert len(solves) == once.step_stats["eigensolves"]
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == once.step_stats["accepted"]
 
 
 def test_trace_open_segment_through_coalescence(tmp_path, analytic_descriptor):

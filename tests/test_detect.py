@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pencilci.continuation as continuation
 import pencilci.detect as detect
 from pencilci.detect import (
     GridSpec,
@@ -320,6 +322,76 @@ def test_refine_box_moves_centre_lines_through_the_intersection():
     # fails until the lines move
     est = refine_box(analytic_ci_pencil(0.0), (-0.5, 0.5, -0.5, 0.5), pair=1, depth=8, seed=0)
     assert math.hypot(est.x, est.y) <= est.uncertainty
+
+
+def _counted(monkeypatch, module, name) -> list:
+    """Wrap module.name so that each call appends its positional arguments to the returned list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_refine_box_retries_a_y_split_through_the_intersection(monkeypatch):
+    # the x-split keeps [-0.3, 0.1], and its y-split line y = 0 runs through
+    # the intersection at (0, 0): only that line moves, the outer sides stay
+    loops = _counted(monkeypatch, detect, "trace_loop")
+    est = refine_box(analytic_ci_pencil(0.0), (-0.3, 0.5, -0.5, 0.5), pair=1, depth=8, seed=0)
+    assert math.hypot(est.x, est.y) <= est.uncertainty
+    rects = [(p.x0, p.x1, p.y0, p.y1) for _, p, _ in loops]
+    xm = -0.3 + 0.5 * (0.5 - -0.3)  # 0.1 up to rounding
+    assert rects[:3] == [(-0.3, 0.5, -0.5, 0.5), (xm, 0.5, -0.5, 0.5), (-0.3, xm, 0.0, 0.5)]
+    x0, x1, y0, y1 = rects[3]
+    assert (x0, x1, y1) == (-0.3, xm, 0.5) and 0.0 < abs(y0) <= 1e-3 * 0.5
+
+
+@functools.lru_cache(maxsize=1)
+def _locate_inputs():
+    """The benchmark's locate refinement: the n = 10 perfbench block sweep's
+    first flagged box and pair, and the depth that refines it to a
+    half-diagonal of at most 1e-10."""
+    pencil = _baseline_pencil(10)
+    box = sweep_grid(pencil, _PERFBENCH_BLOCK, seed=0).flagged[0]
+    half_diag = 0.5 * math.hypot(_PERFBENCH_BLOCK.dx, _PERFBENCH_BLOCK.dy)
+    return pencil, box.rect, box.pairs[0], math.ceil(math.log2(half_diag / 1e-10))
+
+
+def test_refine_box_traces_one_half_per_split(monkeypatch):
+    # the start rectangle and one half per split are traced, the other half
+    # is derived from known sides; the estimate is the one of refining by
+    # full 2x2 sweeps (1,057 eigensolves), bitwise
+    pencil, rect, pair, depth = _locate_inputs()
+    loops = _counted(monkeypatch, detect, "trace_loop")
+    solves = _counted(monkeypatch, continuation, "gen_eig_ordered")
+    est = refine_box(pencil, rect, pair=pair, depth=depth, seed=0)
+    assert (depth, pair) == (31, 3)
+    assert (est.x, est.y) == (2.439245081788557, 4.039701494056494)
+    assert len(loops) == 2 * depth + 1
+    assert len(solves) <= 650
+
+
+def test_refine_box_solves_one_start_per_trace(monkeypatch):
+    # the benchmark's eigensolve accounting counts one start per trace_loop
+    # call: the upper half's known outer side leaves three sides to trace,
+    # all from its start corner or from the ends of the sides traced before
+    pencil, rect, pair, depth = _locate_inputs()
+    starts = _counted(monkeypatch, continuation, "_start")
+    per_call = []
+
+    def one_loop(*args, **kwargs):
+        before = len(starts)
+        result = trace_loop(*args, **kwargs)
+        per_call.append(len(starts) - before)
+        return result
+
+    monkeypatch.setattr(detect, "trace_loop", one_loop)
+    refine_box(pencil, rect, pair=pair, depth=depth, seed=0)
+    assert per_call == [1] * (2 * depth + 1)
 
 
 def test_refine_box_validation():
