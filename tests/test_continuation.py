@@ -217,14 +217,15 @@ def test_step_control_growth_cap():
     V = np.eye(2)
     dec = step_control(lam, lam, V, V, np.eye(2), V, h=0.1)
     assert dec.accept
-    assert dec.h_new == pytest.approx(0.2)  # exact prediction doubles h at most
+    # an exact prediction grows h by the growth cap
+    assert dec.h_new == pytest.approx(0.1 * continuation.GROWTH_CAP)
 
 
 @pytest.mark.parametrize(
     "err, factor",
     [
         (0.0025, 1.8),  # rho 0.25: 0.9 / sqrt(0.25)
-        (0.0, 2.0),  # rho 0: the growth cap, no division by zero
+        (0.0, continuation.GROWTH_CAP),  # rho 0: the growth cap, no division by zero
         (0.015, 0.9 / math.sqrt(1.5)),  # rho 1.5: accepted at the limit, h shrinks
     ],
 )
@@ -260,7 +261,7 @@ def test_step_control_on_a_cluster_measures_its_subspace():
     )
     assert dec.accept and dec.rotation_ok
     assert dec.rho_V <= 1e-15 and dec.rho_lambda <= 1e-15
-    assert dec.h_new == pytest.approx(0.2)
+    assert dec.h_new == pytest.approx(0.1 * continuation.GROWTH_CAP)
 
 
 def test_step_control_caps_the_in_cluster_rotation():
@@ -325,6 +326,30 @@ def test_trace_invariants_and_determinism():
         np.array_equal(p.lam, q.lam) and np.array_equal(p.V, q.V)
         for p, q in zip(res.points, res2.points)
     )
+
+
+@pytest.mark.parametrize(
+    "rho, factor",
+    [
+        (6.0, 0.9 / math.sqrt(6.0)),  # a rejection's retry, without the rejected solve
+        (1.5, 1.0),  # accepted at the limit: h stays
+        (0.01, 1.0),  # the probe never lengthens h
+        (math.inf, 1.0),
+        (math.nan, 1.0),
+    ],
+)
+def test_probe_shortens_a_first_step_it_expects_rejected(monkeypatch, rho, factor):
+    steps = []
+    step = continuation._step
+
+    def recording_step(pencil, path, t, h, *args):
+        steps.append(h)
+        return step(pencil, path, t, h, *args)
+
+    monkeypatch.setattr(continuation, "_rho_estimate", lambda state, A, B: rho)
+    monkeypatch.setattr(continuation, "_step", recording_step)
+    trace(_sg_pencil(), segment((0.0, 0.0), (1.0, 1.0)))
+    assert steps[0] == pytest.approx(continuation.H0_FRAC * factor)
 
 
 def test_loop_signature_shapes_around_origin():
@@ -492,9 +517,10 @@ def _count_eigensolves(monkeypatch, pencil, loop):
     return trace_loop(_CountingPencil(pencil, counts), ClosedCurve(point)), counts
 
 
-def _assert_one_eval_per_solve(counts):
-    # the signature reuses B(0), and veering starts from the solved entry point
-    assert counts["evals"] == counts["solves"]
+def _assert_one_eval_per_solve_and_probe(counts):
+    # the signature reuses B(0), and veering starts from the solved entry
+    # point; the one eval left over is the probe that sizes the first step
+    assert counts["evals"] == counts["solves"] + 1
     ts = counts["solved_t"]
     assert all(a != b for a, b in zip(ts, ts[1:]))
 
@@ -510,7 +536,7 @@ def test_eigensolve_accounting_without_veering(monkeypatch):
     assert counts["solves"] == 1 + stats["accepted"] + stats["rejected"]
     assert stats["eigensolves"] == counts["solves"]
     _assert_one_cause_per_rejection(stats)
-    _assert_one_eval_per_solve(counts)
+    _assert_one_eval_per_solve_and_probe(counts)
 
 
 def _assert_one_cause_per_rejection(stats):
@@ -539,7 +565,7 @@ def test_near_miss_steps_the_close_pair_as_a_cluster(monkeypatch, miss):
         assert counts["solves"] == 1 + stats["accepted"] + stats["rejected"]
         assert counts["solves"] < plain_counts["solves"]
         _assert_one_cause_per_rejection(stats)
-        _assert_one_eval_per_solve(counts)
+        _assert_one_eval_per_solve_and_probe(counts)
         # the counting patch is still active: the trace comes after the counts
         traced = trace(pen, loop)
         gaps = np.array([continuation._rel_gaps(p.lam).min() for p in traced.points])
@@ -564,7 +590,7 @@ def test_eigensolve_accounting_with_veering(monkeypatch):
         + counts["entries"]
         + counts["substeps"]
     )
-    _assert_one_eval_per_solve(counts)
+    _assert_one_eval_per_solve_and_probe(counts)
 
 
 class _DiagonalPencil(ParametricPencil):

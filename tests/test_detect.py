@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -475,9 +476,9 @@ class _RecordingPencil:
 
 
 def test_sweep_traces_each_side_once():
-    # a side's trace evaluates points inside it (its first step is its
-    # midpoint) and its end corner; dropping corners, each trace is one run
-    # of points inside one side, so a side traced twice has two runs
+    # a side's trace evaluates points inside it (its midpoint first, to size
+    # its first step) and its end corner; dropping corners, each trace is one
+    # run of points inside one side, so a side traced twice has two runs
     pen = _RecordingPencil(_baseline_pencil(10))
     sw = sweep_grid(pen, _PERFBENCH_BLOCK, seed=0, workers=1)
     assert not sw.unresolved and sw.boxes[0].attempts == 1
@@ -498,7 +499,48 @@ def test_sweep_traces_each_side_once():
     stats = sw.step_stats
     assert stats["veering_events"] == 0
     assert stats["eigensolves"] == len(sw.boxes) + stats["accepted"] + stats["rejected"]
-    assert stats["eigensolves"] == len(pen.points)
+    # every eval is a solve, except one probe per side
+    assert len(pen.points) == stats["eigensolves"] + 4 * 9 + 5 * 8
+
+
+def test_probed_first_steps_save_rejected_solves():
+    # a side's first step, shortened where the probe at half the side
+    # estimates a rejection, keeps every flag; with half the side as the
+    # first step these blocks take 1,624 eigensolves and reject 278 steps
+    pins = {10: (6, "5723fd39897f11f6"), 20: (14, "c871d145de02c686"), 30: (39, "8d06117ede0992bb")}
+    stats = Counter()
+    for n, pin in pins.items():
+        sw = sweep_grid(_baseline_pencil(n), _PERFBENCH_BLOCK, seed=0)
+        assert not sw.unresolved
+        count, _, digest = _flags(sw)
+        assert (count, digest) == pin
+        stats.update(sw.step_stats)
+    assert stats["eigensolves"] <= 1450
+    assert stats["rejected"] <= 80
+
+
+def test_rho_estimate_tracks_the_first_steps_rho(monkeypatch):
+    # the probe's estimate against step_control's rho for the same step: the
+    # estimate is returned as 0, so every side takes its half-side first step
+    estimates, rhos = [], []
+    estimate, control = continuation._rho_estimate, continuation.step_control
+
+    def recording_estimate(*args):
+        estimates.append(estimate(*args))
+        return 0.0
+
+    def recording_control(*args):
+        dec = control(*args)
+        if len(rhos) < len(estimates):
+            rhos.append(dec.rho)
+        return dec
+
+    monkeypatch.setattr(continuation, "_rho_estimate", recording_estimate)
+    monkeypatch.setattr(continuation, "step_control", recording_control)
+    sw = sweep_grid(_baseline_pencil(20), _PERFBENCH_BLOCK, seed=0)
+    assert not sw.unresolved
+    assert len(estimates) == len(rhos) == 4 * 9 + 5 * 8
+    assert 0.8 <= float(np.median(np.divide(estimates, rhos))) <= 1.4
 
 
 def test_shared_sides_change_no_result():
@@ -560,6 +602,11 @@ def _block_flags(pencil, rows, cols):
     _block(rows, cols); row and col count from the block's corner."""
     sweep = sweep_grid(pencil, _block(rows, cols), seed=0)
     assert not sweep.unresolved
+    return _flags(sweep)
+
+
+def _flags(sweep):
+    """Count, flags (row, col, pairs) and flag digest of a sweep."""
     flags = [(b.row, b.col, b.pairs) for b in sweep.boxes if b.pairs]
     return sweep.total_count, flags, hashlib.sha256(repr(flags).encode()).hexdigest()[:16]
 
