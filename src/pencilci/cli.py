@@ -28,7 +28,7 @@ from .fields import (
     flag, parse_text, read_array, read_bandwidth, read_int, read_json, read_kind, read_number,
     read_seed, write_json,
 )
-from .pencil import box_perimeter, circle, load_pencil, pencil_from_descriptor, save_pencil, segment
+from .pencil import BoxPerimeter, circle, load_pencil, pencil_from_descriptor, save_pencil, segment
 
 log = logging.getLogger("pencilci")
 
@@ -71,7 +71,7 @@ def _parse_loop(spec: str):
     kind, get = read_kind(data, "loop spec", _LOOP_KEYS)
     if kind == "box":
         x0, x1, y0, y1 = get("rect", read_array, length=4)
-        return box_perimeter(x0, y0, x1 - x0, y1 - y0)
+        return BoxPerimeter(x0, y0, x1, y1)
     if kind == "circle":
         return circle(*get("center", read_array, length=2), get("radius", read_number))
     return segment(get("start", read_array, length=2), get("end", read_array, length=2))
@@ -179,7 +179,7 @@ def _cmd_fit(args) -> int:
 
     out = os.path.join(args.out_dir, "fit_summary.csv")
     with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(group_cols + ["p", "c", "rmsd", "n_points"])
         for key, fit in fits.items():
             writer.writerow(

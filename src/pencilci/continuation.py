@@ -100,14 +100,13 @@ MIN_REL_GAP = 10.0 * _EPS
 VEERING_EXIT_FACTOR = 10.0
 # Sign decisions with overlap below this are unreliable; reject the step.
 AMBIGUOUS_OVERLAP = 0.1
-# Initial stepsize, stepsize cap and stepsize floor, as fractions of the path
-# span t = 0 -> 1. A loop around one intersection turns the pair's
-# eigenvectors by pi whatever the loop's size, so near an intersection the cap
-# sets the step count. At 1/8 a step turns the pair by 22.5 degrees on
-# average, about half the cluster rotation cap (_PAIR_DIAG_MIN, about 41
-# degrees); at 1/4 it would be 45 degrees, and rotation rejections would
-# size the steps.
-H0_FRAC = 1.0 / 64.0
+# Stepsize cap and stepsize floor, as fractions of the path span t = 0 -> 1;
+# a trace's first step is its cap, unless the probe shortens it. A loop
+# around one intersection turns the pair's eigenvectors by pi whatever the
+# loop's size, so near an intersection the cap sets the step count. At 1/8 a
+# step turns the pair by 22.5 degrees on average, about half the cluster
+# rotation cap (_PAIR_DIAG_MIN, about 41 degrees); at 1/4 it would be 45
+# degrees, and rotation rejections would size the steps.
 H_MAX_FRAC = 1.0 / 8.0
 H_MIN_FRAC = 1e-14
 # Signature entries must sit within this distance of +-1 (diagonal) and 0
@@ -238,10 +237,12 @@ def _canonical_signs(V: np.ndarray) -> np.ndarray:
 
 
 def init_decomposition(pencil, path, t: float) -> EigenPoint:
-    """Ordered decomposition at the start of a path, with deterministic signs.
+    """Ordered decomposition at a path parameter, with deterministic signs.
 
     Column signs are canonicalized (largest-magnitude entry positive) so the
-    anchor does not depend on solver sign conventions.
+    anchor does not depend on solver sign conventions. Every trace starts
+    from this point at t = 0: :func:`trace` and each piece of
+    :func:`trace_loop` whose start no earlier piece has reached.
 
     Raises
     ------
@@ -251,7 +252,9 @@ def init_decomposition(pencil, path, t: float) -> EigenPoint:
     EvaluationFailed
         When the pencil's eval raises anything but a PencilError.
     """
-    return _start(pencil, path, t)[0]
+    A, B = _eval(pencil, path, t)
+    ep = gen_eig_ordered(A, B)
+    return _anchor(EigenPoint(t=t, V=ep.vectors, lam=ep.values, gaps=_rel_gaps(ep.values)))
 
 
 def _eval(pencil, path, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -270,13 +273,6 @@ def _eval(pencil, path, t: float) -> tuple[np.ndarray, np.ndarray]:
         raise EvaluationFailed(
             f"{type(exc).__name__}: {exc} at (x, y) = ({x:.12g}, {y:.12g})"
         ) from exc
-
-
-def _start(pencil, path, t: float) -> tuple[EigenPoint, np.ndarray]:
-    """:func:`init_decomposition`'s point, and B at that point."""
-    A, B = _eval(pencil, path, t)
-    ep = gen_eig_ordered(A, B)
-    return _anchor(EigenPoint(t=t, V=ep.vectors, lam=ep.values, gaps=_rel_gaps(ep.values))), B
 
 
 def _anchor(point: EigenPoint) -> EigenPoint:
@@ -600,15 +596,16 @@ def trace(pencil, path) -> TraceResult:
     pairs with relative gap below CLUSTER_GAP at either end of a step are
     stepped as clusters (see :func:`predict` and :func:`step_control`), and
     veering intervals are detected at the candidate point (relative gap below
-    TOLDIST) and delegated to :func:`veering_traverse`. The first step is at
-    most H0_FRAC and every step at most H_MAX_FRAC. Before the first solve
-    the pencil is evaluated at the first step's end, unsolved, and a step
-    whose estimated rho (:func:`_rho_estimate`) is over RHO_ACCEPT is
-    shortened to h * STEP_SAFETY / sqrt(rho), as a rejection would shorten
-    it; so a trace evaluates the pencil once more than it solves, and the
-    steps are still judged by :func:`step_control`. This is the one source
-    of decompositions along a path, open or closed; :func:`trace_loop`
-    gives a closed path's signature.
+    TOLDIST) and delegated to :func:`veering_traverse`. Every step is at
+    most H_MAX_FRAC, and the first step is H_MAX_FRAC unless the probe
+    shortens it: before the first solve the pencil is evaluated at the first
+    step's end, unsolved, and a step whose estimated rho
+    (:func:`_rho_estimate`) is over RHO_ACCEPT is shortened to
+    h * STEP_SAFETY / sqrt(rho), as a rejection would shorten it; so a trace
+    evaluates the pencil once more than it solves, and the steps are still
+    judged by :func:`step_control`. This is the one source of decompositions
+    along a path, open or closed; :func:`trace_loop` gives a closed path's
+    signature.
 
     step_stats counts eigensolves (the start, every predictor step and every
     veering substep), accepted predictor and veering steps (accepted), the
@@ -628,22 +625,19 @@ def trace(pencil, path) -> TraceResult:
     EvaluationFailed
         When the pencil's eval raises anything but a PencilError.
     """
-    result, _ = _trace(pencil, path, _start(pencil, path, 0.0), H0_FRAC, H_MAX_FRAC)
+    result, _ = _trace(pencil, path, init_decomposition(pencil, path, 0.0), H_MAX_FRAC)
     result.step_stats["eigensolves"] += 1  # the start
     return result
 
 
-def _trace(
-    pencil, path, start: tuple[EigenPoint, np.ndarray], h: float, h_max: float
-) -> tuple[TraceResult, np.ndarray]:
-    """:func:`trace` from a solved start (its point at t = 0 and B there), with
-    first step at most h and stepsize cap h_max; also returns B at the last
-    point. The first step's end is probed as :func:`trace` describes, from
-    the start and the path alone.
+def _trace(pencil, path, start: EigenPoint, h_max: float) -> tuple[TraceResult, np.ndarray]:
+    """:func:`trace` from a solved start at t = 0, with stepsize cap h_max,
+    which is also the first step before the probe; also returns B at the
+    last point. The probe reads the start and the path alone.
 
     step_stats["eigensolves"] counts the steps' solves only, not the start's.
     """
-    state, B_state = start
+    state, h = start, h_max
     # the pencil at the first step's end, unsolved, shortens a step whose
     # estimated rho would reject it; an unusable estimate keeps h
     rho = _rho_estimate(state, *_eval(pencil, path, state.t + h))
@@ -718,39 +712,22 @@ def _trace(
     return TraceResult(points=points, veering_events=events, step_stats=stats), B_state
 
 
-class _Piece(NamedTuple):
-    """An open trace that is part of a loop.
+def _pieces(loop) -> list[Path]:
+    """The open paths a closed loop is traced as, in order.
 
-    path runs from corner start to corner end (labels local to the loop), h0
-    is its first step and h_max its stepsize cap, in units of the path.
-    """
-
-    path: Path
-    start: int
-    end: int
-    h0: float
-    h_max: float
-
-
-def _pieces(loop) -> list[_Piece]:
-    """The open traces a closed loop is made of, in the order they are traced.
-
-    A box is its four sides, each traced in the +x or +y direction from its
-    lower-left end: bottom and left from the box's start corner, then right
-    and top from where bottom and left end. A side's first step is at most
-    its cap, the loop's H_MAX_FRAC in units of the side, shortened by the
-    probe of :func:`_trace`, which reads only the start anchor and the path;
-    so a side's trace depends only on its two ends. Any other loop is one
-    piece from t = 0 back to t = 1 with the first step and cap of a free
-    trace.
+    A box is its four sides, each a segment in the +x or +y direction from
+    its lower-left end: bottom and left from the box's start corner, then
+    right and top from where bottom and left end. Any other loop is one
+    piece, from t = 0 back to t = 1. Every piece is a trace whose cap, and
+    first step before the probe, is the loop's H_MAX_FRAC in units of the
+    piece; the probe reads only the start anchor and the path, so a side's
+    trace depends only on its two ends.
     """
     if not isinstance(loop, BoxPerimeter):
-        return [_Piece(loop, 0, 0, H0_FRAC, H_MAX_FRAC)]
+        return [loop]
     corners = ((loop.x0, loop.y0), (loop.x1, loop.y0), (loop.x1, loop.y1), (loop.x0, loop.y1))
-    # (start, end): bottom, left, right, top; a side is a quarter of the loop
-    sides = ((0, 1), (0, 3), (1, 2), (3, 2))
-    h = 4.0 * H_MAX_FRAC
-    return [_Piece(segment(corners[a], corners[b]), a, b, h, h) for a, b in sides]
+    # (start, end): bottom, left, right, top
+    return [segment(corners[a], corners[b]) for a, b in ((0, 1), (0, 3), (1, 2), (3, 2))]
 
 
 def _piece_signs(anchor: EigenPoint, B: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -774,17 +751,17 @@ def _piece_signs(anchor: EigenPoint, B: np.ndarray, V: np.ndarray) -> np.ndarray
 def trace_loop(pencil, loop, sides: dict | None = None) -> LoopResult:
     """Trace a closed loop piece by piece and extract the sign signature D.
 
-    A box perimeter is traced as its four sides, each an open trace in the +x
-    or +y direction from a canonically signed anchor at its start corner,
-    whose first step is at most its cap, half the side (the loop's
-    H_MAX_FRAC), shortened where the probe of :func:`trace` estimates a
-    rejection; any other closed loop is one piece from its start back to
-    it, stepped as :func:`trace` steps. Every piece evaluates the pencil
-    once more than it solves (the probe). Each piece's sign vector is the
-    diagonal of V_a.T B V, with V the traced basis at the piece's end and
-    V_a, B the canonically signed anchor there; its entries must sit within
-    SIGNATURE_TOL of +-1 (off-diagonal entries of 0). The loop's
-    signature_raw is the product of its pieces' diagonals, and D, the
+    The loop is traced as the open paths of :func:`_pieces`: a box
+    perimeter as its four sides, each in the +x or +y direction from a
+    canonically signed anchor at its start corner, any other closed loop as
+    one piece from its start back to it. Every piece is traced by one rule:
+    its first step is its cap, 1/8 of the loop (half a box side), shortened
+    only where the probe of :func:`trace` estimates a rejection; so every
+    piece evaluates the pencil once more than it solves. Each piece's sign
+    vector is the diagonal of V_a.T B V, with V the traced basis at the
+    piece's end and V_a, B the canonically signed anchor there; its entries
+    must sit within SIGNATURE_TOL of +-1 (off-diagonal entries of 0). The
+    loop's signature_raw is the product of its pieces' diagonals, and D, the
     product of their rounded signs, gives V(1) = V(0) diag(D) around the
     loop; it must have an even number of -1 entries.
 
@@ -817,27 +794,32 @@ def _trace_loop(pencil, loop, sides: dict, traces: dict) -> LoopResult:
     start's solve."""
     if not getattr(loop, "closed", False):
         raise ValueError("trace_loop requires a closed path")
-    anchors: dict[int, tuple[EigenPoint, np.ndarray]] = {}
+    pieces = _pieces(loop)
+    h_max = len(pieces) * H_MAX_FRAC
+    # keyed by point: a piece's end, path.point(1.0), is bitwise the start,
+    # path.point(0.0), of the piece that goes on from there
+    anchors: dict[tuple[float, float], EigenPoint] = {}
     stats: Counter = Counter(eigensolves=0)
     d = 1.0
-    for piece in _pieces(loop):
-        found = sides.get(piece.path)
+    for path in pieces:
+        found = sides.get(path)
         if found is None:
             try:
-                if piece.start not in anchors:
-                    anchors[piece.start] = _start(pencil, piece.path, 0.0)
+                start = path.point(0.0)
+                if start not in anchors:
+                    anchors[start] = init_decomposition(pencil, path, 0.0)
                     stats["eigensolves"] += 1
-                tr, B = _trace(pencil, piece.path, anchors[piece.start], piece.h0, piece.h_max)
+                tr, B = _trace(pencil, path, anchors[start], h_max)
                 anchor = _anchor(tr.points[-1])
-                anchors[piece.end] = (replace(anchor, t=0.0), B)
+                anchors[path.point(1.0)] = replace(anchor, t=0.0)
                 found = _piece_signs(anchor, B, tr.points[-1].V)
             except PencilError as exc:
                 name = "" if isinstance(exc, LoopUnresolvable) else f"{type(exc).__name__}: "
-                found = f"{name}{exc}{_where(piece, loop)}"
+                found = f"{name}{exc}{_where(path, loop)}"
             else:
                 stats.update(tr.step_stats)
-                traces[piece.path] = tr
-            sides[piece.path] = found
+                traces[path] = tr
+            sides[path] = found
         if isinstance(found, str):
             raise LoopUnresolvable(found)
         d = d * found
@@ -847,12 +829,11 @@ def _trace_loop(pencil, loop, sides: dict, traces: dict) -> LoopResult:
     return LoopResult(D=D, signature_raw=d, step_stats=dict(stats))
 
 
-def _where(piece: _Piece, loop) -> str:
+def _where(path: Path, loop) -> str:
     """The side a cause happened on; empty for a loop traced as one piece."""
-    if piece.path is loop:
+    if path is loop:
         return ""
-    p = piece.path
-    return f" on the side ({p.x0:.12g}, {p.y0:.12g}) -> ({p.x1:.12g}, {p.y1:.12g})"
+    return f" on the side ({path.x0:.12g}, {path.y0:.12g}) -> ({path.x1:.12g}, {path.y1:.12g})"
 
 
 def write_trace_csv(result: TraceResult, path) -> None:
@@ -865,7 +846,7 @@ def write_trace_csv(result: TraceResult, path) -> None:
         "veering",
     ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for p in result.points[1:]:
             row = [f"{p.t:.17g}", f"{p.h:.17g}"]

@@ -390,7 +390,7 @@ def _sides(rect) -> tuple:
     """The four side paths of a rectangle, as trace_loop keys them in sides:
     bottom, left, right, top."""
     x0, x1, y0, y1 = rect
-    return tuple(piece.path for piece in _pieces(BoxPerimeter(x0, y0, x1, y1)))
+    return tuple(_pieces(BoxPerimeter(x0, y0, x1, y1)))
 
 
 def _signs(rect, known: dict) -> list:
@@ -435,7 +435,7 @@ def _show(rect) -> str:
 def write_ci_csv(result: SweepResult, path) -> None:
     """One row per flagged (box, pair): row, col, center, pair index."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["box_row", "box_col", "center_x", "center_y", "pair_index"])
         for b in result.boxes:
             for p in b.pairs:

@@ -11,7 +11,7 @@ import pytest
 
 import pencilci
 from pencilci.census import ExperimentSpec, fit_power_law
-from pencilci.cli import _build_parser, main
+from pencilci.cli import _build_parser, _parse_loop, main
 import pencilci.continuation as continuation
 from pencilci.continuation import trace, trace_loop
 from pencilci.pencil import (
@@ -160,6 +160,13 @@ def test_trace_loop_spec_from_file(tmp_path, analytic_descriptor):
     assert rc == 0
     with open(tmp_path / "signature.json") as fh:
         assert json.load(fh)["pairs"] == [1]
+
+
+def test_box_spec_traces_the_corners_it_names():
+    # x0 + (x1 - x0) is 1.9999999999999998 here, and y0 + (y1 - y0) is
+    # 0.40000000000000013: the box must be the rect itself, as a sweep traces it
+    box = _parse_loop('{"kind": "box", "rect": [-0.3, 2.0, -0.7, 0.4]}')
+    assert (box.x0, box.x1, box.y0, box.y1) == (-0.3, 2.0, -0.7, 0.4)
 
 
 def test_trace_box_writes_one_trace_from_0_to_1(tmp_path):

@@ -348,8 +348,12 @@ def test_probe_shortens_a_first_step_it_expects_rejected(monkeypatch, rho, facto
 
     monkeypatch.setattr(continuation, "_rho_estimate", lambda state, A, B: rho)
     monkeypatch.setattr(continuation, "_step", recording_step)
+    # a trace's first step is its cap: 1/8 of a free path, half a box side
     trace(_sg_pencil(), segment((0.0, 0.0), (1.0, 1.0)))
-    assert steps[0] == pytest.approx(continuation.H0_FRAC * factor)
+    assert steps[0] == pytest.approx(continuation.H_MAX_FRAC * factor)
+    steps.clear()
+    trace_loop(_sg_pencil(), box_perimeter(0.3, 0.9, 0.8, 0.8))
+    assert steps[0] == pytest.approx(4 * continuation.H_MAX_FRAC * factor)
 
 
 def test_loop_signature_shapes_around_origin():
@@ -528,7 +532,7 @@ def _assert_one_eval_per_solve_and_probe(counts):
 def test_eigensolve_accounting_without_veering(monkeypatch):
     # each eigensolve is the start, an accepted step or a rejected step
     res, counts = _count_eigensolves(
-        monkeypatch, _sg_pencil(), box_perimeter(0.3, 0.9, 0.8, 0.8)
+        monkeypatch, _sg_pencil(), box_perimeter(0.3, 0.9, 1.6, 1.6)
     )
     stats = res.step_stats
     assert stats["veering_events"] == 0 and counts["entries"] == 0
@@ -612,21 +616,23 @@ def _unresolved_box(pencil, x_range):
 
 
 def test_triple_degeneracy_in_predictor_mode():
-    # three eigenvalues meet at x = 0; the first step of h = 1/64 lands on it
+    # three eigenvalues meet at x = 0; x = -1/16 + t/2, so the first step,
+    # the cap of 1/8, lands on it
     pen = _DiagonalPencil(lambda x: [x, 0.0, -x], 3)
     with pytest.raises(TripleDegeneracy, match=r"pairs \(1, 2\) near-degenerate"):
-        trace(pen, segment((-2.0**-7, 0.0), (63 * 2.0**-7, 0.0)))
-    # the box's bottom edge runs x = -1/16 + 4t, so its first step hits x = 0
+        trace(pen, segment((-1 / 16, 0.0), (7 / 16, 0.0)))
+    # the box's bottom side runs x = -1/16 + t: its first step, half the
+    # side, crosses x = 0, and the rejections close in on it
     message = _unresolved_box(pen, (-1 / 16, 15 / 16))
     assert message.startswith("TripleDegeneracy: pairs (1, 2) near-degenerate")
 
 
 def test_triple_degeneracy_in_veering_mode(monkeypatch):
     # pair 1's relative gap stays ~5e-13, inside the veering zone, with
-    # constant eigenvectors, so veering starts at the first step (h = 1/64)
-    # and every substep is easy: h grows by 1.5 per substep, to 3/128 and
-    # 9/256. Pair 3, two pairs away, coalesces at x = 0, which a substep
-    # hits exactly.
+    # constant eigenvectors, so veering starts at the first step (h = 1/8,
+    # the cap) and every substep is easy: h would grow by 1.5 per substep,
+    # but the cap holds it at 1/8. Pair 3, two pairs away, coalesces at
+    # x = 0, which a substep hits exactly.
     entries = []
     traverse = continuation.veering_traverse
 
@@ -636,10 +642,9 @@ def test_triple_degeneracy_in_veering_mode(monkeypatch):
 
     monkeypatch.setattr(continuation, "veering_traverse", recording_traverse)
     pen = _DiagonalPencil(lambda x: [1.0 + 1e-12, 1.0, abs(x), -abs(x)], 4)
-    # x = -19/256 + t: substeps at t = 1/64 (the entry), 5/128 and 19/256,
-    # which is x = 0
+    # x = -1/4 + t: substeps at t = 1/8 (the entry) and 1/4, which is x = 0
     with pytest.raises(TripleDegeneracy, match=r"pairs \(1, 3\) near-degenerate"):
-        trace(pen, segment((-19 / 256, 0.0), (237 / 256, 0.0)))
+        trace(pen, segment((-1 / 4, 0.0), (3 / 4, 0.0)))
     assert entries == [0.0]
     # a box side's steps start at its cap, half the side. Bottom side
     # x = (t - 1)/2: the entry step t = 1/2 flags pair 1 only, and the next

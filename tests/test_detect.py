@@ -26,7 +26,7 @@ from pencilci.census import cell_seed
 from pencilci.continuation import trace_loop
 from pencilci.errors import OddSignCount, RefinementInconsistent
 from pencilci.linalg import spd_sqrt, symmetrize
-from pencilci.pencil import analytic_ci_pencil, box_perimeter, sgplus_generate, sgplus_pencil
+from pencilci.pencil import BoxPerimeter, analytic_ci_pencil, sgplus_generate, sgplus_pencil
 
 
 def test_decode_signature_examples():
@@ -275,7 +275,7 @@ def test_sweep_carries_each_box_step_stats(tmp_path):
     # the others share the sides traced before them
     first = sw.boxes[-1]
     x0, x1, y0, y1 = first.rect
-    assert first.step_stats == trace_loop(pen, box_perimeter(x0, y0, x1 - x0, y1 - y0)).step_stats
+    assert first.step_stats == trace_loop(pen, BoxPerimeter(x0, y0, x1, y1)).step_stats
     assert sw.boxes[0].pairs == (1,) and not sw.unresolved
     totals = {k: sum(b.step_stats[k] for b in sw.boxes) for k in sw.boxes[0].step_stats}
     assert sw.step_stats == totals
@@ -381,7 +381,7 @@ def test_refine_box_solves_one_start_per_trace(monkeypatch):
     # call: the upper half's known outer side leaves three sides to trace,
     # all from its start corner or from the ends of the sides traced before
     pencil, rect, pair, depth = _locate_inputs()
-    starts = _counted(monkeypatch, continuation, "_start")
+    starts = _counted(monkeypatch, continuation, "init_decomposition")
     per_call = []
 
     def one_loop(*args, **kwargs):
@@ -549,7 +549,7 @@ def test_shared_sides_change_no_result():
     assert sw.total_count == 6
     for box in sw.boxes:
         x0, x1, y0, y1 = box.rect
-        lone = trace_loop(pen, box_perimeter(x0, y0, x1 - x0, y1 - y0))
+        lone = trace_loop(pen, BoxPerimeter(x0, y0, x1, y1))
         assert box.pairs == decode_signature(lone.D)
     # bands of rows traced apart, with sides of their own: the same pairs,
     # statuses and causes, on a grid with resolved boxes and one with
