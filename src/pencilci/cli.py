@@ -21,7 +21,7 @@ from functools import partial
 
 from . import __version__
 from .census import GOE_REFERENCE_EXPONENTS, ExperimentSpec, group_fits, run_census, write_report
-from .continuation import _trace_loop, trace, write_trace_csv
+from .continuation import trace, trace_loop, write_trace_csv
 from .detect import GridSpec, decode_signature, sweep_grid, write_ci_csv, write_sweep_summary
 from .errors import PencilError
 from .fields import (
@@ -109,7 +109,7 @@ def _cmd_trace(args) -> int:
     outputs = ["trace.csv"]
     traces: dict = {}
     if path.closed:
-        loop = _trace_loop(pencil, path, {}, traces)
+        loop = trace_loop(pencil, path, traces=traces)
         sig = {
             "D": [int(v) for v in loop.D],
             "pairs": [int(p) for p in decode_signature(loop.D)],

@@ -258,13 +258,17 @@ def init_decomposition(pencil, path, t: float) -> EigenPoint:
 
 
 def _eval(pencil, path, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """A and B at path parameter t.
+    """A and B at path parameter t (see _eval_at)."""
+    return _eval_at(pencil, *path.point(t))
+
+
+def _eval_at(pencil, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """A and B at (x, y).
 
     Any exception from the pencil's own eval that is not a PencilError is
     raised again as EvaluationFailed, so a bad evaluation fails one trace
     like any other PencilError.
     """
-    x, y = path.point(t)
     try:
         return pencil.eval(x, y)
     except PencilError:
@@ -748,7 +752,7 @@ def _piece_signs(anchor: EigenPoint, B: np.ndarray, V: np.ndarray) -> np.ndarray
     return d
 
 
-def trace_loop(pencil, loop, sides: dict | None = None) -> LoopResult:
+def trace_loop(pencil, loop, sides: dict | None = None, traces: dict | None = None) -> LoopResult:
     """Trace a closed loop piece by piece and extract the sign signature D.
 
     The loop is traced as the open paths of :func:`_pieces`: a box
@@ -774,7 +778,10 @@ def trace_loop(pencil, loop, sides: dict | None = None) -> LoopResult:
     there, which is bitwise a fresh solve there.
 
     The result holds no points: :func:`trace` gives the decompositions along
-    the loop. step_stats (see :func:`trace`) count only the solves this call
+    a path. traces, when given, maps the path of each piece this call traced
+    to the piece's TraceResult; a loop traced as one piece maps to
+    :func:`trace`'s result, except that its step_stats leave out the start's
+    solve. step_stats (see :func:`trace`) count only the solves this call
     made.
 
     Raises
@@ -784,14 +791,10 @@ def trace_loop(pencil, loop, sides: dict | None = None) -> LoopResult:
         name, and for a box side ends with the side), when a sign vector
         fails the cleanliness checks, or when D has an odd count of -1.
     """
-    return _trace_loop(pencil, loop, {} if sides is None else sides, {})
-
-
-def _trace_loop(pencil, loop, sides: dict, traces: dict) -> LoopResult:
-    """:func:`trace_loop`, which also maps the path of each piece it traces
-    to the piece's TraceResult in traces. A loop traced as one piece maps
-    to :func:`trace`'s result, except that its step_stats leave out the
-    start's solve."""
+    if sides is None:
+        sides = {}
+    if traces is None:
+        traces = {}
     if not getattr(loop, "closed", False):
         raise ValueError("trace_loop requires a closed path")
     pieces = _pieces(loop)

@@ -20,9 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuation import _pieces, trace_loop
-from .errors import LoopUnresolvable, OddSignCount, RefinementInconsistent
+from .continuation import _eval_at, _pieces, trace_loop
+from .errors import (
+    LoopUnresolvable, NonFiniteInput, OddSignCount, PencilError, RefinementInconsistent,
+)
 from .fields import read_seed, write_json
+from .linalg import _pencil2x2_terms
 from .pencil import BoxPerimeter
 
 __all__ = [
@@ -43,6 +46,22 @@ _SHIFT_FRAC = 1e-3
 _SHIFT_TAG = 0xA11E
 # Tilings traced by sweep_grid, the first one unshifted.
 _SWEEP_ATTEMPTS = 4
+
+# refine_box jumps only when the pair model's roots agree to within
+# 1/_JUMP_MARGIN of each side of the sub-rectangle that holds them, and only
+# _MIN_JUMP or more levels down: a jump traces one loop, and one level of
+# bisection traces two, so a shorter jump would save at most one loop and
+# risk three (the refused jump and the level it falls back to).
+_JUMP_MARGIN = 8
+_MIN_JUMP = 2
+# The model is anchored at this many distinct traced points, those with the
+# smallest relative gap of the pair, and each anchor's root takes at most
+# _NEWTON_STEPS Newton steps with a forward-difference Jacobian whose step is
+# _FD_STEP * max(1, |coordinate|).
+_MODEL_ANCHORS = 3
+_NEWTON_STEPS = 6
+_EPS = np.finfo(float).eps
+_FD_STEP = math.sqrt(_EPS)
 
 
 def decode_signature(D: np.ndarray) -> tuple[int, ...]:
@@ -197,14 +216,15 @@ class SweepResult:
         return box.rect
 
 
-def _trace_box(pencil, rect, sides: dict):
+def _trace_box(pencil, rect, sides: dict, traces: dict | None = None):
     """Loop signature of one box perimeter: (pairs, error message, step_stats).
 
-    sides is the shared dict of traced sides that trace_loop reads and fills.
+    sides is the shared dict of traced sides that trace_loop reads and fills,
+    traces the dict of side traces it fills (see continuation.trace_loop).
     """
     x0, x1, y0, y1 = rect
     try:
-        res = trace_loop(pencil, BoxPerimeter(x0, y0, x1, y1), sides)
+        res = trace_loop(pencil, BoxPerimeter(x0, y0, x1, y1), sides, traces)
     except LoopUnresolvable as exc:
         return None, str(exc), {}
     return decode_signature(res.D), "", res.step_stats
@@ -251,7 +271,8 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
     on the boundary leaves its box unresolved. Any PencilError inside a
     trace (a non-definite B or a non-finite value, say) fails only that box.
     Boxes still failing at the last attempt are reported with status
-    "unresolved", no pairs, and the cause as message.
+    "unresolved", no pairs, and the cause as message. A 1x1 grid has no
+    inner lines to move, so it is traced once.
 
     Each box is traced as its four sides (see continuation.trace_loop), and
     an attempt traces each side of the grid once: the boxes share one dict
@@ -271,9 +292,10 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
     seed = read_seed(seed, "seed")
     xs, ys = grid.lines()
     cells = [(r, c) for r in range(grid.rows) for c in range(grid.cols)]
+    attempts = _SWEEP_ATTEMPTS if grid.rows > 1 or grid.cols > 1 else 1
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for attempt in range(_SWEEP_ATTEMPTS):
+        for attempt in range(attempts):
             sx, sy = _retry_shift(seed, attempt, grid.dx, grid.dy)
             mx = [xs[0], *(x + sx for x in xs[1:-1]), xs[-1]]
             my = [ys[0], *(y + sy for y in ys[1:-1]), ys[-1]]
@@ -309,7 +331,11 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
 
 @dataclass(frozen=True)
 class CIEstimate:
-    """Coalescence location estimate from recursive box subdivision."""
+    """Coalescence location estimate from recursive box subdivision.
+
+    rect is the rectangle after depth levels of bisection, whether
+    refine_box reached it split by split or by verified jumps.
+    """
 
     x: float
     y: float
@@ -326,10 +352,10 @@ def refine_box(
     depth: int = 10,
     seed: int = 0,
 ) -> CIEstimate:
-    """Pin a coalescence inside a flagged box by bisection.
+    """Pin a coalescence inside a flagged box by verified jumps and bisection.
 
-    The start rectangle is traced once and must flag the target pair. Each
-    level then splits the current rectangle at its midpoint in x and then
+    The start rectangle is traced once and must flag the target pair. A level
+    of bisection splits the current rectangle at its midpoint in x and then
     in y, carrying the sign vectors of its four sides from split to split.
     A split traces only its upper half (the half at the larger x or y),
     whose outer side is the rectangle's own: one trace_loop call from one
@@ -342,8 +368,24 @@ def refine_box(
     the next rectangle. An upper half that fails is traced again with the
     split line, and only it, moved by the sweep's retry offset along the
     split axis, up to _SWEEP_ATTEMPTS tries in all; the outer sides never
-    move. The estimate is the center of the rectangle after depth levels,
-    with the half-diagonal as uncertainty.
+    move.
+
+    Near a coalescence the pair's two eigenvectors span a smooth subspace,
+    so the pencil restricted to them is a smooth 2x2 pencil whose double
+    eigenvalue solves two equations in (x, y). Before each level, the
+    points of the last loops traced with the smallest gap of the pair
+    anchor such a model, and Newton's method finds its root from each
+    anchor (_model_roots; pencil evaluations only, no eigensolve). When the
+    roots lie inside the rectangle and agree to within 1/_JUMP_MARGIN of
+    the dyadic sub-rectangle _MIN_JUMP or more levels down that holds them
+    (the deepest such, up to depth), that sub-rectangle, built with the
+    split arithmetic of bisection, is traced as one loop and becomes the
+    rectangle if it flags the pair: a verified jump over those levels. In
+    every other case (a root outside, a singular Jacobian, disagreeing
+    roots, a jump loop that fails or does not flag the pair) the level is
+    bisected as above. Every rectangle moved to flags the pair either way.
+    The estimate is the center of the rectangle after depth levels, with
+    the half-diagonal as uncertainty.
 
     Raises
     ------
@@ -358,16 +400,28 @@ def refine_box(
     if not 1 <= pair <= pencil.n - 1:
         raise ValueError(f"pair must be in 1..{pencil.n - 1}, got {pair}")
     known: dict = {}
-    pairs, cause, _ = _trace_box(pencil, rect, known)
+    traces: dict = {}
+    pairs, cause, _ = _trace_box(pencil, rect, known, traces)
     if pair not in (pairs or ()):
         found = f"unresolved: {cause}" if pairs is None else f"flags {pairs}"
         raise RefinementInconsistent(
             f"level 0: the start rectangle {_show(rect)} does not flag pair {pair}: {found}"
         )
     signs = _signs(rect, known)
-    for level in range(depth):
+    level = 0
+    while level < depth:
+        target = _jump(rect, _model_roots(pencil, traces, pair), depth - level)
+        traces = {}
+        if target is not None:
+            sub, levels = target
+            known = {}
+            pairs, _, _ = _trace_box(pencil, sub, known, traces)
+            if pair in (pairs or ()):
+                rect, signs, level = sub, _signs(sub, known), level + levels
+                continue
         for axis in (0, 1):
-            rect, signs = _bisect(pencil, rect, signs, axis, pair, seed, level)
+            rect, signs = _bisect(pencil, rect, signs, axis, pair, seed, level, traces)
+        level += 1
     x0, x1, y0, y1 = rect
     half_diag = 0.5 * math.hypot(x1 - x0, y1 - y0)
     return CIEstimate(
@@ -378,6 +432,112 @@ def refine_box(
         depth=depth,
         rect=rect,
     )
+
+
+def _model_roots(pencil, traces: dict, pair: int) -> list:
+    """Roots of the pair's 2x2 model from the traced points with its smallest gap.
+
+    traces maps side paths to TraceResults. At each of the _MODEL_ANCHORS
+    distinct points with the smallest relative gap of the pair, W holds the
+    pair's two eigenvector columns, and the model at (x, y) is the 2x2
+    pencil (W.T A W, W.T B W), whose eigenvalues coincide where eig2x2_pencil's
+    ah and bh both vanish. Each anchor's root is Newton's on (ah, bh) from
+    the anchor; an anchor whose Newton step meets a singular or non-finite
+    Jacobian, or a pencil error, gives no root.
+    """
+    k = pair - 1
+    anchors: dict = {}
+    for path, tr in traces.items():
+        for point in tr.points:
+            anchors.setdefault(path.point(point.t), point)
+    closest = sorted(anchors.items(), key=lambda item: item[1].gaps[k])[:_MODEL_ANCHORS]
+    roots = []
+    for xy, point in closest:
+        root = _newton_root(pencil, point.V[:, k : k + 2], xy)
+        if root is not None:
+            roots.append(root)
+    return roots
+
+
+def _pair_terms(pencil, W, x: float, y: float) -> tuple[float, float]:
+    """(ah, bh) of the 2x2 pencil (W.T A W, W.T B W) at (x, y).
+
+    Raises
+    ------
+    PencilError
+        When the evaluation fails or gives a non-finite A or B.
+    """
+    A, B = _eval_at(pencil, x, y)
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise NonFiniteInput(f"non-finite A or B at (x, y) = ({x:.12g}, {y:.12g})")
+    a = W.T @ A @ W
+    b = W.T @ B @ W
+    ah, bh, _, _ = _pencil2x2_terms(
+        float(a[0, 0]), 0.5 * float(a[0, 1] + a[1, 0]), float(a[1, 1]),
+        float(b[0, 0]), 0.5 * float(b[0, 1] + b[1, 0]), float(b[1, 1]),
+    )
+    return ah, bh
+
+
+def _newton_root(pencil, W, xy) -> tuple[float, float] | None:
+    """Newton's root of _pair_terms from xy, or None (see _model_roots)."""
+    x, y = xy
+    try:
+        for _ in range(_NEWTON_STEPS):
+            f, g = _pair_terms(pencil, W, x, y)
+            sx = _FD_STEP * max(1.0, abs(x))
+            sy = _FD_STEP * max(1.0, abs(y))
+            fx, gx = _pair_terms(pencil, W, x + sx, y)
+            fy, gy = _pair_terms(pencil, W, x, y + sy)
+            j11, j21, j12, j22 = (fx - f) / sx, (gx - g) / sx, (fy - f) / sy, (gy - g) / sy
+            det = j11 * j22 - j12 * j21
+            if not (math.isfinite(det) and det != 0.0):
+                return None
+            dx = (j22 * f - j12 * g) / det
+            dy = (j11 * g - j21 * f) / det
+            x, y = x - dx, y - dy
+            if not (math.isfinite(x) and math.isfinite(y)):
+                return None
+            if max(abs(dx), abs(dy)) <= 4.0 * _EPS * max(1.0, abs(x), abs(y)):
+                break
+    except PencilError:
+        return None
+    return x, y
+
+
+def _jump(rect, roots: list, levels: int):
+    """(sub-rectangle, its levels below rect) of a jump to the model roots, or None.
+
+    The sub-rectangle is the one bisection reaches when every split keeps
+    the half holding the roots, with _bisect's unshifted split arithmetic,
+    so it is bitwise a rectangle bisection can reach. It is the deepest one,
+    _MIN_JUMP to levels down, that holds all the roots, at least two of
+    them, with their spread within 1/_JUMP_MARGIN of each of its sides.
+    """
+    if len(roots) < 2 or levels < _MIN_JUMP:
+        return None
+    x0, x1, y0, y1 = rect
+    if not all(x0 < x < x1 and y0 < y < y1 for x, y in roots):
+        return None
+    coords = tuple(zip(*roots))
+    spread = [max(c) - min(c) for c in coords]
+    sub = list(rect)
+    best = None
+    for level in range(1, levels + 1):
+        for axis in (0, 1):
+            lo, hi = sub[2 * axis], sub[2 * axis + 1]
+            cut = lo + 0.5 * (hi - lo)
+            if min(coords[axis]) >= cut:
+                sub[2 * axis] = cut
+            elif max(coords[axis]) < cut:
+                sub[2 * axis + 1] = cut
+            else:
+                return best
+        if any(spread[a] * _JUMP_MARGIN > sub[2 * a + 1] - sub[2 * a] for a in (0, 1)):
+            return best
+        if level >= _MIN_JUMP:
+            best = (tuple(sub), level)
+    return best
 
 
 # Per split axis (x, y), as indices into _sides' order: the two sides that a
@@ -398,8 +558,9 @@ def _signs(rect, known: dict) -> list:
     return [np.sign(known[side]) for side in _sides(rect)]
 
 
-def _bisect(pencil, rect, signs, axis, pair, seed, level):
-    """One split of refine_box: the half of rect that flags pair, and its side signs."""
+def _bisect(pencil, rect, signs, axis, pair, seed, level, traces):
+    """One split of refine_box: the half of rect that flags pair, and its side
+    signs. traces collects the traces of the sides it traces."""
     half = (0.5 * (rect[1] - rect[0]), 0.5 * (rect[3] - rect[2]))
     below, above = _OUTER[axis]
     for attempt in range(_SWEEP_ATTEMPTS):
@@ -407,7 +568,7 @@ def _bisect(pencil, rect, signs, axis, pair, seed, level):
         upper = list(rect)
         upper[2 * axis] = cut
         known = {_sides(upper)[above]: signs[above]}
-        pairs, cause, _ = _trace_box(pencil, tuple(upper), known)
+        pairs, cause, _ = _trace_box(pencil, tuple(upper), known, traces)
         if pairs is not None:
             break
     else:

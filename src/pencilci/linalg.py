@@ -203,6 +203,26 @@ def eig2x2_pencil(
     NotPositiveDefinite
         If [[alpha, beta], [beta, gamma]] is not positive definite.
     """
+    ah, bh, dt, shift = _pencil2x2_terms(a, b, c, alpha, beta, gamma)
+    denom = 1.0 - dt * dt
+    disc = math.sqrt(bh * bh + denom * ah * ah)
+    mu1 = (-bh * dt + disc) / denom
+    mu2 = (-bh * dt - disc) / denom
+    return mu1, mu2, mu1 + shift, mu2 + shift
+
+
+def _pencil2x2_terms(
+    a: float, b: float, c: float, alpha: float, beta: float, gamma: float
+) -> tuple[float, float, float, float]:
+    """(ah, bh, dt, shift) of :func:`eig2x2_pencil`'s rescaled pencil.
+
+    The eigenvalues coincide exactly when ah = bh = 0, since 1 - dt^2 > 0.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If [[alpha, beta], [beta, gamma]] is not positive definite.
+    """
     if not (alpha > 0.0 and alpha * gamma - beta * beta > 0.0):
         raise NotPositiveDefinite(
             f"[[{alpha}, {beta}], [{beta}, {gamma}]] is not positive definite"
@@ -210,14 +230,7 @@ def eig2x2_pencil(
     root_ag = math.sqrt(alpha * gamma)
     at = a / alpha
     ct = c / gamma
-    bt = b / root_ag
     dt = beta / root_ag
-    ah = 0.5 * (at - ct)
-    bh = bt - 0.5 * (at + ct) * dt
-    denom = 1.0 - dt * dt
-    disc = math.sqrt(bh * bh + denom * ah * ah)
-    mu1 = (-bh * dt + disc) / denom
-    mu2 = (-bh * dt - disc) / denom
     shift = 0.5 * (at + ct)
-    return mu1, mu2, mu1 + shift, mu2 + shift
+    return 0.5 * (at - ct), b / root_ag - shift * dt, dt, shift
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -574,3 +575,19 @@ def test_readme_flag_table_matches_parser():
         for name, p in sub.choices.items()
     }
     assert {name: flags | common for name, flags in table.items()} == parsed
+
+
+def test_readme_library_quick_start_runs(capsys):
+    """The first two Python blocks of the README's library quick start run as
+    written and print what their comments say."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, flags=re.M | re.S)
+    namespace: dict = {}
+    for block in blocks[:2]:
+        exec(compile(block, README, "exec"), namespace)
+    assert namespace["result"].D.tolist() == [-1, -1]
+    est = namespace["est"]
+    assert est.pair == 1
+    assert math.hypot(est.x - -0.025, est.y - -0.03125) <= est.uncertainty
+    assert "[-1 -1]" in capsys.readouterr().out

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pencilci.continuation as continuation
+import pencilci.detect as detect
 from pencilci.continuation import (
     EigenPoint,
     init_decomposition,
@@ -625,6 +626,24 @@ def test_triple_degeneracy_in_predictor_mode():
     # side, crosses x = 0, and the rejections close in on it
     message = _unresolved_box(pen, (-1 / 16, 15 / 16))
     assert message.startswith("TripleDegeneracy: pairs (1, 2) near-degenerate")
+
+
+def test_single_box_grid_is_traced_once(monkeypatch):
+    # a 1x1 grid has no inner lines for a retry to move, so the triple
+    # degeneracy's box is traced once, not once per attempt
+    loops = []
+    traced = detect.trace_loop
+
+    def counted(*args, **kwargs):
+        loops.append(args)
+        return traced(*args, **kwargs)
+
+    monkeypatch.setattr(detect, "trace_loop", counted)
+    pen = _DiagonalPencil(lambda x: [x, 0.0, -x], 3)
+    grid = GridSpec(rows=1, cols=1, x_range=(-1 / 16, 15 / 16), y_range=(0.0, 1.0))
+    (box,) = sweep_grid(pen, grid).unresolved
+    assert box.attempts == 1 and len(loops) == 1
+    assert box.message.startswith("TripleDegeneracy: pairs (1, 2) near-degenerate")
 
 
 def test_triple_degeneracy_in_veering_mode(monkeypatch):

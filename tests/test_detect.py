@@ -339,15 +339,21 @@ def _counted(monkeypatch, module, name) -> list:
 
 
 def test_refine_box_retries_a_y_split_through_the_intersection(monkeypatch):
-    # the x-split keeps [-0.3, 0.1], and its y-split line y = 0 runs through
-    # the intersection at (0, 0): only that line moves, the outer sides stay
+    # the model of the analytic pencil roots at the intersection (0, 0) itself,
+    # so the first jump's sub-rectangle has it on its side y = 0 and fails;
+    # the level is then bisected: the x-split keeps [-0.3, 0.1], and its
+    # y-split line y = 0 runs through the intersection: only that line moves,
+    # the outer sides stay
     loops = _counted(monkeypatch, detect, "trace_loop")
     est = refine_box(analytic_ci_pencil(0.0), (-0.3, 0.5, -0.5, 0.5), pair=1, depth=8, seed=0)
     assert math.hypot(est.x, est.y) <= est.uncertainty
-    rects = [(p.x0, p.x1, p.y0, p.y1) for _, p, _ in loops]
+    rects = [(p.x0, p.x1, p.y0, p.y1) for _, p, *_ in loops]
+    assert rects[0] == (-0.3, 0.5, -0.5, 0.5)
+    x0, x1, y0, y1 = rects[1]
+    assert x0 < 0.0 < x1 and y0 == 0.0
     xm = -0.3 + 0.5 * (0.5 - -0.3)  # 0.1 up to rounding
-    assert rects[:3] == [(-0.3, 0.5, -0.5, 0.5), (xm, 0.5, -0.5, 0.5), (-0.3, xm, 0.0, 0.5)]
-    x0, x1, y0, y1 = rects[3]
+    assert rects[2:4] == [(xm, 0.5, -0.5, 0.5), (-0.3, xm, 0.0, 0.5)]
+    x0, x1, y0, y1 = rects[4]
     assert (x0, x1, y1) == (-0.3, xm, 0.5) and 0.0 < abs(y0) <= 1e-3 * 0.5
 
 
@@ -363,23 +369,61 @@ def _locate_inputs():
 
 
 def test_refine_box_traces_one_half_per_split(monkeypatch):
-    # the start rectangle and one half per split are traced, the other half
-    # is derived from known sides; the estimate is the one of refining by
-    # full 2x2 sweeps (1,057 eigensolves), bitwise
+    # the start rectangle is traced, then verified jumps from the pair's 2x2
+    # model and, where a jump is refused, one traced half per split; the
+    # estimate is the one of refining by full 2x2 sweeps (1,057 eigensolves)
+    # and by bisection alone (63 loops, 616 eigensolves), bitwise
     pencil, rect, pair, depth = _locate_inputs()
     loops = _counted(monkeypatch, detect, "trace_loop")
     solves = _counted(monkeypatch, continuation, "gen_eig_ordered")
     est = refine_box(pencil, rect, pair=pair, depth=depth, seed=0)
     assert (depth, pair) == (31, 3)
     assert (est.x, est.y) == (2.439245081788557, 4.039701494056494)
-    assert len(loops) == 2 * depth + 1
-    assert len(solves) <= 650
+    assert len(loops) <= 12
+    assert len(solves) <= 200
+
+
+def test_refine_box_pins_a_banded_estimate():
+    # the n = 20, b = 3 perfbench block's box (0, 1), pair 3, to the locate
+    # depth: bisection alone reaches the same estimate
+    pencil = sgplus_pencil(sgplus_generate(20, 3, 0.45, cell_seed(0, 3, 0, 20, 0)))
+    box = sweep_grid(pencil, _PERFBENCH_BLOCK, seed=0).boxes[1]
+    assert (box.row, box.col) == (0, 1) and 3 in box.pairs
+    _, _, _, depth = _locate_inputs()
+    est = refine_box(pencil, box.rect, pair=3, depth=depth, seed=0)
+    assert (est.x, est.y) == (2.3719653478432976, 3.3804610631664183)
+
+
+def test_refused_jumps_fall_back_to_bisection(monkeypatch):
+    # every model root is moved by half the rectangle into the other x-half,
+    # so no jump's sub-rectangle (a quarter of the rectangle or less in x)
+    # holds the intersection: each jump is traced, refused, and followed by
+    # one bisection level, and the estimate is bisection's
+    pencil, rect, pair, depth = _locate_inputs()
+    jump = detect._jump
+    tried = []
+
+    def wrong_half(rect, roots, levels):
+        x0, x1, _, _ = rect
+        half = 0.5 * (x1 - x0)
+        moved = [(x - half if x >= x0 + half else x + half, y) for x, y in roots]
+        target = jump(rect, moved, levels)
+        tried.append(target is not None)
+        return target
+
+    monkeypatch.setattr(detect, "_jump", wrong_half)
+    loops = _counted(monkeypatch, detect, "trace_loop")
+    est = refine_box(pencil, rect, pair=pair, depth=depth, seed=0)
+    assert (est.x, est.y) == (2.439245081788557, 4.039701494056494)
+    assert any(tried)
+    assert len(loops) == 1 + 2 * depth + sum(tried)
 
 
 def test_refine_box_solves_one_start_per_trace(monkeypatch):
     # the benchmark's eigensolve accounting counts one start per trace_loop
-    # call: the upper half's known outer side leaves three sides to trace,
-    # all from its start corner or from the ends of the sides traced before
+    # call: a jump traces the four sides of its sub-rectangle, and a split's
+    # upper half has a known outer side and three to trace, all from the
+    # start corner or from the ends of the sides traced before
     pencil, rect, pair, depth = _locate_inputs()
     starts = _counted(monkeypatch, continuation, "init_decomposition")
     per_call = []
@@ -392,7 +436,7 @@ def test_refine_box_solves_one_start_per_trace(monkeypatch):
 
     monkeypatch.setattr(detect, "trace_loop", one_loop)
     refine_box(pencil, rect, pair=pair, depth=depth, seed=0)
-    assert per_call == [1] * (2 * depth + 1)
+    assert per_call and set(per_call) == {1}
 
 
 def test_refine_box_validation():
