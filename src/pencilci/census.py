@@ -12,6 +12,7 @@ count ~ c * n**p per (b, delta) group.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import itertools
 import logging
@@ -39,6 +40,7 @@ __all__ = [
     "cell_seed",
     "run_census",
     "write_report",
+    "write_fits_csv",
     "fit_power_law",
     "group_fits",
 ]
@@ -288,6 +290,19 @@ def run_census(
     return _assemble_report(spec, cell_dir)
 
 
+def write_fits_csv(path, columns, fits: dict) -> None:
+    """One row per fitted group: its key's values under columns, then p, c,
+    rmsd and n_points; groups whose fit is None are left out."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([*columns, "p", "c", "rmsd", "n_points"])
+        for key, fit in fits.items():
+            if fit is not None:
+                writer.writerow(
+                    [*key, f"{fit.p:.17g}", f"{fit.c:.17g}", f"{fit.rmsd:.17g}", fit.n_points]
+                )
+
+
 def write_report(report: CensusReport, out_dir) -> dict:
     """Write aggregated census files; returns {name: path}.
 
@@ -312,14 +327,11 @@ def write_report(report: CensusReport, out_dir) -> dict:
                 f"{c['realization']},{c['count']},{c['n_unresolved']}\n"
             )
 
-    with open(paths["fits"], "w", newline="", encoding="utf-8") as fh:
-        fh.write("b,delta,p,c,rmsd,n_points\n")
-        for (token, di), fit in report.fits.items():
-            if fit is not None:
-                fh.write(
-                    f"{token},{spec.delta_list[di]:.17g},{fit.p:.17g},"
-                    f"{fit.c:.17g},{fit.rmsd:.17g},{fit.n_points}\n"
-                )
+    write_fits_csv(
+        paths["fits"],
+        ("b", "delta"),
+        {(token, f"{spec.delta_list[di]:.17g}"): fit for (token, di), fit in report.fits.items()},
+    )
 
     # means run group by group (cells are ordered b, delta, n); a blank line ends each group
     with open(paths["loglog"], "w", encoding="utf-8") as fh:

@@ -20,7 +20,9 @@ import sys
 from functools import partial
 
 from . import __version__
-from .census import GOE_REFERENCE_EXPONENTS, ExperimentSpec, group_fits, run_census, write_report
+from .census import (
+    GOE_REFERENCE_EXPONENTS, ExperimentSpec, group_fits, run_census, write_fits_csv, write_report,
+)
 from .continuation import trace, trace_loop, write_trace_csv
 from .detect import GridSpec, decode_signature, sweep_grid, write_ci_csv, write_sweep_summary
 from .errors import PencilError
@@ -177,15 +179,7 @@ def _cmd_fit(args) -> int:
     if not fits:
         raise ValueError("no group has positive mean counts at two or more n")
 
-    out = os.path.join(args.out_dir, "fit_summary.csv")
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(group_cols + ["p", "c", "rmsd", "n_points"])
-        for key, fit in fits.items():
-            writer.writerow(
-                list(key)
-                + [f"{fit.p:.17g}", f"{fit.c:.17g}", f"{fit.rmsd:.17g}", fit.n_points]
-            )
+    write_fits_csv(os.path.join(args.out_dir, "fit_summary.csv"), group_cols, fits)
     _write_manifest(args, ["fit_summary.csv"])
     _print_fits(fits, group_cols)
     return 0

@@ -16,11 +16,12 @@ import csv
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuation import _eval_at, _pieces, trace_loop
+from .continuation import _eval_at, trace_loop
 from .errors import (
     LoopUnresolvable, NonFiniteInput, OddSignCount, PencilError, RefinementInconsistent,
 )
@@ -276,10 +277,11 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
 
     Each box is traced as its four sides (see continuation.trace_loop), and
     an attempt traces each side of the grid once: the boxes share one dict
-    of traced sides. With workers > 1 the rows are split into one band of
-    whole rows per worker (at most rows bands), each a task of a process
-    pool with a dict of its own, so only the sides between bands are traced
-    twice, by both bands; the pencil must then be picklable. A side's sign
+    of traced sides. The rows are split into min(workers, rows) bands of
+    whole rows (at least one), each traced from a dict of its own, so only
+    the sides between bands are traced twice, by both bands. One band is
+    traced in this process; more bands are tasks of a process pool, one
+    worker per band, and the pencil must then be picklable. A side's sign
     vector depends only on its two ends, so flags and messages do not
     depend on workers; step_stats do. Results are in (row, col) order
     regardless of completion order.
@@ -293,26 +295,20 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
     xs, ys = grid.lines()
     cells = [(r, c) for r in range(grid.rows) for c in range(grid.cols)]
     attempts = _SWEEP_ATTEMPTS if grid.rows > 1 or grid.cols > 1 else 1
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    bands = max(1, min(workers, grid.rows))  # band k starts at row rows * k // bands
+    cuts = [grid.cols * (grid.rows * k // bands) for k in range(bands + 1)]
+    with ProcessPoolExecutor(max_workers=bands) if bands > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
         for attempt in range(attempts):
             sx, sy = _retry_shift(seed, attempt, grid.dx, grid.dy)
             mx = [xs[0], *(x + sx for x in xs[1:-1]), xs[-1]]
             my = [ys[0], *(y + sy for y in ys[1:-1]), ys[-1]]
             rects = [(mx[r], mx[r + 1], my[c], my[c + 1]) for r, c in cells]
-            if pool is not None:
-                bands = min(workers, grid.rows)  # band k starts at row rows * k // bands
-                cuts = [grid.cols * (grid.rows * k // bands) for k in range(bands + 1)]
-                tasks = [rects[a:b] for a, b in zip(cuts, cuts[1:])]
-                done = pool.map(_trace_boxes, [pencil] * bands, tasks)
-                outcomes = [outcome for band in done for outcome in band]
-            else:
-                outcomes = _trace_boxes(pencil, rects)
+            tasks = [rects[a:b] for a, b in zip(cuts, cuts[1:])]
+            done = run(_trace_boxes, [pencil] * bands, tasks)
+            outcomes = [outcome for band in done for outcome in band]
             if all(pairs is not None for pairs, _, _ in outcomes):
                 break
-    finally:
-        if pool is not None:
-            pool.shutdown()
     boxes = [
         BoxResult(
             row=r,
@@ -354,18 +350,18 @@ def refine_box(
 ) -> CIEstimate:
     """Pin a coalescence inside a flagged box by verified jumps and bisection.
 
-    The start rectangle is traced once and must flag the target pair. A level
-    of bisection splits the current rectangle at its midpoint in x and then
-    in y, carrying the sign vectors of its four sides from split to split.
-    A split traces only its upper half (the half at the larger x or y),
-    whose outer side is the rectangle's own: one trace_loop call from one
-    start solve, over three sides. The lower half's sides are products of
-    known sign vectors: each half of a cut side is the rectangle's side
-    times the upper half's, its inner side is the upper half's, and its
-    outer side the rectangle's. So the lower half's signature is the
-    product of the rectangle's and the upper half's, and it flags the pair
-    exactly when the upper half does not; the half that flags it becomes
-    the next rectangle. An upper half that fails is traced again with the
+    The start rectangle is traced once and must flag the target pair. One
+    dict of traced sides serves the whole refinement, so no side is traced
+    twice. A level of bisection splits the current rectangle at its
+    midpoint in x and then in y. A split traces only its upper half (the
+    half at the larger x or y): one trace_loop call from one start solve,
+    over the sides not traced before, three when the rectangle's outer side
+    is known (after the start loop, a jump or a kept upper half) and four
+    otherwise. The two halves' signatures multiply to the rectangle's,
+    since their common side cancels, so a pair's flags compose by parity:
+    the rectangle flags the pair, and the lower half flags it exactly when
+    the upper half does not. The half that flags it becomes the next
+    rectangle. An upper half that fails is traced again with the
     split line, and only it, moved by the sweep's retry offset along the
     split axis, up to _SWEEP_ATTEMPTS tries in all; the outer sides never
     move.
@@ -407,20 +403,18 @@ def refine_box(
         raise RefinementInconsistent(
             f"level 0: the start rectangle {_show(rect)} does not flag pair {pair}: {found}"
         )
-    signs = _signs(rect, known)
     level = 0
     while level < depth:
         target = _jump(rect, _model_roots(pencil, traces, pair), depth - level)
         traces = {}
         if target is not None:
             sub, levels = target
-            known = {}
             pairs, _, _ = _trace_box(pencil, sub, known, traces)
             if pair in (pairs or ()):
-                rect, signs, level = sub, _signs(sub, known), level + levels
+                rect, level = sub, level + levels
                 continue
         for axis in (0, 1):
-            rect, signs = _bisect(pencil, rect, signs, axis, pair, seed, level, traces)
+            rect = _bisect(pencil, rect, axis, pair, seed, level, known, traces)
         level += 1
     x0, x1, y0, y1 = rect
     half_diag = 0.5 * math.hypot(x1 - x0, y1 - y0)
@@ -540,34 +534,15 @@ def _jump(rect, roots: list, levels: int):
     return best
 
 
-# Per split axis (x, y), as indices into _sides' order: the two sides that a
-# split cuts in two, and the outer sides of the lower and the upper half.
-_CUT = ((0, 3), (1, 2))
-_OUTER = ((1, 2), (0, 3))
-
-
-def _sides(rect) -> tuple:
-    """The four side paths of a rectangle, as trace_loop keys them in sides:
-    bottom, left, right, top."""
-    x0, x1, y0, y1 = rect
-    return tuple(_pieces(BoxPerimeter(x0, y0, x1, y1)))
-
-
-def _signs(rect, known: dict) -> list:
-    """The +-1 sign vectors of rect's sides, read from a dict of traced sides."""
-    return [np.sign(known[side]) for side in _sides(rect)]
-
-
-def _bisect(pencil, rect, signs, axis, pair, seed, level, traces):
-    """One split of refine_box: the half of rect that flags pair, and its side
-    signs. traces collects the traces of the sides it traces."""
+def _bisect(pencil, rect, axis, pair, seed, level, known, traces):
+    """One split of refine_box: the half of rect that flags pair. Only the
+    upper half is traced, through the dict of traced sides known; traces
+    collects the traces of the sides it traces."""
     half = (0.5 * (rect[1] - rect[0]), 0.5 * (rect[3] - rect[2]))
-    below, above = _OUTER[axis]
     for attempt in range(_SWEEP_ATTEMPTS):
         cut = rect[2 * axis] + half[axis] + _retry_shift(seed, attempt, *half)[axis]
         upper = list(rect)
         upper[2 * axis] = cut
-        known = {_sides(upper)[above]: signs[above]}
         pairs, cause, _ = _trace_box(pencil, tuple(upper), known, traces)
         if pairs is not None:
             break
@@ -576,16 +551,11 @@ def _bisect(pencil, rect, signs, axis, pair, seed, level, traces):
             f"level {level}: the upper half of {_show(rect)} split in {'xy'[axis]} at "
             f"{cut:.6g} stays unresolved after {_SWEEP_ATTEMPTS} attempts: {cause}"
         )
-    up = _signs(upper, known)
     if pair in pairs:
-        return tuple(upper), up
+        return tuple(upper)
     lower = list(rect)
     lower[2 * axis + 1] = cut
-    down = list(signs)
-    for k in _CUT[axis]:
-        down[k] = signs[k] * up[k]
-    down[above] = up[below]
-    return tuple(lower), down
+    return tuple(lower)
 
 
 def _show(rect) -> str:

@@ -466,6 +466,16 @@ def test_fit_prints_reference_only_where_known(tmp_path, capfd):
     assert lines[1].startswith("bandwidth=3: p = ") and lines[1].endswith("(reference p 2.73)")
 
 
+def test_fit_quotes_a_group_key(tmp_path):
+    # census and fit write their fits through one csv writer, so a key
+    # with a comma or a quote reads back as it was written
+    data = tmp_path / "counts.csv"
+    data.write_text('b,n,count\n"x,y",10,5\n"x,y",20,19\n"q""z",10,3\n"q""z",20,11\n')
+    assert run("fit", "--data", data, "--out-dir", tmp_path) == 0
+    with open(tmp_path / "fit_summary.csv", newline="") as fh:
+        assert [r["b"] for r in csv.DictReader(fh)] == ["x,y", 'q"z']
+
+
 def test_fit_empty_data(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("bandwidth,n,mean_count\n")

@@ -422,7 +422,7 @@ def test_refused_jumps_fall_back_to_bisection(monkeypatch):
 def test_refine_box_solves_one_start_per_trace(monkeypatch):
     # the benchmark's eigensolve accounting counts one start per trace_loop
     # call: a jump traces the four sides of its sub-rectangle, and a split's
-    # upper half has a known outer side and three to trace, all from the
+    # upper half the three or four sides not traced before, all from the
     # start corner or from the ends of the sides traced before
     pencil, rect, pair, depth = _locate_inputs()
     starts = _counted(monkeypatch, continuation, "init_decomposition")
@@ -437,6 +437,33 @@ def test_refine_box_solves_one_start_per_trace(monkeypatch):
     monkeypatch.setattr(detect, "trace_loop", one_loop)
     refine_box(pencil, rect, pair=pair, depth=depth, seed=0)
     assert per_call and set(per_call) == {1}
+
+
+def test_refine_box_traces_no_side_twice(monkeypatch):
+    # with every jump refused, bisection does all 31 levels through one dict
+    # of traced sides: a split's upper half has its outer side known, and
+    # three sides to trace, right after the start loop or a kept upper half;
+    # after a kept lower half, whose outer side is half of a cut side, it has
+    # four
+    pencil, rect, pair, depth = _locate_inputs()
+    monkeypatch.setattr(detect, "_jump", lambda rect, roots, levels: None)
+    sides = _counted(monkeypatch, continuation, "_trace")
+    bisect = detect._bisect
+    splits = []  # (sides traced, upper half kept)
+
+    def split(pencil, rect, axis, *args):
+        before = len(sides)
+        kept = bisect(pencil, rect, axis, *args)
+        splits.append((len(sides) - before, kept[2 * axis] != rect[2 * axis]))
+        return kept
+
+    monkeypatch.setattr(detect, "_bisect", split)
+    est = refine_box(pencil, rect, pair=pair, depth=depth, seed=0)
+    assert (est.x, est.y) == (2.439245081788557, 4.039701494056494)
+    traced = [count for count, _ in splits]
+    assert len(traced) == 2 * depth and len(sides) == 4 + sum(traced)
+    assert traced == [3] + [3 if upper else 4 for _, upper in splits[:-1]]
+    assert 3 in traced[1:] and 4 in traced
 
 
 def test_refine_box_validation():
@@ -615,6 +642,18 @@ def test_pool_tasks_are_bands_of_rows():
         for w in (1, 2, 4)
     ]
     assert solves[0] < solves[1] < solves[2]
+
+
+def test_one_band_is_traced_in_process(monkeypatch):
+    # a one-row grid is one band at any worker count: no pool is opened, and
+    # the boxes, step_stats included, are those of one worker
+    pen = analytic_ci_pencil(0.1)
+    grid = GridSpec(rows=1, cols=4, x_range=(-1.0, 1.0), y_range=(-1.0, 1.0))
+    one = sweep_grid(pen, grid, seed=0, workers=1)
+    monkeypatch.setattr(detect, "ProcessPoolExecutor", None)
+    two = sweep_grid(pen, grid, seed=0, workers=2)
+    assert [(b, b.step_stats) for b in two.boxes] == [(b, b.step_stats) for b in one.boxes]
+    assert one.total_count == 1
 
 
 def _outcome(box):
