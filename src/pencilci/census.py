@@ -12,7 +12,6 @@ count ~ c * n**p per (b, delta) group.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 import logging
@@ -29,7 +28,9 @@ import numpy as np
 
 from .detect import GridSpec, sweep_grid
 from .errors import NonPositiveCount
-from .fields import read_array, read_bandwidth, read_int, read_json, read_object, write_json
+from .fields import (
+    read_array, read_bandwidth, read_int, read_json, read_object, write_csv, write_json,
+)
 from .pencil import sgplus_bandwidth, sgplus_generate, sgplus_pencil
 
 __all__ = [
@@ -100,6 +101,10 @@ class ExperimentSpec:
     def __post_init__(self):
         for name, reader in _SPEC_READERS.items():
             object.__setattr__(self, name, reader(getattr(self, name), name))
+        for name in ("n_list", "b_list", "delta_list"):  # a repeat would run its cells twice
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name}: {list(values)!r} has a repeated entry")
         self.grid  # GridSpec checks rows, cols and the ranges
         for n, b, d in itertools.product(self.n_list, self.b_list, self.delta_list):
             sgplus_bandwidth(n, b, d)
@@ -147,7 +152,7 @@ def _cell_valid(path: str, identity: dict) -> bool:
     """Whether the cell file at path holds the counts the report reads and identity."""
     try:
         cell = read_object(read_json(path), "cell file")
-        for name in ("count", "n_unresolved"):
+        for name in ("total_count", "n_unresolved"):
             read_int(cell.get(name), name, minimum=0)
     except (OSError, ValueError):
         return False
@@ -164,15 +169,7 @@ def _run_cell(task: tuple) -> str:
     start = time.perf_counter()
     result = sweep_grid(pencil, spec.grid, seed=cell["seed"], workers=sweep_workers)
     wall = time.perf_counter() - start
-    payload = {
-        **cell,
-        "count": result.total_count,
-        "pair_counts": {str(k): v for k, v in result.pair_counts().items()},
-        "n_unresolved": len(result.unresolved),
-        "step_stats": result.step_stats,
-        "wall_time": wall,
-    }
-    write_json(out_path, payload)
+    write_json(out_path, {**cell, **result.summary(), "wall_time": wall})
     return out_path
 
 
@@ -250,7 +247,7 @@ def group_fits(rows) -> tuple[dict, dict]:
 def _assemble_report(spec: ExperimentSpec, cell_dir: str) -> CensusReport:
     cells = [read_json(os.path.join(cell_dir, _cell_filename(*key))) for key in spec.cells()]
     means, fits = group_fits(
-        ((str(c["b"]), c["delta_index"]), c["n"], c["count"]) for c in cells
+        ((str(c["b"]), c["delta_index"]), c["n"], c["total_count"]) for c in cells
     )
     means = {(*group, n): mean for (group, n), mean in means.items()}
     return CensusReport(spec=spec, cells=cells, means=means, fits=fits)
@@ -293,14 +290,9 @@ def run_census(
 def write_fits_csv(path, columns, fits: dict) -> None:
     """One row per fitted group: its key's values under columns, then p, c,
     rmsd and n_points; groups whose fit is None are left out."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*columns, "p", "c", "rmsd", "n_points"])
-        for key, fit in fits.items():
-            if fit is not None:
-                writer.writerow(
-                    [*key, f"{fit.p:.17g}", f"{fit.c:.17g}", f"{fit.rmsd:.17g}", fit.n_points]
-                )
+    write_csv(path, [*columns, "p", "c", "rmsd", "n_points"], (
+        [*key, fit.p, fit.c, fit.rmsd, fit.n_points] for key, fit in fits.items() if fit is not None
+    ))
 
 
 def write_report(report: CensusReport, out_dir) -> dict:
@@ -319,18 +311,14 @@ def write_report(report: CensusReport, out_dir) -> dict:
         "report": os.path.join(out_dir, "census_report.json"),
     }
 
-    with open(paths["counts"], "w", newline="", encoding="utf-8") as fh:
-        fh.write("b,delta,n,realization,count,n_unresolved\n")
-        for c in report.cells:
-            fh.write(
-                f"{c['b']},{spec.delta_list[c['delta_index']]:.17g},{c['n']},"
-                f"{c['realization']},{c['count']},{c['n_unresolved']}\n"
-            )
-
+    write_csv(paths["counts"], ["b", "delta", "n", "realization", "count", "n_unresolved"], (
+        [c["b"], spec.delta_list[c["delta_index"]], c["n"], c["realization"], c["total_count"],
+         c["n_unresolved"]] for c in report.cells
+    ))
     write_fits_csv(
         paths["fits"],
         ("b", "delta"),
-        {(token, f"{spec.delta_list[di]:.17g}"): fit for (token, di), fit in report.fits.items()},
+        {(token, spec.delta_list[di]): fit for (token, di), fit in report.fits.items()},
     )
 
     # means run group by group (cells are ordered b, delta, n); a blank line ends each group

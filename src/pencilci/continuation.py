@@ -32,7 +32,6 @@ Pair indices in public interfaces are 1-based: pair i couples the i-th and
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from collections import Counter
@@ -50,6 +49,7 @@ from .errors import (
     StepUnderflow,
     TripleDegeneracy,
 )
+from .fields import write_csv
 from .linalg import gen_eig_ordered
 from .pencil import BoxPerimeter, Path, segment
 
@@ -843,16 +843,7 @@ def write_trace_csv(result: TraceResult, path) -> None:
     """One row per accepted step of a :func:`trace`, in order of t: t, h,
     eigenvalues, rho values, veering flag. The start point has no row."""
     n = result.points[0].lam.size
-    header = ["t", "h"] + [f"lambda_{k + 1}" for k in range(n)] + [
-        "rho_lambda",
-        "rho_V",
-        "veering",
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for p in result.points[1:]:
-            row = [f"{p.t:.17g}", f"{p.h:.17g}"]
-            row += [f"{v:.17g}" for v in p.lam]
-            row += [f"{p.rho_lambda:.17g}", f"{p.rho_V:.17g}", str(int(p.veering))]
-            writer.writerow(row)
+    header = ["t", "h", *(f"lambda_{k + 1}" for k in range(n)), "rho_lambda", "rho_V", "veering"]
+    write_csv(path, header, (
+        [p.t, p.h, *p.lam, p.rho_lambda, p.rho_V, int(p.veering)] for p in result.points[1:]
+    ))

@@ -12,12 +12,11 @@ decreasing order. Box rows index the first coordinate, columns the second.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .continuation import _eval_at, trace_loop
 from .errors import (
     LoopUnresolvable, NonFiniteInput, OddSignCount, PencilError, RefinementInconsistent,
 )
-from .fields import read_seed, write_json
+from .fields import read_seed, write_csv, write_json
 from .linalg import _pencil2x2_terms
 from .pencil import BoxPerimeter
 
@@ -207,6 +206,23 @@ class SweepResult:
         for b in self.boxes:
             c.update(b.step_stats)
         return dict(c)
+
+    def summary(self) -> dict:
+        """Box counts, per-pair totals, attempts, unresolved boxes and causes, step_stats.
+
+        sweep_summary.json holds it after the grid, and each census cell
+        file after the cell's identity.
+        """
+        return {
+            "n_boxes": len(self.boxes),
+            "n_flagged_boxes": len(self.flagged),
+            "n_unresolved": len(self.unresolved),
+            "total_count": self.total_count,
+            "pair_counts": {str(k): v for k, v in self.pair_counts().items()},
+            "attempts": max(b.attempts for b in self.boxes),
+            "unresolved_boxes": [[b.row, b.col, b.message] for b in self.unresolved],
+            "step_stats": self.step_stats,
+        }
 
     def rect_of(self, box: BoxResult) -> tuple[float, float, float, float]:
         """Rectangle actually traced for this box, with any retry's moved lines.
@@ -565,33 +581,11 @@ def _show(rect) -> str:
 
 def write_ci_csv(result: SweepResult, path) -> None:
     """One row per flagged (box, pair): row, col, center, pair index."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["box_row", "box_col", "center_x", "center_y", "pair_index"])
-        for b in result.boxes:
-            for p in b.pairs:
-                writer.writerow(
-                    [b.row, b.col, f"{b.center[0]:.17g}", f"{b.center[1]:.17g}", p]
-                )
+    write_csv(path, ["box_row", "box_col", "center_x", "center_y", "pair_index"], (
+        [b.row, b.col, *b.center, p] for b in result.boxes for p in b.pairs
+    ))
 
 
 def write_sweep_summary(result: SweepResult, path) -> None:
-    """JSON summary: box counts, per-pair totals, attempts, unresolved boxes and causes.
-
-    step_stats holds the boxes' step_stats summed key-wise.
-    """
-    summary = {
-        "rows": result.grid.rows,
-        "cols": result.grid.cols,
-        "x_range": list(result.grid.x_range),
-        "y_range": list(result.grid.y_range),
-        "n_boxes": len(result.boxes),
-        "n_flagged_boxes": len(result.flagged),
-        "n_unresolved": len(result.unresolved),
-        "total_count": result.total_count,
-        "pair_counts": {str(k): v for k, v in result.pair_counts().items()},
-        "attempts": max(b.attempts for b in result.boxes),
-        "unresolved_boxes": [[b.row, b.col, b.message] for b in result.unresolved],
-        "step_stats": result.step_stats,
-    }
-    write_json(path, summary)
+    """JSON of the grid's fields and the sweep's summary()."""
+    write_json(path, {**asdict(result.grid), **result.summary()})

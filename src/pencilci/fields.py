@@ -1,4 +1,4 @@
-"""Readers for values from outside the program, and the one JSON writer.
+"""Readers for values from outside the program, and the one CSV and JSON writers.
 
 A reader returns a census spec, pencil descriptor, loop spec, flag or CSV
 value in the program's type, or raises ValueError naming the field; it never
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import math
 import numbers
@@ -98,6 +99,14 @@ def read_json(path):
     """The JSON value held in the file at path."""
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write header and rows as CSV, lines ending in "\n"; floats get 17 significant digits."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def write_json(path, obj) -> None:

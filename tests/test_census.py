@@ -83,6 +83,10 @@ def test_spec_validation():
                       ("x_range", ["0", 1]), ("y_range", [0, False])):
         with pytest.raises(ValueError, match=f"{name}: .* is not a number"):
             ExperimentSpec.from_dict({"n_list": [10], name: bad})
+    for name, bad in (("n_list", [4, 4]), ("b_list", ["full", 2, "full"]),
+                      ("delta_list", [0.3, 0.45, 0.3])):  # a repeat would run its cells twice
+        with pytest.raises(ValueError, match=f"{name}: .* has a repeated entry"):
+            ExperimentSpec.from_dict({"n_list": [10], **{name: bad}})
 
 
 def test_spec_json_roundtrip(tmp_path):
@@ -158,9 +162,10 @@ def test_census_cell_matches_direct_sweep(tmp_path):
     seed = cell_seed(0, "full", 0, 4, 0)
     direct = sweep_grid(sgplus_pencil(sgplus_generate(4, "full", 0.45, seed)), spec.grid, seed=seed)
     assert cell["seed"] == seed
-    assert cell["count"] == direct.total_count == 4
-    assert cell["pair_counts"] == {str(k): v for k, v in direct.pair_counts().items()}
-    assert cell["n_unresolved"] == 0
+    # the cell file is its identity, the sweep's summary and its wall time, key for key
+    identity = _cell_identity(spec, ("full", 0, 4, 0))
+    assert cell == {**identity, **direct.summary(), "wall_time": cell["wall_time"]}
+    assert cell["total_count"] == 4
     assert cell["wall_time"] > 0
     assert report.means[("full", 0, 4)] == 4.0
     assert report.fits[("full", 0)] is None  # one n cannot pin a slope
@@ -182,9 +187,9 @@ def test_census_reruns_cell_file_that_is_not_an_object(tmp_path):
     for text in ("[]", "null", '"x"'):
         path.write_text(text)
         report = run_census(spec, tmp_path)
-        assert report.cells[0]["count"] == 4
+        assert report.cells[0]["total_count"] == 4
         with open(path) as fh:
-            assert json.load(fh)["count"] == 4
+            assert json.load(fh)["total_count"] == 4
 
 
 def test_census_reruns_cell_file_with_a_bad_count(tmp_path):
@@ -194,9 +199,9 @@ def test_census_reruns_cell_file_with_a_bad_count(tmp_path):
     # a bool is not an integer; a count is never negative; a count alone
     # lacks the fields the report reads
     for count in ("true", "-1", "3"):
-        path.write_text(f'{{"count": {count}}}')
+        path.write_text(f'{{"total_count": {count}}}')
         report = run_census(spec, tmp_path)
-        assert report.cells[0]["count"] == 4
+        assert report.cells[0]["total_count"] == 4
 
 
 @pytest.mark.parametrize(
@@ -211,12 +216,12 @@ def test_census_reruns_cell_files_of_another_spec(tmp_path, change):
     spec_a = ExperimentSpec(seed=0, n_list=(6,), rows=4, cols=4)
     spec_b = ExperimentSpec(**{**asdict(spec_a), **change})
     shared, fresh = tmp_path / "shared", tmp_path / "fresh"
-    assert run_census(spec_a, shared).cells[0]["count"] == 15
+    assert run_census(spec_a, shared).cells[0]["total_count"] == 15
     write_report(run_census(spec_b, shared), shared)
     write_report(run_census(spec_b, fresh), fresh)
     assert _read_aggregates(shared) == _read_aggregates(fresh)
     with open(shared / "cells" / _cell_filename("full", 0, 6, 0)) as fh:
-        assert json.load(fh)["count"] != 15
+        assert json.load(fh)["total_count"] != 15
 
 
 def test_census_empty_n_list(tmp_path):
@@ -274,7 +279,7 @@ def _synthetic_census(out_dir):
     for b, di, n, r in SYNTHETIC_SPEC.cells():
         cell = {
             **_cell_identity(SYNTHETIC_SPEC, (b, di, n, r)),
-            "count": SYNTHETIC_COUNTS[(b, di, n)][r], "pair_counts": {}, "n_unresolved": r,
+            "total_count": SYNTHETIC_COUNTS[(b, di, n)][r], "pair_counts": {}, "n_unresolved": r,
             "wall_time": 1.0,
         }
         with open(out_dir / "cells" / _cell_filename(b, di, n, r), "w") as fh:
@@ -355,7 +360,8 @@ def test_write_report_files(tmp_path):
         doc = json.load(fh)
     assert set(doc) >= {"spec", "cells", "means", "fits"}
     assert ExperimentSpec.from_dict(doc["spec"]) == spec
-    assert doc["cells"][0]["count"] == 4
+    assert doc["cells"] == report.cells
+    assert doc["cells"][0]["total_count"] == 4
     with open(paths["counts"]) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "b,delta,n,realization,count,n_unresolved"
