@@ -42,7 +42,6 @@ import numpy as np
 
 from .errors import (
     DegenerateStart,
-    EvaluationFailed,
     GapTooSmall,
     LoopUnresolvable,
     PencilError,
@@ -51,7 +50,7 @@ from .errors import (
 )
 from .fields import write_csv
 from .linalg import gen_eig_ordered
-from .pencil import BoxPerimeter, Path, segment
+from .pencil import BoxPerimeter, Path, evaluate, segment
 
 __all__ = [
     "EigenPoint",
@@ -252,31 +251,9 @@ def init_decomposition(pencil, path, t: float) -> EigenPoint:
     EvaluationFailed
         When the pencil's eval raises anything but a PencilError.
     """
-    A, B = _eval(pencil, path, t)
+    A, B = evaluate(pencil, *path.point(t))
     ep = gen_eig_ordered(A, B)
     return _anchor(EigenPoint(t=t, V=ep.vectors, lam=ep.values, gaps=_rel_gaps(ep.values)))
-
-
-def _eval(pencil, path, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """A and B at path parameter t (see _eval_at)."""
-    return _eval_at(pencil, *path.point(t))
-
-
-def _eval_at(pencil, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """A and B at (x, y).
-
-    Any exception from the pencil's own eval that is not a PencilError is
-    raised again as EvaluationFailed, so a bad evaluation fails one trace
-    like any other PencilError.
-    """
-    try:
-        return pencil.eval(x, y)
-    except PencilError:
-        raise
-    except Exception as exc:
-        raise EvaluationFailed(
-            f"{type(exc).__name__}: {exc} at (x, y) = ({x:.12g}, {y:.12g})"
-        ) from exc
 
 
 def _anchor(point: EigenPoint) -> EigenPoint:
@@ -506,7 +483,7 @@ def _step(pencil, path, t: float, h: float, pair: int = -1):
     """
     h_step = min(h, 1.0 - t)
     t_new = 1.0 if h_step == 1.0 - t else t + h_step
-    A, B = _eval(pencil, path, t_new)
+    A, B = evaluate(pencil, *path.point(t_new))
     ep = gen_eig_ordered(A, B)
     gaps = _rel_gaps(ep.values)
     close = -1
@@ -644,7 +621,7 @@ def _trace(pencil, path, start: EigenPoint, h_max: float) -> tuple[TraceResult, 
     state, h = start, h_max
     # the pencil at the first step's end, unsolved, shortens a step whose
     # estimated rho would reject it; an unusable estimate keeps h
-    rho = _rho_estimate(state, *_eval(pencil, path, state.t + h))
+    rho = _rho_estimate(state, *evaluate(pencil, *path.point(state.t + h)))
     if RHO_ACCEPT < rho < math.inf:
         h *= STEP_SAFETY / math.sqrt(rho)
     points = [state]

@@ -20,13 +20,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .continuation import _eval_at, trace_loop
+from .continuation import trace_loop
 from .errors import (
     LoopUnresolvable, NonFiniteInput, OddSignCount, PencilError, RefinementInconsistent,
 )
 from .fields import read_seed, write_csv, write_json
-from .linalg import _pencil2x2_terms
-from .pencil import BoxPerimeter
+from .linalg import pair_terms
+from .pencil import BoxPerimeter, evaluate
 
 __all__ = [
     "GridSpec",
@@ -247,8 +247,9 @@ def _trace_box(pencil, rect, sides: dict, traces: dict | None = None):
     return decode_signature(res.D), "", res.step_stats
 
 
-def _trace_boxes(pencil, rects: list) -> list:
-    """_trace_box outcomes of rects, in order, from one dict of sides.
+def _trace_boxes(pencil, rects: list) -> tuple[list, dict]:
+    """_trace_box outcomes of rects, in order, from one dict of sides, and
+    the failed sides: each side path that failed, mapped to its cause.
 
     The boxes are traced from the last to the first, so on a block of rows
     in (row, col) order each box's right and top sides are already traced,
@@ -256,7 +257,25 @@ def _trace_boxes(pencil, rects: list) -> list:
     left sides end; the box solves only its start corner besides its steps.
     """
     sides: dict = {}
-    return [_trace_box(pencil, rect, sides) for rect in rects[::-1]][::-1]
+    outcomes = [_trace_box(pencil, rect, sides) for rect in rects[::-1]][::-1]
+    return outcomes, {path: cause for path, cause in sides.items() if isinstance(cause, str)}
+
+
+def _retry_can_move(outcomes: list, failed: dict, xs: list, ys: list) -> bool:
+    """Whether a retry's moved inner lines can change what failed.
+
+    A failed side on the domain boundary (a +x side at a y range end, a +y
+    side at an x range end) stays where it is, so only a failed side off the
+    boundary, or a box that failed with no failed side (an odd count of -1
+    entries), is worth a retry.
+    """
+    causes = set(failed.values())
+    if any(pairs is None and msg not in causes for pairs, msg, _ in outcomes):
+        return True
+    return any(
+        path.x0 not in (xs[0], xs[-1]) if path.x0 == path.x1 else path.y0 not in (ys[0], ys[-1])
+        for path in failed
+    )
 
 
 def _retry_shift(seed: int, attempt: int, sx: float, sy: float) -> tuple[float, float]:
@@ -287,9 +306,11 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
     bit for bit, and each coalescence inside the domain is counted once; one
     on the boundary leaves its box unresolved. Any PencilError inside a
     trace (a non-definite B or a non-finite value, say) fails only that box.
+    Retries stop early when every failed side lies on the domain boundary,
+    where no move of the inner lines can reach it (a 1x1 grid has no inner
+    lines at all); a box that fails with no failed side is always retried.
     Boxes still failing at the last attempt are reported with status
-    "unresolved", no pairs, and the cause as message. A 1x1 grid has no
-    inner lines to move, so it is traced once.
+    "unresolved", no pairs, and the cause as message.
 
     Each box is traced as its four sides (see continuation.trace_loop), and
     an attempt traces each side of the grid once: the boxes share one dict
@@ -310,20 +331,20 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
     seed = read_seed(seed, "seed")
     xs, ys = grid.lines()
     cells = [(r, c) for r in range(grid.rows) for c in range(grid.cols)]
-    attempts = _SWEEP_ATTEMPTS if grid.rows > 1 or grid.cols > 1 else 1
     bands = max(1, min(workers, grid.rows))  # band k starts at row rows * k // bands
     cuts = [grid.cols * (grid.rows * k // bands) for k in range(bands + 1)]
     with ProcessPoolExecutor(max_workers=bands) if bands > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
-        for attempt in range(attempts):
+        for attempt in range(_SWEEP_ATTEMPTS):
             sx, sy = _retry_shift(seed, attempt, grid.dx, grid.dy)
             mx = [xs[0], *(x + sx for x in xs[1:-1]), xs[-1]]
             my = [ys[0], *(y + sy for y in ys[1:-1]), ys[-1]]
             rects = [(mx[r], mx[r + 1], my[c], my[c + 1]) for r, c in cells]
             tasks = [rects[a:b] for a, b in zip(cuts, cuts[1:])]
-            done = run(_trace_boxes, [pencil] * bands, tasks)
-            outcomes = [outcome for band in done for outcome in band]
-            if all(pairs is not None for pairs, _, _ in outcomes):
+            done = list(run(_trace_boxes, [pencil] * bands, tasks))
+            outcomes = [outcome for band, _ in done for outcome in band]
+            failed = {path: cause for _, band in done for path, cause in band.items()}
+            if not _retry_can_move(outcomes, failed, xs, ys):
                 break
     boxes = [
         BoxResult(
@@ -469,36 +490,23 @@ def _model_roots(pencil, traces: dict, pair: int) -> list:
     return roots
 
 
-def _pair_terms(pencil, W, x: float, y: float) -> tuple[float, float]:
-    """(ah, bh) of the 2x2 pencil (W.T A W, W.T B W) at (x, y).
-
-    Raises
-    ------
-    PencilError
-        When the evaluation fails or gives a non-finite A or B.
-    """
-    A, B = _eval_at(pencil, x, y)
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise NonFiniteInput(f"non-finite A or B at (x, y) = ({x:.12g}, {y:.12g})")
-    a = W.T @ A @ W
-    b = W.T @ B @ W
-    ah, bh, _, _ = _pencil2x2_terms(
-        float(a[0, 0]), 0.5 * float(a[0, 1] + a[1, 0]), float(a[1, 1]),
-        float(b[0, 0]), 0.5 * float(b[0, 1] + b[1, 0]), float(b[1, 1]),
-    )
-    return ah, bh
-
-
 def _newton_root(pencil, W, xy) -> tuple[float, float] | None:
-    """Newton's root of _pair_terms from xy, or None (see _model_roots)."""
+    """Newton's root of the pair's (ah, bh) from xy, or None (see _model_roots)."""
+
+    def terms(x, y):
+        A, B = evaluate(pencil, x, y)
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            raise NonFiniteInput(f"non-finite A or B at (x, y) = ({x:.12g}, {y:.12g})")
+        return pair_terms(A, B, W)
+
     x, y = xy
     try:
         for _ in range(_NEWTON_STEPS):
-            f, g = _pair_terms(pencil, W, x, y)
+            f, g = terms(x, y)
             sx = _FD_STEP * max(1.0, abs(x))
             sy = _FD_STEP * max(1.0, abs(y))
-            fx, gx = _pair_terms(pencil, W, x + sx, y)
-            fy, gy = _pair_terms(pencil, W, x, y + sy)
+            fx, gx = terms(x + sx, y)
+            fy, gy = terms(x, y + sy)
             j11, j21, j12, j22 = (fx - f) / sx, (gx - g) / sx, (fy - f) / sy, (gy - g) / sy
             det = j11 * j22 - j12 * j21
             if not (math.isfinite(det) and det != 0.0):

@@ -29,6 +29,7 @@ __all__ = [
     "sqrt_derivative",
     "gen_eig_ordered",
     "eig2x2_pencil",
+    "pair_terms",
 ]
 
 _EPS = np.finfo(float).eps
@@ -209,6 +210,26 @@ def eig2x2_pencil(
     mu1 = (-bh * dt + disc) / denom
     mu2 = (-bh * dt - disc) / denom
     return mu1, mu2, mu1 + shift, mu2 + shift
+
+
+def pair_terms(A: np.ndarray, B: np.ndarray, W: np.ndarray) -> tuple[float, float]:
+    """(ah, bh) of :func:`eig2x2_pencil` for the 2x2 pencil (W.T A W, W.T B W).
+
+    With W two eigenvector columns of a pair, this is the pair's model: its
+    eigenvalues coincide exactly where ah = bh = 0.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If W.T B W is not positive definite.
+    """
+    a = W.T @ A @ W
+    b = W.T @ B @ W
+    ah, bh, _, _ = _pencil2x2_terms(
+        float(a[0, 0]), 0.5 * float(a[0, 1] + a[1, 0]), float(a[1, 1]),
+        float(b[0, 0]), 0.5 * float(b[0, 1] + b[1, 0]), float(b[1, 1]),
+    )
+    return ah, bh
 
 
 def _pencil2x2_terms(

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandwidthOutOfRange, DispersionOutOfRange, SpectrumOverlap
+from .errors import (
+    BandwidthOutOfRange, DispersionOutOfRange, EvaluationFailed, PencilError, SpectrumOverlap,
+)
 from .fields import (
     read_array, read_bandwidth, read_int, read_json, read_kind, read_number, read_seed, write_json,
 )
@@ -32,6 +34,7 @@ __all__ = [
     "SGPlusPencil",
     "AnalyticCIPencil",
     "EmbeddedPencil",
+    "evaluate",
     "sgplus_generate",
     "sgplus_pencil",
     "analytic_ci_pencil",
@@ -66,6 +69,23 @@ class ParametricPencil:
 
     def descriptor(self) -> dict:
         raise NotImplementedError
+
+
+def evaluate(pencil, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """A and B of pencil at (x, y).
+
+    Any exception from the pencil's own eval that is not a PencilError is
+    raised again as EvaluationFailed, so a bad evaluation fails one trace
+    like any other PencilError.
+    """
+    try:
+        return pencil.eval(x, y)
+    except PencilError:
+        raise
+    except Exception as exc:
+        raise EvaluationFailed(
+            f"{type(exc).__name__}: {exc} at (x, y) = ({x:.12g}, {y:.12g})"
+        ) from exc
 
 
 def dispersion_bound(n: int) -> float:
@@ -370,6 +390,8 @@ class BoxPerimeter(Path):
     closed = True
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x0, self.y0, self.x1, self.y1))):
+            raise ValueError("box corners must be finite")
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError("box sides must be positive")
 
@@ -400,6 +422,12 @@ class CirclePath(Path):
     cy: float
     radius: float
     closed = True
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.cx, self.cy, self.radius))):
+            raise ValueError("circle center and radius must be finite")
+        if self.radius <= 0:
+            raise ValueError("radius must be positive")
 
     def point(self, t: float) -> tuple[float, float]:
         theta = 2.0 * np.pi * (t % 1.0)
@@ -433,8 +461,6 @@ def box_perimeter(x0: float, y0: float, side_x: float, side_y: float) -> BoxPeri
 
 def circle(cx: float, cy: float, radius: float) -> CirclePath:
     """Closed counterclockwise circle of given center and radius."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     return CirclePath(cx=cx, cy=cy, radius=radius)
 
 

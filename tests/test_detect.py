@@ -26,7 +26,9 @@ from pencilci.census import cell_seed
 from pencilci.continuation import trace_loop
 from pencilci.errors import OddSignCount, RefinementInconsistent
 from pencilci.linalg import spd_sqrt, symmetrize
-from pencilci.pencil import BoxPerimeter, analytic_ci_pencil, sgplus_generate, sgplus_pencil
+from pencilci.pencil import (
+    BoxPerimeter, analytic_ci_pencil, segment, sgplus_generate, sgplus_pencil,
+)
 
 
 def test_decode_signature_examples():
@@ -168,7 +170,9 @@ def test_sweep_retry_counts_each_intersection_once(seed, c):
 
 def test_sweep_retry_keeps_the_domain_boundary():
     # (0, 0) is on the side x = 0 of the domain: moving inner lines cannot
-    # take it off that side, so its box stays unresolved and says why
+    # take it off that side, so its box stays unresolved and says why. It is
+    # also on the inner line y = 0 at first, so one retry moves that line
+    # away, and then only the boundary side fails and retries stop
     grid = GridSpec(rows=2, cols=4, x_range=(0.0, 1.0), y_range=(-1.0, 1.0))
     sw = sweep_grid(analytic_ci_pencil(0.0), grid, seed=0)
     rects = {(b.row, b.col): sw.rect_of(b) for b in sw.boxes}
@@ -178,8 +182,28 @@ def test_sweep_retry_keeps_the_domain_boundary():
     assert xs == sorted(set(xs)) and ys == sorted(set(ys))
     for (r, c), rect in rects.items():
         assert rect == (xs[r], xs[r + 1], ys[c], ys[c + 1])
-    assert [(b.row, b.col, b.attempts) for b in sw.unresolved] == [(0, 2, 4)]
+    assert [(b.row, b.col, b.attempts) for b in sw.unresolved] == [(0, 2, 2)]
     assert sw.unresolved[0].message.startswith("StepUnderflow")
+
+
+def test_sweep_retries_only_what_a_move_can_reach():
+    xs, ys = [0.0, 0.5, 1.0], [-1.0, 0.0, 1.0]
+    cause = "StepUnderflow: ... on a side"
+    failed_box = [(None, cause, {})]
+    boundary = [
+        segment((0.0, -1.0), (0.5, -1.0)),  # +x at y = -1
+        segment((0.5, 1.0), (1.0, 1.0)),  # +x at y = 1
+        segment((0.0, -1.0), (0.0, 0.0)),  # +y at x = 0
+        segment((1.0, 0.0), (1.0, 1.0)),  # +y at x = 1
+    ]
+    for side in boundary:
+        assert not detect._retry_can_move(failed_box, {side: cause}, xs, ys)
+    for side in (segment((0.0, 0.0), (0.5, 0.0)), segment((0.5, -1.0), (0.5, 0.0))):
+        assert detect._retry_can_move(failed_box, {boundary[0]: cause, side: cause}, xs, ys)
+    # a box that fails with every side clean (an odd count) is retried
+    odd = [(None, "signature has an odd number of -1 entries", {})]
+    assert detect._retry_can_move(odd, {}, xs, ys)
+    assert not detect._retry_can_move([((1,), "", {})], {}, xs, ys)
 
 
 def test_sweep_worker_count_does_not_change_result():

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import pathlib
 
 import pytest
@@ -36,3 +37,39 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_reads_every_name_it_imports(module):
     assert _unused_imports(SRC / module) == []
+
+
+def _private_imports(path: pathlib.Path) -> list[str]:
+    """Private names that the module at path imports from another module of the package.
+
+    A private name (one underscore, not a dunder) belongs to its module:
+    another module that needs it should reach it through a public name.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{alias.name} from .{node.module or ''} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_imports_no_private_name(module):
+    assert _private_imports(SRC / module) == []
+
+
+def test_package_exports_each_module_surface():
+    import pencilci
+    from pencilci import census, continuation, detect, errors, linalg, pencil
+
+    modules = {name for name, value in vars(pencilci).items() if inspect.ismodule(value)}
+    declared = {
+        name for module in (census, continuation, detect, linalg, pencil) for name in module.__all__
+    }
+    error_classes = {
+        name for name, value in vars(errors).items()
+        if inspect.isclass(value) and not name.startswith("_")
+    }
+    assert set(pencilci.__all__) - modules == declared | error_classes

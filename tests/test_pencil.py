@@ -10,16 +10,19 @@ from hypothesis import strategies as st
 from pencilci.errors import (
     BandwidthOutOfRange,
     DispersionOutOfRange,
+    EvaluationFailed,
     NotPositiveDefinite,
     SpectrumOverlap,
 )
 from pencilci.linalg import gen_eig_ordered, symmetrize
 from pencilci.pencil import (
+    BoxPerimeter,
     analytic_ci_pencil,
     box_perimeter,
     circle,
     dispersion_bound,
     embed_2x2,
+    evaluate,
     load_pencil,
     pencil_from_descriptor,
     save_pencil,
@@ -240,8 +243,43 @@ def test_segment_path():
     assert s.point(0.5) == (1.0, 0.0)
 
 
+class _RaisingPencil:
+    n = 2
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def eval(self, x, y):
+        raise self.exc
+
+
+def test_evaluate_wraps_foreign_errors_only():
+    pen = analytic_ci_pencil(0.1)
+    A, B = evaluate(pen, 0.25, -0.5)
+    A_ref, B_ref = pen.eval(0.25, -0.5)
+    assert np.array_equal(A, A_ref) and np.array_equal(B, B_ref)
+    own = NotPositiveDefinite("B is not positive definite")
+    with pytest.raises(NotPositiveDefinite) as info:
+        evaluate(_RaisingPencil(own), 0.0, 0.0)
+    assert info.value is own
+    foreign = ZeroDivisionError("division by zero")
+    message = r"^ZeroDivisionError: division by zero at \(x, y\) = \(0\.25, -0\.5\)$"
+    with pytest.raises(EvaluationFailed, match=message) as info:
+        evaluate(_RaisingPencil(foreign), 0.25, -0.5)
+    assert info.value.__cause__ is foreign
+
+
 def test_path_factory_validation():
     with pytest.raises(ValueError):
         box_perimeter(0.0, 0.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         circle(0.0, 0.0, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((0.0, 0.0, bad), (bad, 0.0, 1.0), (0.0, bad, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                circle(*args)
+        for k in range(4):
+            corners = [0.0, 0.0, 1.0, 1.0]
+            corners[k] = bad
+            with pytest.raises(ValueError, match="finite"):
+                BoxPerimeter(*corners)
