@@ -280,7 +280,6 @@ def predict(
     state: EigenPoint,
     A_next: np.ndarray,
     B_next: np.ndarray,
-    h: float,
     clusters: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euler predictors for the decomposition at the next parameter value.
@@ -643,7 +642,7 @@ def _trace(pencil, path, start: EigenPoint, h_max: float) -> tuple[TraceResult, 
             continue
         # fmin, not minimum: a NaN gap at one end must not hide the other end's link
         clusters = _clusters(np.fmin(state.gaps, gaps) < CLUSTER_GAP)
-        lam_pred, V_pred = predict(state, A_next, B_next, h_try, clusters)
+        lam_pred, V_pred = predict(state, A_next, B_next, clusters)
         BV_pred = B_next @ V_pred
         if clusters is None:
             V_corr, _, min_overlap = sign_correct(ep.vectors, BV_pred)

@@ -24,7 +24,7 @@ from .continuation import trace_loop
 from .errors import (
     LoopUnresolvable, NonFiniteInput, OddSignCount, PencilError, RefinementInconsistent,
 )
-from .fields import read_seed, write_csv, write_json
+from .fields import read_int, read_seed, write_csv, write_json
 from .linalg import pair_terms
 from .pencil import BoxPerimeter, evaluate
 
@@ -34,7 +34,6 @@ __all__ = [
     "SweepResult",
     "CIEstimate",
     "decode_signature",
-    "signature_from_counts",
     "sweep_grid",
     "refine_box",
     "write_ci_csv",
@@ -86,26 +85,6 @@ def decode_signature(D: np.ndarray) -> tuple[int, ...]:
     return tuple(flagged)
 
 
-def signature_from_counts(counts) -> np.ndarray:
-    """Sign signature of a loop enclosing d_i coalescences of each pair.
-
-    counts has length n-1; entry d_i (1-based pair i) is the number of
-    enclosed coalescences between eigenvalues i and i+1. The signature is
-    D_1 = (-1)^{d_1}, D_i = (-1)^{d_{i-1} + d_i}, D_n = (-1)^{d_{n-1}}, so
-    decode_signature recovers exactly the pairs with odd d_i.
-    """
-    d = np.asarray(counts, dtype=int)
-    if d.ndim != 1 or d.size < 1:
-        raise ValueError("counts must be a 1-D sequence with at least one entry")
-    if np.any(d < 0):
-        raise ValueError("counts must be non-negative")
-    n = d.size + 1
-    exponents = np.zeros(n, dtype=int)
-    exponents[:-1] += d
-    exponents[1:] += d
-    return np.where(exponents % 2 == 0, 1, -1).astype(int)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform box grid over [x0, x1] x [y0, y1].
@@ -121,8 +100,8 @@ class GridSpec:
     y_range: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid needs at least one row and one column")
+        read_int(self.rows, "rows", minimum=1)
+        read_int(self.cols, "cols", minimum=1)
         if not all(math.isfinite(v) for v in (*self.x_range, *self.y_range)):
             raise ValueError("ranges must be finite")
         if not (self.x_range[0] < self.x_range[1] and self.y_range[0] < self.y_range[1]):

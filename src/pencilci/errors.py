@@ -21,14 +21,6 @@ class EvaluationFailed(PencilError):
     """
 
 
-class SeriesDiverged(PencilError):
-    """Square-root series terms stopped contracting.
-
-    Raised when the scaling precondition gamma > ||B|| is violated, or when
-    term norms fail to decrease monotonically after the third term.
-    """
-
-
 class DispersionOutOfRange(PencilError, ValueError):
     """Ensemble dispersion outside the open interval (0, sqrt((n+1)/(n+5)))."""
 

@@ -45,7 +45,6 @@ __all__ = [
     "BoxPerimeter",
     "CirclePath",
     "SegmentPath",
-    "box_perimeter",
     "circle",
     "segment",
     "pencil_from_descriptor",
@@ -448,15 +447,14 @@ class SegmentPath(Path):
     y1: float
     closed = False
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.x0, self.y0, self.x1, self.y1))):
+            raise ValueError("segment ends must be finite")
+
     def point(self, t: float) -> tuple[float, float]:
         if t == 1.0:
             return (self.x1, self.y1)
         return (self.x0 + t * (self.x1 - self.x0), self.y0 + t * (self.y1 - self.y0))
-
-
-def box_perimeter(x0: float, y0: float, side_x: float, side_y: float) -> BoxPerimeter:
-    """Closed counterclockwise perimeter of [x0, x0+side_x] x [y0, y0+side_y]."""
-    return BoxPerimeter(x0=x0, y0=y0, x1=x0 + side_x, y1=y0 + side_y)
 
 
 def circle(cx: float, cy: float, radius: float) -> CirclePath:

@@ -11,17 +11,12 @@ import time
 import numpy as np
 
 from conftest import rand_spd, rand_sym
+from oracles import signature_from_counts, spd_sqrt, spd_sqrt_series, sqrt_derivative
 from pencilci.census import ExperimentSpec, fit_power_law, run_census, write_report
 from pencilci.continuation import init_decomposition, predict, trace, trace_loop
-from pencilci.detect import GridSpec, decode_signature, refine_box, signature_from_counts, sweep_grid
+from pencilci.detect import GridSpec, decode_signature, refine_box, sweep_grid
 from pencilci.errors import LoopUnresolvable
-from pencilci.linalg import (
-    eig2x2_pencil,
-    gen_eig_ordered,
-    spd_sqrt,
-    spd_sqrt_series,
-    sqrt_derivative,
-)
+from pencilci.linalg import eig2x2_pencil, gen_eig_ordered
 from pencilci.pencil import (
     analytic_ci_pencil,
     circle,
@@ -242,7 +237,7 @@ def test_criterion_7_predictor_order():
     for k in range(4):
         h = 0.04 / 2**k
         A_next, B_next = pencil.eval(*path.point(t0 + h))
-        lam_pred, V_pred = predict(state, A_next, B_next, h)
+        lam_pred, V_pred = predict(state, A_next, B_next)
         exact = init_decomposition(pencil, path, t0 + h)
         errs_l.append(float(np.max(np.abs(exact.lam - lam_pred))))
         s = np.sign(np.diag(V_pred.T @ B_next @ exact.V))

@@ -16,8 +16,8 @@ from pencilci.cli import _build_parser, _parse_loop, main
 import pencilci.continuation as continuation
 from pencilci.continuation import trace, trace_loop
 from pencilci.pencil import (
+    BoxPerimeter,
     analytic_ci_pencil,
-    box_perimeter,
     circle,
     load_pencil,
     save_pencil,
@@ -187,7 +187,7 @@ def test_trace_box_writes_one_trace_from_0_to_1(tmp_path):
         assert float(row["h"]) == pytest.approx(float(row["t"]) - prev, rel=1e-12, abs=0.0)
     with open(tmp_path / "signature.json") as fh:
         sig = json.load(fh)
-    loop = trace_loop(load_pencil(tmp_path / "pencil.json"), box_perimeter(0.0, 0.0, 1.0, 1.0))
+    loop = trace_loop(load_pencil(tmp_path / "pencil.json"), BoxPerimeter(0.0, 0.0, 1.0, 1.0))
     assert sig["D"] == loop.D.tolist() == [1] * 6 and sig["pairs"] == []
     assert sig["signature_raw"] == loop.signature_raw.tolist()
 
@@ -285,6 +285,24 @@ def test_census_cli(tmp_path, capfd):
         lines = fh.read().splitlines()
     assert len(lines) == 2 and lines[1].endswith(",4,0")
     assert "p = " not in capfd.readouterr().out  # one n: the group has no fit
+
+
+def test_census_no_resume_reruns_valid_cells(tmp_path):
+    spec = ExperimentSpec(n_list=(4,), rows=1, cols=1)
+    spec_path = tmp_path / "spec.json"
+    spec.to_json(spec_path)
+    out = tmp_path / "census"
+    argv = ("census", "--spec", spec_path, "--workers", 1, "--out-dir", out)
+    assert run(*argv) == 0
+    (cell_path,) = (out / "cells").glob("*.json")
+    # wall_time is not part of a cell's validity, so the edited file stays valid
+    cell = json.loads(cell_path.read_text())
+    cell["wall_time"] = -1
+    cell_path.write_text(json.dumps(cell))
+    assert run(*argv) == 0
+    assert json.loads(cell_path.read_text())["wall_time"] == -1
+    assert run(*argv, "--no-resume") == 0
+    assert json.loads(cell_path.read_text())["wall_time"] >= 0
 
 
 def _cli_error_line(*argv):

@@ -22,12 +22,12 @@ from pencilci.continuation import (
 )
 from pencilci.detect import GridSpec, sweep_grid
 from pencilci.errors import DegenerateStart, GapTooSmall, LoopUnresolvable, TripleDegeneracy
-from pencilci.linalg import gen_eig_ordered, symmetrize
+from pencilci.linalg import gen_eig_ordered
 from pencilci.pencil import (
+    BoxPerimeter,
     ParametricPencil,
     Path,
     analytic_ci_pencil,
-    box_perimeter,
     circle,
     embed_2x2,
     segment,
@@ -36,6 +36,7 @@ from pencilci.pencil import (
 )
 
 from conftest import rand_spd
+from oracles import symmetrize
 
 
 def _sg_pencil(n=6, seed=2024):
@@ -82,7 +83,7 @@ def test_predict_local_orders():
         h = 0.04 / 2**k
         x, y = path.point(0.2 + h)
         A, B = pen.eval(x, y)
-        lam_pred, V_pred = predict(state, A, B, h)
+        lam_pred, V_pred = predict(state, A, B)
         ref = gen_eig_ordered(A, B)
         V_ref, _, _ = sign_correct(ref.vectors, B @ V_pred)
         lam_errs.append(np.linalg.norm(lam_pred - ref.values))
@@ -132,7 +133,7 @@ def test_predict_is_bitwise_the_documented_formula(n, labels):
     clusters = None if labels is None else labels(n)
     for h in (0.05, 0.01):
         A, B = pen.eval(*path.point(0.2 + h))
-        lam_pred, V_pred = predict(state, A, B, h, clusters)
+        lam_pred, V_pred = predict(state, A, B, clusters)
         lam_ref, V_ref = _documented_predict(state, A, B, clusters)
         assert np.array_equal(lam_pred, lam_ref) and np.array_equal(V_pred, V_ref)
 
@@ -144,9 +145,9 @@ def test_predict_drops_only_the_in_cluster_rotation():
     path = segment((0.3, 0.9), (1.1, 1.7))
     state = init_decomposition(pen, path, 0.2)
     A, B = pen.eval(*path.point(0.25))
-    lam_ref, V_ref = predict(state, A, B, 0.05)
+    lam_ref, V_ref = predict(state, A, B)
     clusters = np.array([0, 1, 1, 2, 3, 3, 3, 4])  # columns 1..2 and 4..6
-    lam_pred, V_pred = predict(state, A, B, 0.05, clusters)
+    lam_pred, V_pred = predict(state, A, B, clusters)
     assert np.array_equal(lam_pred, lam_ref)
     # V_pred = V (I + P + H), so V^-1 (V_ref - V_pred) is the part of H dropped
     dropped = np.linalg.solve(state.V, V_ref - V_pred)
@@ -171,7 +172,7 @@ def test_predict_rejects_tiny_gap():
     lam = np.array([1.0, 1.0 - 1e-16])
     state = EigenPoint(t=0.0, V=np.eye(2), lam=lam, gaps=continuation._rel_gaps(lam))
     with pytest.raises(GapTooSmall):
-        predict(state, np.eye(2), np.eye(2), 0.1)
+        predict(state, np.eye(2), np.eye(2))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -353,7 +354,7 @@ def test_probe_shortens_a_first_step_it_expects_rejected(monkeypatch, rho, facto
     trace(_sg_pencil(), segment((0.0, 0.0), (1.0, 1.0)))
     assert steps[0] == pytest.approx(continuation.H_MAX_FRAC * factor)
     steps.clear()
-    trace_loop(_sg_pencil(), box_perimeter(0.3, 0.9, 0.8, 0.8))
+    trace_loop(_sg_pencil(), BoxPerimeter(0.3, 0.9, 0.3 + 0.8, 0.9 + 0.8))
     assert steps[0] == pytest.approx(4 * continuation.H_MAX_FRAC * factor)
 
 
@@ -366,7 +367,7 @@ def test_loop_signature_shapes_around_origin():
     )
     for loop in (
         circle(0.0, 0.0, 1.0),
-        box_perimeter(-0.6, -0.7, 1.3, 1.2),
+        BoxPerimeter(-0.6, -0.7, -0.6 + 1.3, -0.7 + 1.2),
         ellipse,
     ):
         res = trace_loop(pen, loop)
@@ -380,7 +381,7 @@ def test_small_loop_around_intersection_is_capped_by_rotation_not_size(side):
     # the pair turns by pi around any loop enclosing the intersection, so the
     # step count does not shrink with the loop: the cap of 1/8 of the loop
     # sets it, and no step turns the pair past the rotation cap
-    loop = box_perimeter(-side / 2, -side / 3, side, side)
+    loop = BoxPerimeter(-side / 2, -side / 3, -side / 2 + side, -side / 3 + side)
     res = trace_loop(analytic_ci_pencil(0.0), loop)
     assert res.D.tolist() == [-1, -1]
     assert res.step_stats["eigensolves"] <= 12
@@ -404,10 +405,10 @@ def test_loop_through_coalescence_unresolvable():
     pen = analytic_ci_pencil(0.0)
     # coalescence on the starting corner
     with pytest.raises(LoopUnresolvable):
-        trace_loop(pen, box_perimeter(0.0, 0.0, 1.0, 1.0))
+        trace_loop(pen, BoxPerimeter(0.0, 0.0, 1.0, 1.0))
     # coalescence mid-edge
     with pytest.raises(LoopUnresolvable):
-        trace_loop(pen, box_perimeter(-0.3, 0.0, 1.0, 1.0))
+        trace_loop(pen, BoxPerimeter(-0.3, 0.0, -0.3 + 1.0, 1.0))
 
 
 def _assert_decompositions(pen, loop, res):
@@ -432,11 +433,11 @@ def test_veering_near_miss_keeps_signature():
     for pen, pair in pencils:
         n = pen.n
         in_pair = np.isin(np.arange(1, n + 1), (pair, pair + 1))
-        outside_loop = box_perimeter(5e-11, -0.5, 1.0, 1.0)
+        outside_loop = BoxPerimeter(5e-11, -0.5, 5e-11 + 1.0, -0.5 + 1.0)
         outside = trace_loop(pen, outside_loop)
         assert outside.D.tolist() == [1] * n
         assert outside.step_stats["veering_events"] >= 1
-        inside_loop = box_perimeter(-1.0 + 5e-11, -0.5, 1.0, 1.0)
+        inside_loop = BoxPerimeter(-1.0 + 5e-11, -0.5, -1.0 + 5e-11 + 1.0, -0.5 + 1.0)
         inside = trace_loop(pen, inside_loop)
         assert inside.D.tolist() == np.where(in_pair, -1, 1).tolist()
         assert inside.step_stats["veering_events"] >= 1
@@ -533,7 +534,7 @@ def _assert_one_eval_per_solve_and_probe(counts):
 def test_eigensolve_accounting_without_veering(monkeypatch):
     # each eigensolve is the start, an accepted step or a rejected step
     res, counts = _count_eigensolves(
-        monkeypatch, _sg_pencil(), box_perimeter(0.3, 0.9, 1.6, 1.6)
+        monkeypatch, _sg_pencil(), BoxPerimeter(0.3, 0.9, 0.3 + 1.6, 0.9 + 1.6)
     )
     stats = res.step_stats
     assert stats["veering_events"] == 0 and counts["entries"] == 0
@@ -558,7 +559,7 @@ def test_near_miss_steps_the_close_pair_as_a_cluster(monkeypatch, miss):
     pen = embed_2x2(analytic_ci_pencil(0.1), 5, 2, (9.0, -7.0, -8.0))
     cx, cy = pen.inner.ci_location()
     for x0, D in ((cx + miss, [1] * 5), (cx - 1.0 + miss, [1, -1, -1, 1, 1])):
-        loop = box_perimeter(x0, cy - 0.5, 1.0, 1.0)
+        loop = BoxPerimeter(x0, cy - 0.5, x0 + 1.0, cy - 0.5 + 1.0)
         with monkeypatch.context() as m:
             m.setattr(continuation, "CLUSTER_GAP", 0.0)
             plain, plain_counts = _count_eigensolves(m, pen, loop)
@@ -582,7 +583,7 @@ def test_eigensolve_accounting_with_veering(monkeypatch):
     # the 5e-11 near miss of test_veering_near_miss_keeps_signature: veering
     # entries and substeps account for the solves that are not predictor steps
     res, counts = _count_eigensolves(
-        monkeypatch, analytic_ci_pencil(0.0), box_perimeter(5e-11, -0.5, 1.0, 1.0)
+        monkeypatch, analytic_ci_pencil(0.0), BoxPerimeter(5e-11, -0.5, 5e-11 + 1.0, -0.5 + 1.0)
     )
     stats = res.step_stats
     assert counts["entries"] == stats["veering_events"] >= 1

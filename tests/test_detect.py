@@ -17,7 +17,6 @@ from pencilci.detect import (
     GridSpec,
     decode_signature,
     refine_box,
-    signature_from_counts,
     sweep_grid,
     write_ci_csv,
     write_sweep_summary,
@@ -25,10 +24,11 @@ from pencilci.detect import (
 from pencilci.census import cell_seed
 from pencilci.continuation import trace_loop
 from pencilci.errors import OddSignCount, RefinementInconsistent
-from pencilci.linalg import spd_sqrt, symmetrize
 from pencilci.pencil import (
     BoxPerimeter, analytic_ci_pencil, segment, sgplus_generate, sgplus_pencil,
 )
+
+from oracles import signature_from_counts, spd_sqrt, symmetrize
 
 
 def test_decode_signature_examples():
@@ -82,6 +82,10 @@ def test_grid_spec_boxes():
     assert g.box(3, 7) == (1.5, 2.0, 0.75, 1.0)
     with pytest.raises(ValueError):
         GridSpec(rows=0, cols=1)
+    # a count must be an integer: a fraction or a bool is refused, not truncated
+    for rows, cols in ((2.5, 2), (2, 2.0), (True, 2), (2, False), ("2", 2), (2, 0)):
+        with pytest.raises(ValueError, match="rows|cols"):
+            GridSpec(rows, cols)
     with pytest.raises(ValueError):
         GridSpec(rows=1, cols=1, x_range=(1.0, 0.0))
     for bad in ((0.0, math.inf), (-math.inf, 0.0)):

@@ -1,10 +1,12 @@
 import ast
 import inspect
 import pathlib
+import re
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pencilci"
+README = SRC.parent.parent / "README.md"
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:
@@ -73,3 +75,21 @@ def test_package_exports_each_module_surface():
         if inspect.isclass(value) and not name.startswith("_")
     }
     assert set(pencilci.__all__) - modules == declared | error_classes
+
+
+def test_every_exported_name_is_used_or_documented():
+    """The package exports only what its own modules read or the README names.
+
+    A name is read when some module of the package uses it as a name in its
+    code; naming it in __all__ or defining it does not count. An exported name
+    that no module reads and the README does not name is a helper that the
+    pipeline never calls.
+    """
+    import pencilci
+
+    read = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named = set(re.findall(r"\w+", README.read_text(encoding="utf-8")))
+    assert sorted(set(pencilci.__all__) - read - named) == []

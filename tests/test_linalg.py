@@ -6,17 +6,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilci.errors import NonFiniteInput, NotPositiveDefinite, SeriesDiverged
-from pencilci.linalg import (
-    eig2x2_pencil,
-    gen_eig_ordered,
-    spd_sqrt,
-    spd_sqrt_series,
-    sqrt_derivative,
-    symmetrize,
-)
+from pencilci.errors import NonFiniteInput, NotPositiveDefinite
+from pencilci.linalg import eig2x2_pencil, gen_eig_ordered
 
 from conftest import rand_spd, rand_sym
+from oracles import SeriesDiverged, spd_sqrt, spd_sqrt_series, sqrt_derivative, symmetrize
 
 
 @given(st.integers(0, 2**32 - 1))

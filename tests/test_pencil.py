@@ -14,11 +14,10 @@ from pencilci.errors import (
     NotPositiveDefinite,
     SpectrumOverlap,
 )
-from pencilci.linalg import gen_eig_ordered, symmetrize
+from pencilci.linalg import gen_eig_ordered
 from pencilci.pencil import (
     BoxPerimeter,
     analytic_ci_pencil,
-    box_perimeter,
     circle,
     dispersion_bound,
     embed_2x2,
@@ -30,6 +29,8 @@ from pencilci.pencil import (
     sgplus_generate,
     sgplus_pencil,
 )
+
+from oracles import symmetrize
 
 
 def test_sgplus_deterministic():
@@ -206,7 +207,7 @@ def test_unknown_descriptor_kind():
 
 
 def test_box_perimeter_corners_exact():
-    p = box_perimeter(-1.0, 2.0, 3.0, 4.0)
+    p = BoxPerimeter(-1.0, 2.0, 2.0, 6.0)
     assert p.closed
     assert p.point(0.0) == (-1.0, 2.0)
     assert p.point(0.25) == (2.0, 2.0)
@@ -226,7 +227,7 @@ def test_circle_closure_exact():
 
 def test_paths_counterclockwise():
     # positive shoelace area for both closed path kinds
-    for path in (box_perimeter(0.0, 0.0, 1.0, 2.0), circle(0.0, 0.0, 1.0)):
+    for path in (BoxPerimeter(0.0, 0.0, 1.0, 2.0), circle(0.0, 0.0, 1.0)):
         ts = np.linspace(0.0, 1.0, 201)
         pts = np.array([path.point(t) for t in ts])
         area = 0.5 * np.sum(
@@ -271,7 +272,7 @@ def test_evaluate_wraps_foreign_errors_only():
 
 def test_path_factory_validation():
     with pytest.raises(ValueError):
-        box_perimeter(0.0, 0.0, -1.0, 1.0)
+        BoxPerimeter(0.0, 0.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         circle(0.0, 0.0, 0.0)
     for bad in (math.nan, math.inf, -math.inf):
@@ -283,3 +284,5 @@ def test_path_factory_validation():
             corners[k] = bad
             with pytest.raises(ValueError, match="finite"):
                 BoxPerimeter(*corners)
+            with pytest.raises(ValueError, match="finite"):
+                segment(corners[:2], corners[2:])
