@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -227,21 +226,12 @@ def _off_diagonal(n: int) -> np.ndarray:
     return mask
 
 
-def _canonical_signs(V: np.ndarray) -> np.ndarray:
-    """Flip columns so each column's largest-magnitude entry is positive."""
-    idx = np.argmax(np.abs(V), axis=0)
-    s = np.sign(V[idx, np.arange(V.shape[1])])
-    s[s == 0] = 1.0
-    return V * s
-
-
 def init_decomposition(pencil, path, t: float) -> EigenPoint:
     """Ordered decomposition at a path parameter, with deterministic signs.
 
-    Column signs are canonicalized (largest-magnitude entry positive) so the
-    anchor does not depend on solver sign conventions. Every trace starts
-    from this point at t = 0: :func:`trace` and each piece of
-    :func:`trace_loop` whose start no earlier piece has reached.
+    One pencil evaluation and one solve, signed by :func:`_anchor`: the one
+    start solve of :func:`trace`, and of a :func:`trace_loop` box, at its
+    start corner.
 
     Raises
     ------
@@ -253,27 +243,31 @@ def init_decomposition(pencil, path, t: float) -> EigenPoint:
     """
     A, B = evaluate(pencil, *path.point(t))
     ep = gen_eig_ordered(A, B)
-    return _anchor(EigenPoint(t=t, V=ep.vectors, lam=ep.values, gaps=_rel_gaps(ep.values)))
+    return _anchor(ep.vectors, ep.values, _rel_gaps(ep.values), t, t)
 
 
-def _anchor(point: EigenPoint) -> EigenPoint:
-    """A solved point as a trace start: canonical column signs, no step record.
+def _anchor(V, lam, gaps, solved_at: float, t: float = 0.0) -> EigenPoint:
+    """The point solved at path parameter solved_at as a trace start at t.
 
-    The signs depend only on the solve, so the end point of a trace, whatever
-    signs the trace gave it, anchors bitwise as a fresh solve there.
+    Each column is flipped so that its largest-magnitude entry is positive.
+    The signs then depend only on the solve, not on solver conventions or on
+    the signs a trace gave the point, so a trace's end anchors bitwise as a
+    fresh solve there: :func:`trace_loop` pays for a side's end anchor with
+    these signs alone, built at t = 0 of the sides that start there.
 
     Raises
     ------
     DegenerateStart
         If some adjacent relative gap is at or below MIN_REL_GAP.
     """
-    close = np.flatnonzero(point.gaps <= MIN_REL_GAP)
+    close = (gaps <= MIN_REL_GAP).nonzero()[0]
     if close.size:
         raise DegenerateStart(
             f"adjacent eigenvalues of pairs {tuple(int(p) + 1 for p in close)} "
-            f"closer than 10*eps at t = {point.t:.12g}"
+            f"closer than 10*eps at t = {solved_at:.12g}"
         )
-    return EigenPoint(t=point.t, V=_canonical_signs(point.V), lam=point.lam, gaps=point.gaps)
+    peak = V[np.abs(V).argmax(axis=0), np.arange(lam.size)]
+    return EigenPoint(t=t, V=V * np.where(peak < 0.0, -1.0, 1.0), lam=lam, gaps=gaps)
 
 
 def predict(
@@ -625,8 +619,7 @@ def _trace(pencil, path, start: EigenPoint, h_max: float) -> tuple[TraceResult, 
         h *= STEP_SAFETY / math.sqrt(rho)
     points = [state]
     events: list[tuple[float, float, int]] = []
-    eigensolves = clustered = secant_caps = 0
-    rejected = dict.fromkeys(("rejected_rho", "rejected_ambiguous", "rejected_rotation"), 0)
+    eigensolves = clustered = secant_caps = by_rho = ambiguous = rotation = 0
 
     while state.t < 1.0:
         solved = _step(pencil, path, state.t, h)
@@ -671,55 +664,57 @@ def _trace(pencil, path, start: EigenPoint, h_max: float) -> tuple[TraceResult, 
             h = dec.h_new
             if min_overlap < AMBIGUOUS_OVERLAP:
                 h = min(h, h_try / 2.0)
-                cause = "rejected_ambiguous"
+                ambiguous += 1
+            elif dec.rotation_ok:
+                by_rho += 1
             else:
-                cause = "rejected_rho" if dec.rotation_ok else "rejected_rotation"
-            rejected[cause] += 1
+                rotation += 1
         if h < H_MIN_FRAC and state.t < 1.0:
             raise StepUnderflow(
                 f"stepsize {h:.3e} below floor {H_MIN_FRAC:.3e} at t = {state.t:.12g}"
             )
 
     stats = {
-        "eigensolves": eigensolves,
-        "accepted": len(points) - 1,
-        "rejected": sum(rejected.values()),
-        "veering_events": len(events),
-        "clustered": clustered,
-        "secant_caps": secant_caps,
-        **rejected,
+        "eigensolves": eigensolves, "accepted": len(points) - 1,
+        "rejected": by_rho + ambiguous + rotation, "veering_events": len(events),
+        "clustered": clustered, "secant_caps": secant_caps, "rejected_rho": by_rho,
+        "rejected_ambiguous": ambiguous, "rejected_rotation": rotation,
     }
     return TraceResult(points=points, veering_events=events, step_stats=stats), B_state
 
 
-def _pieces(loop) -> list[Path]:
-    """The open paths a closed loop is traced as, in order.
+def _pieces(loop) -> list[tuple[Path, int, int]]:
+    """The open paths a closed loop is traced as, in order, with the loop's
+    corners (indices) at each path's start and end.
 
     A box is its four sides, each a segment in the +x or +y direction from
-    its lower-left end: bottom and left from the box's start corner, then
-    right and top from where bottom and left end. Any other loop is one
-    piece, from t = 0 back to t = 1. Every piece is a trace whose cap, and
-    first step before the probe, is the loop's H_MAX_FRAC in units of the
-    piece; the probe reads only the start anchor and the path, so a side's
-    trace depends only on its two ends.
+    its lower-left end: bottom and left from the box's start corner 0, then
+    right and top from corners 1 and 3, where bottom and left end. Any other
+    loop is one piece, from its corner 0 back to it. Every piece is a trace
+    whose cap, and first step before the probe, is the loop's H_MAX_FRAC in
+    units of the piece; the probe reads only the start anchor and the path,
+    so a side's trace depends only on its two ends.
     """
     if not isinstance(loop, BoxPerimeter):
-        return [loop]
+        return [(loop, 0, 0)]
     corners = ((loop.x0, loop.y0), (loop.x1, loop.y0), (loop.x1, loop.y1), (loop.x0, loop.y1))
     # (start, end): bottom, left, right, top
-    return [segment(corners[a], corners[b]) for a, b in ((0, 1), (0, 3), (1, 2), (3, 2))]
+    return [(segment(corners[a], corners[b]), a, b) for a, b in ((0, 1), (0, 3), (1, 2), (3, 2))]
 
 
 def _piece_signs(anchor: EigenPoint, B: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The diagonal of anchor.V.T B V, for a piece that reached anchor's point with V.
 
-    Raises LoopUnresolvable unless the diagonal is within SIGNATURE_TOL of
-    +-1 and the off-diagonal within SIGNATURE_TOL of 0.
+    The product is formed once; its diagonal is copied out and then zeroed
+    in place, so the rest is the off-diagonal part. Raises LoopUnresolvable
+    unless the diagonal is within SIGNATURE_TOL of +-1 and the off-diagonal
+    within SIGNATURE_TOL of 0.
     """
     M = anchor.V.T @ B @ V
-    d = np.diag(M).copy()
-    off = float(np.max(np.abs(M - np.diag(d)))) if d.size > 1 else 0.0
-    diag_err = float(np.max(np.abs(np.abs(d) - 1.0)))
+    d = M.diagonal().copy()
+    M.flat[:: d.size + 1] = 0.0
+    off = float(np.maximum.reduce(np.abs(M), axis=None))
+    diag_err = float(np.maximum.reduce(np.abs(np.abs(d) - 1.0)))
     if diag_err > SIGNATURE_TOL or off > SIGNATURE_TOL:
         raise LoopUnresolvable(
             f"signature not clean: diagonal within {diag_err:.3e} of +-1, "
@@ -736,29 +731,31 @@ def trace_loop(pencil, loop, sides: dict | None = None, traces: dict | None = No
     canonically signed anchor at its start corner, any other closed loop as
     one piece from its start back to it. Every piece is traced by one rule:
     its first step is its cap, 1/8 of the loop (half a box side), shortened
-    only where the probe of :func:`trace` estimates a rejection; so every
-    piece evaluates the pencil once more than it solves. Each piece's sign
-    vector is the diagonal of V_a.T B V, with V the traced basis at the
-    piece's end and V_a, B the canonically signed anchor there; its entries
-    must sit within SIGNATURE_TOL of +-1 (off-diagonal entries of 0). The
-    loop's signature_raw is the product of its pieces' diagonals, and D, the
-    product of their rounded signs, gives V(1) = V(0) diag(D) around the
-    loop; it must have an even number of -1 entries.
+    only where the probe of :func:`trace` estimates a rejection. Each
+    piece's sign vector is the diagonal of V_a.T B V, with V the traced
+    basis at the piece's end and V_a, B the canonically signed anchor there;
+    its entries must sit within SIGNATURE_TOL of +-1 (off-diagonal entries
+    of 0). The loop's signature_raw is the product of its pieces' diagonals,
+    and D, the product of their rounded signs, gives V(1) = V(0) diag(D)
+    around the loop; it must have an even number of -1 entries.
 
     sides, shared by the loops of a grid, maps each piece's path to its
     diagonal or, if it failed, to the cause; a piece found there is not
     traced again, and a failed one fails this loop with the same cause. A
     side's sign vector depends only on its two ends, so sharing changes no
-    D. The loop's own start corner is solved once, and a side starting at
-    another corner starts from the anchor at the end of the side that led
-    there, which is bitwise a fresh solve there.
+    D. So a box pays for one start solve, at its start corner, and for each
+    side not found in sides one probe, one trace, one anchor at the side's
+    end and one sign check (:func:`_piece_signs`). That anchor is the
+    trace's last solve, signed by :func:`_anchor` at t = 0 of the sides that
+    start there, and is bitwise a fresh solve there; a corner that no traced
+    side reaches is solved instead.
 
     The result holds no points: :func:`trace` gives the decompositions along
     a path. traces, when given, maps the path of each piece this call traced
     to the piece's TraceResult; a loop traced as one piece maps to
     :func:`trace`'s result, except that its step_stats leave out the start's
-    solve. step_stats (see :func:`trace`) count only the solves this call
-    made.
+    solve. step_stats (see :func:`trace`) sum the counts of the pieces this
+    call traced, and its start solves.
 
     Raises
     ------
@@ -767,45 +764,43 @@ def trace_loop(pencil, loop, sides: dict | None = None, traces: dict | None = No
         name, and for a box side ends with the side), when a sign vector
         fails the cleanliness checks, or when D has an odd count of -1.
     """
-    if sides is None:
-        sides = {}
-    if traces is None:
-        traces = {}
     if not getattr(loop, "closed", False):
         raise ValueError("trace_loop requires a closed path")
+    if sides is None:
+        sides = {}
     pieces = _pieces(loop)
     h_max = len(pieces) * H_MAX_FRAC
-    # keyed by point: a piece's end, path.point(1.0), is bitwise the start,
-    # path.point(0.0), of the piece that goes on from there
-    anchors: dict[tuple[float, float], EigenPoint] = {}
-    stats: Counter = Counter(eigensolves=0)
+    anchors: list[EigenPoint | None] = [None] * 4  # by corner index
+    stats = {"eigensolves": 0}
     d = 1.0
-    for path in pieces:
+    for path, a, b in pieces:
         found = sides.get(path)
         if found is None:
             try:
-                start = path.point(0.0)
-                if start not in anchors:
-                    anchors[start] = init_decomposition(pencil, path, 0.0)
+                start = anchors[a]
+                if start is None:
+                    start = anchors[a] = init_decomposition(pencil, path, 0.0)
                     stats["eigensolves"] += 1
-                tr, B = _trace(pencil, path, anchors[start], h_max)
-                anchor = _anchor(tr.points[-1])
-                anchors[path.point(1.0)] = replace(anchor, t=0.0)
-                found = _piece_signs(anchor, B, tr.points[-1].V)
+                tr, B = _trace(pencil, path, start, h_max)
+                end = tr.points[-1]
+                anchors[b] = _anchor(end.V, end.lam, end.gaps, end.t)
+                found = _piece_signs(anchors[b], B, end.V)
             except PencilError as exc:
                 name = "" if isinstance(exc, LoopUnresolvable) else f"{type(exc).__name__}: "
                 found = f"{name}{exc}{_where(path, loop)}"
             else:
-                stats.update(tr.step_stats)
-                traces[path] = tr
+                for key, count in tr.step_stats.items():
+                    stats[key] = stats.get(key, 0) + count
+                if traces is not None:
+                    traces[path] = tr
             sides[path] = found
         if isinstance(found, str):
             raise LoopUnresolvable(found)
         d = d * found
-    D = np.where(d > 0.0, 1, -1).astype(int)
-    if int(np.prod(D)) != 1:
+    D = np.where(d > 0.0, 1, -1)
+    if np.count_nonzero(D < 0) % 2:
         raise LoopUnresolvable("signature has an odd number of -1 entries")
-    return LoopResult(D=D, signature_raw=d, step_stats=dict(stats))
+    return LoopResult(D=D, signature_raw=d, step_stats=stats)
 
 
 def _where(path: Path, loop) -> str:

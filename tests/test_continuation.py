@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
@@ -409,6 +410,40 @@ def test_loop_through_coalescence_unresolvable():
     # coalescence mid-edge
     with pytest.raises(LoopUnresolvable):
         trace_loop(pen, BoxPerimeter(-0.3, 0.0, -0.3 + 1.0, 1.0))
+
+
+def _signed_basis(n=6, seed=7):
+    """An anchor's B-orthonormal basis, B, and the same basis with some columns flipped."""
+    rng = np.random.default_rng(seed)
+    A, B = symmetrize(rand_spd(rng, n)), rand_spd(rng, n)
+    ep = gen_eig_ordered(A, B)
+    anchor = EigenPoint(t=0.0, V=ep.vectors, lam=ep.values, gaps=continuation._rel_gaps(ep.values))
+    signs = np.where(np.arange(n) % 3 == 1, -1.0, 1.0)
+    return anchor, B, ep.vectors * signs, signs
+
+
+def test_piece_signs_of_a_clean_basis_are_its_signs():
+    anchor, B, V, signs = _signed_basis()
+    d = continuation._piece_signs(anchor, B, V)
+    assert np.allclose(d, signs, rtol=0.0, atol=1e-12)
+    assert np.array_equal(np.sign(d), signs)
+
+
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+def test_piece_signs_refuses_an_unclean_signature(where):
+    # an entry 2 * SIGNATURE_TOL off its clean value, on the diagonal (a
+    # column scaled away from B-norm 1) or off it (a column mixed with another)
+    anchor, B, V, _ = _signed_basis()
+    off = 2.0 * continuation.SIGNATURE_TOL
+    if where == "diagonal":
+        V[:, 2] *= 1.0 + off
+    else:
+        V[:, 2] += off * anchor.V[:, 4]
+    with pytest.raises(LoopUnresolvable, match="signature not clean") as info:
+        continuation._piece_signs(anchor, B, V)
+    diag_err, off_err = (float(v) for v in re.findall(r"\d\.\d{3}e[-+]\d\d", str(info.value))[:2])
+    assert (diag_err, off_err)[where == "off-diagonal"] == pytest.approx(off, rel=1e-6)
+    assert (diag_err, off_err)[where == "diagonal"] < 1e-12
 
 
 def _assert_decompositions(pen, loop, res):

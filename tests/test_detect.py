@@ -602,6 +602,24 @@ def test_sweep_traces_each_side_once():
     assert len(pen.points) == stats["eigensolves"] + 4 * 9 + 5 * 8
 
 
+def test_side_end_anchor_is_the_fresh_solve_at_its_corner(monkeypatch):
+    # a side that starts where a traced side ends starts from that side's
+    # end anchor, not from a solve: the anchor must be bitwise the solve that
+    # a trace starting at that corner would make
+    pen = _baseline_pencil(10)
+    paths = _counted(monkeypatch, continuation, "_trace")
+    checks = _counted(monkeypatch, continuation, "_piece_signs")
+    sw = sweep_grid(pen, _PERFBENCH_BLOCK, seed=0)
+    assert not sw.unresolved
+    assert len(paths) == len(checks) == 4 * 9 + 5 * 8
+    for (_, path, _, _), (anchor, _, _) in zip(paths, checks):
+        corner = path.point(1.0)
+        fresh = continuation.init_decomposition(pen, segment(corner, (corner[0] + 1.0, corner[1])), 0.0)
+        assert anchor.t == fresh.t == 0.0
+        for name in ("V", "lam", "gaps"):
+            assert getattr(anchor, name).tobytes() == getattr(fresh, name).tobytes(), (path, name)
+
+
 def test_probed_first_steps_save_rejected_solves():
     # a side's first step, shortened where the probe at half the side
     # estimates a rejection, keeps every flag; with half the side as the
