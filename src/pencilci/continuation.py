@@ -678,17 +678,21 @@ def _trace(pencil, path, start: EigenPoint, h_max: float) -> tuple[TraceResult, 
             )
 
     stats = {
-        "eigensolves": eigensolves, "accepted": len(points) - 1,
-        "rejected": by_rho + ambiguous + rotation, "veering_events": len(events),
-        "clustered": clustered, "secant_caps": secant_caps, "rejected_rho": by_rho,
-        "rejected_ambiguous": ambiguous, "rejected_rotation": rotation,
+        "eigensolves": eigensolves,
+        "accepted": len(points) - 1,
+        "rejected": by_rho + ambiguous + rotation,
+        "veering_events": len(events),
+        "clustered": clustered,
+        "secant_caps": secant_caps,
+        "rejected_rho": by_rho,
+        "rejected_ambiguous": ambiguous,
+        "rejected_rotation": rotation,
     }
     return TraceResult(points=points, veering_events=events, step_stats=stats), B_state
 
 
 def _pieces(loop) -> list[tuple[Path, int, int]]:
-    """The open paths a closed loop is traced as, in order, with the loop's
-    corners (indices) at each path's start and end.
+    """The (path, start corner, end corner) pieces a closed loop is traced as, in order.
 
     A box is its four sides, each a segment in the +x or +y direction from
     its lower-left end: bottom and left from the box's start corner 0, then
@@ -708,10 +712,8 @@ def _pieces(loop) -> list[tuple[Path, int, int]]:
 def _piece_signs(anchor: EigenPoint, B: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The diagonal of anchor.V.T B V, for a piece that reached anchor's point with V.
 
-    The product is formed once; its diagonal is copied out and then zeroed
-    in place, so the rest is the off-diagonal part. Raises LoopUnresolvable
-    unless the diagonal is within SIGNATURE_TOL of +-1 and the off-diagonal
-    within SIGNATURE_TOL of 0.
+    Raises LoopUnresolvable unless the diagonal is within SIGNATURE_TOL of
+    +-1 and the off-diagonal within SIGNATURE_TOL of 0.
     """
     M = anchor.V.T @ B @ V
     d = M.diagonal().copy()
@@ -730,35 +732,33 @@ def trace_loop(pencil, loop, sides: dict | None = None, traces: dict | None = No
     """Trace a closed loop piece by piece and extract the sign signature D.
 
     The loop is traced as the open paths of :func:`_pieces`: a box
-    perimeter as its four sides, each in the +x or +y direction from a
-    canonically signed anchor at its start corner, any other closed loop as
-    one piece from its start back to it. Every piece is traced by one rule:
-    its first step is its cap, 1/8 of the loop (half a box side), shortened
-    only where the probe of :func:`trace` estimates a rejection. Each
-    piece's sign vector is the diagonal of V_a.T B V, with V the traced
-    basis at the piece's end and V_a, B the canonically signed anchor there;
-    its entries must sit within SIGNATURE_TOL of +-1 (off-diagonal entries
-    of 0). The loop's signature_raw is the product of its pieces' diagonals,
-    and D, the product of their rounded signs, gives V(1) = V(0) diag(D)
-    around the loop; it must have an even number of -1 entries.
+    perimeter as its four sides, each in the +x or +y direction, any other
+    closed loop as one piece from its start back to it. Every piece is
+    traced by one rule: its first step is its cap, 1/8 of the loop (half a
+    box side), shortened only where the probe of :func:`trace` estimates a
+    rejection. Each piece's sign vector is the diagonal of V_a.T B V, with V
+    the traced basis at the piece's end and V_a, B the canonically signed
+    anchor there; its entries must sit within SIGNATURE_TOL of +-1
+    (off-diagonal entries of 0). The loop's signature_raw is the product of
+    its pieces' diagonals, and D, the product of their rounded signs, gives
+    V(1) = V(0) diag(D) around the loop; it must have an even number of -1.
 
     sides, shared by the loops of a grid, maps each piece's path to its
     diagonal or, if it failed, to the cause; a piece found there is not
     traced again, and a failed one fails this loop with the same cause. A
     side's sign vector depends only on its two ends, so sharing changes no
-    D. So a box pays for one start solve, at its start corner, and for each
-    side not found in sides one probe, one trace, one anchor at the side's
-    end and one sign check (:func:`_piece_signs`). That anchor is the
-    trace's last solve, signed by :func:`_anchor` at t = 0 of the sides that
-    start there, and is bitwise a fresh solve there; a corner that no traced
-    side reaches is solved instead.
+    D. A box pays for one start solve (:func:`init_decomposition`) at its
+    start corner, and for each side not in sides one probe, one trace, one
+    end anchor (the trace's last solve, signed by :func:`_anchor`: bitwise a
+    fresh solve there, and the start of the sides that go on from there)
+    and one sign check (:func:`_piece_signs`). A corner that no traced side
+    reaches is solved instead.
 
-    The result holds no points: :func:`trace` gives the decompositions along
-    a path. traces, when given, maps the path of each piece this call traced
-    to the piece's TraceResult; a loop traced as one piece maps to
-    :func:`trace`'s result, except that its step_stats leave out the start's
-    solve. step_stats (see :func:`trace`) sum the counts of the pieces this
-    call traced, and its start solves.
+    traces, when given, maps the path of each piece this call traced to the
+    piece's TraceResult (:func:`trace` gives the decompositions along a
+    path; a loop of one piece maps to its result, less the start's solve).
+    step_stats (see :func:`trace`) sum those pieces' counts and the call's
+    start solves.
 
     Raises
     ------

@@ -613,8 +613,8 @@ def test_side_end_anchor_is_the_fresh_solve_at_its_corner(monkeypatch):
     assert not sw.unresolved
     assert len(paths) == len(checks) == 4 * 9 + 5 * 8
     for (_, path, _, _), (anchor, _, _) in zip(paths, checks):
-        corner = path.point(1.0)
-        fresh = continuation.init_decomposition(pen, segment(corner, (corner[0] + 1.0, corner[1])), 0.0)
+        x, y = path.point(1.0)
+        fresh = continuation.init_decomposition(pen, segment((x, y), (x + 1.0, y)), 0.0)
         assert anchor.t == fresh.t == 0.0
         for name in ("V", "lam", "gaps"):
             assert getattr(anchor, name).tobytes() == getattr(fresh, name).tobytes(), (path, name)
