@@ -28,9 +28,8 @@ import numpy as np
 
 from .detect import GridSpec, sweep_grid
 from .errors import NonPositiveCount
-from .fields import (
-    read_array, read_bandwidth, read_int, read_json, read_object, write_csv, write_json,
-)
+from .fields import read_array, read_bandwidth, read_int, read_json, read_number, read_object
+from .fields import write_csv, write_json
 from .pencil import sgplus_bandwidth, sgplus_generate, sgplus_pencil
 
 __all__ = [
@@ -186,16 +185,19 @@ class PowerLawFit:
 def fit_power_law(points) -> PowerLawFit:
     """Ordinary least squares on (log n, log count) pairs.
 
-    points is an iterable of (n, count). Non-positive counts cannot enter a
-    log fit; they are dropped with a NonPositiveCount warning rather than
-    regularized, since flooring zeros would bias the exponent.
+    points is an iterable of (n, count), n finite and positive, count finite.
+    Non-positive counts cannot enter a log fit; they are dropped with a
+    NonPositiveCount warning rather than regularized, since flooring zeros
+    would bias the exponent.
 
     Raises
     ------
     ValueError
-        If fewer than two points with positive count remain.
+        If a point breaks those rules (naming it), or fewer than two points
+        with positive count remain.
     """
-    pts = [(float(n), float(c)) for n, c in points]
+    pts = [(read_number(n, f"point {i} n", positive=True), read_number(c, f"point {i} count"))
+           for i, (n, c) in enumerate(points)]
     kept = [(n, c) for n, c in pts if c > 0.0]
     if len(kept) < len(pts):
         warnings.warn(
@@ -220,16 +222,17 @@ class CensusReport:
     spec: ExperimentSpec
     cells: list[dict]
     means: dict  # (b_token, delta_index, n) -> mean count
-    fits: dict  # (b_token, delta_index) -> PowerLawFit | None
+    fits: dict  # (b_token, delta_index) -> PowerLawFit, for the groups that have one
+    lower_bound_cells: list  # names of the cell files with unresolved boxes
 
 
 def group_fits(rows) -> tuple[dict, dict]:
     """Mean count per (group, n) and a power-law fit per group.
 
     rows holds (group, n, count) triples. Returns (means, fits): means maps
-    (group, n) to the mean count; fits maps each group to the fit of its
-    positive means, or None when fewer than two remain. Groups and n keep
-    first-seen order, which orders the fit points and both dictionaries.
+    (group, n) to the mean count; fits maps each group with two or more
+    positive means to their fit. Groups and n keep first-seen order, which
+    orders the fit points and both dictionaries.
     """
     counts: dict = {}
     for group, n, count in rows:
@@ -240,17 +243,23 @@ def group_fits(rows) -> tuple[dict, dict]:
         if mean > 0.0:
             points[group].append((n, mean))
     # points hold positive means only, so the fit drops nothing
-    fits = {g: fit_power_law(pts) if len(pts) >= 2 else None for g, pts in points.items()}
+    fits = {g: fit_power_law(pts) for g, pts in points.items() if len(pts) >= 2}
     return means, fits
 
 
 def _assemble_report(spec: ExperimentSpec, cell_dir: str) -> CensusReport:
-    cells = [read_json(os.path.join(cell_dir, _cell_filename(*key))) for key in spec.cells()]
+    """The report of spec's cell files; an unresolved box adds no flags, so
+    a cell that has one is logged at WARNING and listed as a lower bound."""
+    names = [_cell_filename(*key) for key in spec.cells()]
+    cells = [read_json(os.path.join(cell_dir, name)) for name in names]
+    unresolved = {name: c["n_unresolved"] for name, c in zip(names, cells) if c["n_unresolved"]}
+    for name, k in unresolved.items():
+        _log.warning("census: %s has n_unresolved = %d, so its count is a lower bound", name, k)
     means, fits = group_fits(
         ((str(c["b"]), c["delta_index"]), c["n"], c["total_count"]) for c in cells
     )
     means = {(*group, n): mean for (group, n), mean in means.items()}
-    return CensusReport(spec=spec, cells=cells, means=means, fits=fits)
+    return CensusReport(spec, cells, means, fits, lower_bound_cells=list(unresolved))
 
 
 def run_census(
@@ -264,8 +273,11 @@ def run_census(
     cell runs again and overwrites its file. With more pending cells than
     one, workers > 1 parallelizes over cells (sweeps inside each cell stay
     serial); otherwise the sweep level uses the worker budget. Logs cells
-    done, elapsed time and ETA at INFO as each cell finishes, in cell order.
+    done, elapsed time and ETA at INFO as each cell finishes, in cell order,
+    and each cell whose count is a lower bound at WARNING. A workers that
+    is not a positive integer raises ValueError before any cell runs.
     """
+    workers = read_int(workers, "workers", minimum=1)
     cell_dir = os.path.join(out_dir, "cells")
     os.makedirs(cell_dir, exist_ok=True)
     pending = []
@@ -289,9 +301,9 @@ def run_census(
 
 def write_fits_csv(path, columns, fits: dict) -> None:
     """One row per fitted group: its key's values under columns, then p, c,
-    rmsd and n_points; groups whose fit is None are left out."""
+    rmsd and n_points."""
     write_csv(path, [*columns, "p", "c", "rmsd", "n_points"], (
-        [*key, fit.p, fit.c, fit.rmsd, fit.n_points] for key, fit in fits.items() if fit is not None
+        [*key, fit.p, fit.c, fit.rmsd, fit.n_points] for key, fit in fits.items()
     ))
 
 
@@ -300,7 +312,8 @@ def write_report(report: CensusReport, out_dir) -> dict:
 
     census_counts.csv and census_fits.csv and census_loglog.dat contain no
     timing data and are byte-identical across reruns of the same spec;
-    census_report.json additionally records per-cell wall times.
+    census_report.json additionally records per-cell wall times, and under
+    lower_bound_cells the cell files whose count is a lower bound.
     """
     os.makedirs(out_dir, exist_ok=True)
     spec = report.spec
@@ -341,10 +354,9 @@ def write_report(report: CensusReport, out_dir) -> dict:
             for k, v in sorted(report.means.items())
         ],
         "fits": [
-            {"b": k[0], "delta_index": k[1], **asdict(f)}
-            for k, f in sorted(report.fits.items())
-            if f is not None
+            {"b": k[0], "delta_index": k[1], **asdict(f)} for k, f in sorted(report.fits.items())
         ],
+        "lower_bound_cells": report.lower_bound_cells,
     }
     write_json(paths["report"], doc)
     return paths

@@ -82,8 +82,6 @@ def _parse_loop(spec: str):
 def _print_fits(fits: dict, columns) -> None:
     """One line per fitted group, in key order: column values, p, c, rmsd and reference p."""
     for key, fit in sorted(fits.items(), key=lambda kv: str(kv[0])):
-        if fit is None:
-            continue
         label = ", ".join(f"{c}={v}" for c, v in zip(columns, key)) or "all"
         ref_p = GOE_REFERENCE_EXPONENTS.get(str(key[0])) if key else None
         ref = "" if ref_p is None else f"  (reference p {ref_p})"
@@ -109,21 +107,21 @@ def _cmd_trace(args) -> int:
     pencil = load_pencil(args.pencil)
     path = _parse_loop(args.loop)
     outputs = ["trace.csv"]
-    traces: dict = {}
+    traces: dict = {}  # the path's pieces in trace order: a box's sides, or the path itself
     if path.closed:
-        loop = trace_loop(pencil, path, traces=traces)
+        result = trace_loop(pencil, path, traces=traces)
         sig = {
-            "D": [int(v) for v in loop.D],
-            "pairs": [int(p) for p in decode_signature(loop.D)],
-            "signature_raw": [float(v) for v in loop.signature_raw],
+            "D": [int(v) for v in result.D],
+            "pairs": [int(p) for p in decode_signature(result.D)],
+            "signature_raw": [float(v) for v in result.signature_raw],
         }
         write_json(os.path.join(args.out_dir, "signature.json"), sig)
         outputs.append("signature.json")
-        print("D =", " ".join(str(v) for v in loop.D))
+        print("D =", " ".join(str(v) for v in result.D))
         print("flagged pairs:", " ".join(str(p) for p in sig["pairs"]) or "none")
-    # a loop traced as one piece (a circle) is already trace()'s result
-    result = traces[path] if path in traces else trace(pencil, path)
-    write_trace_csv(result, os.path.join(args.out_dir, "trace.csv"))
+    else:
+        result = traces[path] = trace(pencil, path)
+    write_trace_csv(list(traces.values()), os.path.join(args.out_dir, "trace.csv"))
     fmt = "accepted %(accepted)d steps, rejected %(rejected)d, veering events %(veering_events)d"
     log.info(fmt, result.step_stats)  # a lone mapping argument fills the named fields
     _write_manifest(args, outputs)
@@ -175,7 +173,6 @@ def _cmd_fit(args) -> int:
         count = read_number(parse_text(row[count_col]), f"{where} {count_col!r}")
         points.append((tuple(row[c] for c in group_cols), n, count))
     _, fits = group_fits(points)
-    fits = {key: fit for key, fit in fits.items() if fit is not None}
     if not fits:
         raise ValueError("no group has positive mean counts at two or more n")
 

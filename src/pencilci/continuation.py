@@ -581,8 +581,8 @@ def trace(pencil, path) -> TraceResult:
     h * STEP_SAFETY / sqrt(rho), as a rejection would shorten it; so a trace
     evaluates the pencil once more than it solves, and the steps are still
     judged by :func:`step_control`. This is the one source of decompositions
-    along a path, open or closed; :func:`trace_loop` gives a closed path's
-    signature.
+    along a path, open or closed; :func:`trace_loop` gives a closed loop's
+    signature, and traces a box, which is no path, as its four sides.
 
     step_stats counts eigensolves (the start, every predictor step and every
     veering substep), accepted predictor and veering steps (accepted), the
@@ -813,11 +813,14 @@ def _where(path: Path, loop) -> str:
     return f" on the side ({path.x0:.12g}, {path.y0:.12g}) -> ({path.x1:.12g}, {path.y1:.12g})"
 
 
-def write_trace_csv(result: TraceResult, path) -> None:
-    """One row per accepted step of a :func:`trace`, in order of t: t, h,
-    eigenvalues, rho values, veering flag. The start point has no row."""
-    n = result.points[0].lam.size
-    header = ["t", "h", *(f"lambda_{k + 1}" for k in range(n)), "rho_lambda", "rho_V", "veering"]
-    write_csv(path, header, (
-        [p.t, p.h, *p.lam, p.rho_lambda, p.rho_V, int(p.veering)] for p in result.points[1:]
+def write_trace_csv(pieces: list[TraceResult], path) -> None:
+    """One row per accepted step of a path's piece traces, in order: piece,
+    t, h, eigenvalues, rho values, veering flag. A piece's t runs from 0 to 1
+    and its start point has no row; a box's pieces are its sides in
+    :func:`_pieces` order, a circle or a segment is the one piece 0."""
+    n = pieces[0].points[0].lam.size
+    lams = (f"lambda_{k + 1}" for k in range(n))
+    write_csv(path, ["piece", "t", "h", *lams, "rho_lambda", "rho_V", "veering"], (
+        [i, p.t, p.h, *p.lam, p.rho_lambda, p.rho_V, int(p.veering)]
+        for i, piece in enumerate(pieces) for p in piece.points[1:]
     ))

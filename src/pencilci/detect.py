@@ -305,9 +305,11 @@ def sweep_grid(pencil, grid: GridSpec, seed: int = 0, workers: int = 1) -> Sweep
     Raises
     ------
     ValueError
-        If seed is not a non-negative integer; checked before any tracing.
+        If seed or workers is not an integer, or seed < 0 or workers < 1;
+        checked before any tracing.
     """
     seed = read_seed(seed, "seed")
+    workers = read_int(workers, "workers", minimum=1)
     xs, ys = grid.lines()
     cells = [(r, c) for r in range(grid.rows) for c in range(grid.cols)]
     bands = max(1, min(workers, grid.rows))  # band k starts at row rows * k // bands
@@ -401,14 +403,17 @@ def refine_box(
 
     Raises
     ------
+    ValueError
+        If seed, depth or pair is not an integer, or not in 0.., 1.. or
+        1..n - 1; checked before any tracing.
     RefinementInconsistent
         If the start rectangle does not flag the pair, or an upper half
         stays unresolved at every try. The message names the level, the
         split axis and the cause.
     """
     seed = read_seed(seed, "seed")
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    depth = read_int(depth, "depth", minimum=1)
+    pair = read_int(pair, "pair")
     if not 1 <= pair <= pencil.n - 1:
         raise ValueError(f"pair must be in 1..{pencil.n - 1}, got {pair}")
     known: dict = {}

@@ -9,8 +9,9 @@ and B symmetric positive definite. Built-in families:
 * block-diagonal embeddings that plant a 2x2 pencil at a chosen pair index
   inside a larger constant-diagonal pencil.
 
-Paths map a scalar t in [0, 1] to parameter points; closed kinds satisfy
-point(0) == point(1) exactly.
+Paths map a scalar t in [0, 1] to parameter points; a circle, the closed
+kind, satisfies point(0) == point(1) exactly. A box perimeter is no path:
+continuation.trace_loop traces it as its four sides, each a segment.
 """
 
 from __future__ import annotations
@@ -374,12 +375,12 @@ class Path:
 
 
 @dataclass(frozen=True)
-class BoxPerimeter(Path):
-    """Counterclockwise perimeter of [x0, x1] x [y0, y1]; corners at t = 0, 1/4, 1/2, 3/4.
+class BoxPerimeter:
+    """Counterclockwise perimeter of [x0, x1] x [y0, y1], given by its corners.
 
-    The parameter is taken mod 1, so point(0) == point(1) exactly, and the
-    corner parameters return the corner coordinates themselves, so boxes
-    built from the same grid lines share their corners bit for bit.
+    continuation.trace_loop traces it as its four sides, each a segment in
+    the +x or +y direction between two corners, so boxes built from the same
+    grid lines share their sides bit for bit.
     """
 
     x0: float
@@ -393,24 +394,6 @@ class BoxPerimeter(Path):
             raise ValueError("box corners must be finite")
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError("box sides must be positive")
-
-    @property
-    def side_x(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def side_y(self) -> float:
-        return self.y1 - self.y0
-
-    def point(self, t: float) -> tuple[float, float]:
-        s = 4.0 * (t % 1.0)
-        if s < 1.0:
-            return (self.x0 + s * self.side_x, self.y0)
-        if s < 2.0:
-            return (self.x1, self.y0 + (s - 1.0) * self.side_y)
-        if s < 3.0:
-            return (self.x0 + (3.0 - s) * self.side_x, self.y1)
-        return (self.x0, self.y0 + (4.0 - s) * self.side_y)
 
 
 @dataclass(frozen=True)
@@ -445,7 +428,6 @@ class SegmentPath(Path):
     y0: float
     x1: float
     y1: float
-    closed = False
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.x0, self.y0, self.x1, self.y1))):

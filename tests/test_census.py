@@ -2,7 +2,9 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -154,6 +156,26 @@ def test_fit_power_law_drops_nonpositive():
         fit_power_law([(10, 5.0)])
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([(0, 1.0), (2, 3.0), (4, 5.0)], "point 0 n: 0 is not a positive finite number"),
+        ([(10, 1.0), (-2, 3.0)], "point 1 n: -2 is not a positive finite number"),
+        ([(10, 1.0), (math.inf, 3.0)], "point 1 n: inf is not a positive finite number"),
+        ([(10, 1.0), ("20", 3.0)], "point 1 n: '20' is not a number"),
+        ([(10, 1.0), (20, math.nan)], "point 1 count: nan is not a finite number"),
+        ([(10, 1.0), (20, -math.inf)], "point 1 count: -inf is not a finite number"),
+        ([(10, True), (20, 3.0)], "point 0 count: True is not a number"),
+    ],
+)
+def test_fit_power_law_reads_its_points(points, message):
+    # a bad n or count is named, not dropped as non-positive or left to LAPACK
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NonPositiveCount)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_power_law(points)
+
+
 def test_census_cell_matches_direct_sweep(tmp_path):
     spec = ExperimentSpec(**TINY_SGPLUS)
     report = run_census(spec, tmp_path)
@@ -168,7 +190,7 @@ def test_census_cell_matches_direct_sweep(tmp_path):
     assert cell["total_count"] == 4
     assert cell["wall_time"] > 0
     assert report.means[("full", 0, 4)] == 4.0
-    assert report.fits[("full", 0)] is None  # one n cannot pin a slope
+    assert ("full", 0) not in report.fits  # one n cannot pin a slope
 
 
 def test_census_cell_carries_its_sweep_step_stats(tmp_path):
@@ -224,6 +246,43 @@ def test_census_reruns_cell_files_of_another_spec(tmp_path, change):
         assert json.load(fh)["total_count"] != 15
 
 
+@pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
+def test_bad_workers_is_refused_before_any_cell(tmp_path, workers):
+    with pytest.raises(ValueError, match=r"^workers: "):
+        run_census(ExperimentSpec(**TINY_SGPLUS), tmp_path, workers=workers)
+    assert not (tmp_path / "cells").exists()
+
+
+def test_cell_with_unresolved_boxes_is_reported_as_a_lower_bound(tmp_path, caplog):
+    # a resumed cell file with unresolved boxes is logged and listed, while
+    # the aggregate files read its count as they always did
+    spec = ExperimentSpec(**TINY_SGPLUS)
+    name = _cell_filename("full", 0, 4, 0)
+    path = tmp_path / "cells" / name
+    clean = write_report(run_census(spec, tmp_path), tmp_path)
+    with open(clean["report"]) as fh:
+        assert json.load(fh)["lower_bound_cells"] == []
+    before = _read_aggregates(tmp_path)
+    with open(path) as fh:
+        cell = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump({**cell, "n_unresolved": 3}, fh)
+    with caplog.at_level(logging.INFO, logger="pencilci.census"):
+        report = run_census(spec, tmp_path)
+    assert report.cells[0]["n_unresolved"] == 3 and report.cells[0]["wall_time"] == cell["wall_time"]
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+        f"census: {name} has n_unresolved = 3, so its count is a lower bound"
+    ]
+    paths = write_report(report, tmp_path)
+    with open(paths["report"]) as fh:
+        assert json.load(fh)["lower_bound_cells"] == [name]
+    after = _read_aggregates(tmp_path)
+    assert after["census_counts.csv"] == before["census_counts.csv"].replace(b",4,0\n", b",4,3\n")
+    assert {k: v for k, v in after.items() if k != "census_counts.csv"} == {
+        k: v for k, v in before.items() if k != "census_counts.csv"
+    }
+
+
 def test_census_empty_n_list(tmp_path):
     spec = ExperimentSpec(n_list=())
     report = run_census(spec, tmp_path)
@@ -260,7 +319,7 @@ def test_census_logs_progress(tmp_path, caplog):
 
 # counts of a synthetic census, keyed (b, delta_index, n): two bandwidths, two
 # dispersions, n_list out of order, a zero mean in ("3", 1) and a single
-# positive mean in ("full", 1), whose fit is None
+# positive mean in ("full", 1), which has no fit
 SYNTHETIC_SPEC = ExperimentSpec(
     n_list=(6, 4, 5), b_list=(3, "full"), delta_list=(0.3, 0.45), realizations=2,
     rows=1, cols=1,

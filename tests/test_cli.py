@@ -170,24 +170,37 @@ def test_box_spec_traces_the_corners_it_names():
     assert (box.x0, box.x1, box.y0, box.y1) == (-0.3, 2.0, -0.7, 0.4)
 
 
-def test_trace_box_writes_one_trace_from_0_to_1(tmp_path):
-    # trace.csv of a box is one trace of its perimeter, t = 0 -> 1, while
-    # signature.json holds the signature traced side by side
+def test_trace_box_writes_its_side_traces(tmp_path, monkeypatch):
+    # trace.csv of a box holds the four side traces behind signature.json,
+    # piece by piece, each from t = 0 to 1, and the box is traced once
     assert run("generate", "--n", 6, "--b", "full", "--delta", 0.4, "--out-dir", tmp_path) == 0
+    traces = {}
+    loop = trace_loop(
+        load_pencil(tmp_path / "pencil.json"), BoxPerimeter(0.0, 0.0, 1.0, 1.0), traces=traces
+    )
+    solve = continuation.gen_eig_ordered
+    solves = []
+    monkeypatch.setattr(
+        continuation, "gen_eig_ordered", lambda A, B: solves.append(1) or solve(A, B)
+    )
     rc = run(
         "trace", "--pencil", tmp_path / "pencil.json",
         "--loop", '{"kind": "box", "rect": [0, 1, 0, 1]}', "--out-dir", tmp_path,
     )
     assert rc == 0
+    assert len(solves) == loop.step_stats["eigensolves"]
     with open(tmp_path / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    ts = [float(r["t"]) for r in rows]
-    assert all(a < b for a, b in zip(ts, ts[1:])) and ts[-1] == 1.0
-    for prev, row in zip([0.0] + ts, rows):
-        assert float(row["h"]) == pytest.approx(float(row["t"]) - prev, rel=1e-12, abs=0.0)
+    expected = [(k, p) for k, tr in enumerate(traces.values()) for p in tr.points[1:]]
+    assert [int(r["piece"]) for r in rows] == [k for k, _ in expected]
+    assert sorted({k for k, _ in expected}) == [0, 1, 2, 3]
+    for row, (_, p) in zip(rows, expected):
+        values = [p.t, p.h, *p.lam, p.rho_lambda, p.rho_V]
+        assert [float(row[c]) for c in list(row)[1:-1]] == values
+    for tr in traces.values():
+        assert tr.points[-1].t == 1.0
     with open(tmp_path / "signature.json") as fh:
         sig = json.load(fh)
-    loop = trace_loop(load_pencil(tmp_path / "pencil.json"), BoxPerimeter(0.0, 0.0, 1.0, 1.0))
     assert sig["D"] == loop.D.tolist() == [1] * 6 and sig["pairs"] == []
     assert sig["signature_raw"] == loop.signature_raw.tolist()
 

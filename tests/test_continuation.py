@@ -475,23 +475,20 @@ def test_veering_near_miss_keeps_signature():
     for pen, pair in pencils:
         n = pen.n
         in_pair = np.isin(np.arange(1, n + 1), (pair, pair + 1))
-        outside_loop = BoxPerimeter(5e-11, -0.5, 5e-11 + 1.0, -0.5 + 1.0)
-        outside = trace_loop(pen, outside_loop)
-        assert outside.D.tolist() == [1] * n
-        assert outside.step_stats["veering_events"] >= 1
-        inside_loop = BoxPerimeter(-1.0 + 5e-11, -0.5, -1.0 + 5e-11 + 1.0, -0.5 + 1.0)
-        inside = trace_loop(pen, inside_loop)
-        assert inside.D.tolist() == np.where(in_pair, -1, 1).tolist()
-        assert inside.step_stats["veering_events"] >= 1
-        # the veering points and events come from a trace of the same boxes
-        outside, inside = trace(pen, outside_loop), trace(pen, inside_loop)
-        assert len(outside.veering_events) >= 1 and len(inside.veering_events) >= 1
-        t_lo, t_hi, event_pair = outside.veering_events[0]
-        assert event_pair == pair
-        assert 0.75 <= t_lo <= t_hi <= 1.0
-        for loop, res in ((outside_loop, outside), (inside_loop, inside)):
-            assert any(p.veering for p in res.points)
-            _assert_decompositions(pen, loop, res)
+        # (x0, D, the side that passes the coalescence: 1 left, 2 right)
+        inside_D = np.where(in_pair, -1, 1).tolist()
+        for x0, D, near in ((5e-11, [1] * n, 1), (-1.0 + 5e-11, inside_D, 2)):
+            traces = {}
+            res = trace_loop(pen, BoxPerimeter(x0, -0.5, x0 + 1.0, -0.5 + 1.0), traces=traces)
+            assert res.D.tolist() == D
+            assert res.step_stats["veering_events"] >= 1
+            # the veering points and events come from the side traces behind D
+            sides = list(traces.items())
+            assert [len(tr.veering_events) > 0 for _, tr in sides] == [k == near for k in range(4)]
+            assert all(event[2] == pair for event in sides[near][1].veering_events)
+            assert any(p.veering for p in sides[near][1].points)
+            for side, tr in sides:
+                _assert_decompositions(pen, side, tr)
 
 
 def test_sgplus_loop_signature_properties():
@@ -506,16 +503,17 @@ def test_write_trace_csv_roundtrip(tmp_path):
     pen = _sg_pencil(n=4, seed=9)
     res = trace(pen, circle(0.5, 0.5, 0.3))
     out = tmp_path / "trace.csv"
-    write_trace_csv(res, out)
+    write_trace_csv([res], out)
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == [
-        "t", "h", "lambda_1", "lambda_2", "lambda_3", "lambda_4",
+        "piece", "t", "h", "lambda_1", "lambda_2", "lambda_3", "lambda_4",
         "rho_lambda", "rho_V", "veering",
     ]
     assert len(rows) - 1 == len(res.points) - 1 == res.step_stats["accepted"]
+    assert {r[0] for r in rows[1:]} == {"0"}
     # 17 significant digits round-trip losslessly
-    assert float(rows[1][2]) == res.points[1].lam[0]
+    assert float(rows[1][3]) == res.points[1].lam[0]
     assert all(r[-1] in ("0", "1") for r in rows[1:])
 
 
@@ -527,27 +525,23 @@ class _CountingPencil(ParametricPencil):
 
     def eval(self, x, y):
         self._counts["evals"] += 1
+        self._counts["evaluated_at"] = (x, y)
         return self._pencil.eval(x, y)
 
 
-def _count_eigensolves(monkeypatch, pencil, loop):
-    """trace_loop with its evals and eigensolves counted, solves split by
-    veering traversal, and the path parameter of each solve recorded."""
+def _count_eigensolves(monkeypatch, pencil, box):
+    """trace_loop of a box with its evals and eigensolves counted, solves
+    split by veering traversal, and the (x, y) of each solve recorded."""
     counts = {"evals": 0, "solves": 0, "entries": 0, "substeps": 0, "veer_points": 0}
-    counts["solved_t"] = []
-    last_t = [None]
+    counts["solved_at"] = []
     inside_veering = [False]
     solve = continuation.gen_eig_ordered
     traverse = continuation.veering_traverse
 
-    def point(t):
-        last_t[0] = t
-        return loop.point(t)
-
     def counting_solve(A, B):
         counts["solves"] += 1
         counts["substeps"] += inside_veering[0]
-        counts["solved_t"].append(last_t[0])
+        counts["solved_at"].append(counts["evaluated_at"])
         return solve(A, B)
 
     def counting_traverse(*args, **kwargs):
@@ -562,15 +556,16 @@ def _count_eigensolves(monkeypatch, pencil, loop):
 
     monkeypatch.setattr(continuation, "gen_eig_ordered", counting_solve)
     monkeypatch.setattr(continuation, "veering_traverse", counting_traverse)
-    return trace_loop(_CountingPencil(pencil, counts), ClosedCurve(point)), counts
+    return trace_loop(_CountingPencil(pencil, counts), box), counts
 
 
 def _assert_one_eval_per_solve_and_probe(counts):
-    # the signature reuses B(0), and veering starts from the solved entry
-    # point; the one eval left over is the probe that sizes the first step
-    assert counts["evals"] == counts["solves"] + 1
-    ts = counts["solved_t"]
-    assert all(a != b for a, b in zip(ts, ts[1:]))
+    # each side's sign check reuses its last solve's B, and veering starts
+    # from the solved entry point; the four evals left over are the probes
+    # that size each side's first step
+    assert counts["evals"] == counts["solves"] + 4
+    points = counts["solved_at"]
+    assert all(a != b for a, b in zip(points, points[1:]))
 
 
 def test_eigensolve_accounting_without_veering(monkeypatch):
@@ -614,11 +609,13 @@ def test_near_miss_steps_the_close_pair_as_a_cluster(monkeypatch, miss):
         assert counts["solves"] < plain_counts["solves"]
         _assert_one_cause_per_rejection(stats)
         _assert_one_eval_per_solve_and_probe(counts)
-        # the counting patch is still active: the trace comes after the counts
-        traced = trace(pen, loop)
-        gaps = np.array([continuation._rel_gaps(p.lam).min() for p in traced.points])
+        # the counting patch is still active: the side traces come after the counts
+        traces = {}
+        trace_loop(pen, loop, traces=traces)
+        gaps = np.array([p.gaps.min() for tr in traces.values() for p in tr.points])
         assert continuation.TOLDIST < gaps.min() < continuation.CLUSTER_GAP
-        _assert_decompositions(pen, loop, traced)
+        for side, tr in traces.items():
+            _assert_decompositions(pen, side, tr)
 
 
 def test_eigensolve_accounting_with_veering(monkeypatch):

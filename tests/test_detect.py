@@ -25,7 +25,7 @@ from pencilci.census import cell_seed
 from pencilci.continuation import trace_loop
 from pencilci.errors import OddSignCount, RefinementInconsistent
 from pencilci.pencil import (
-    BoxPerimeter, analytic_ci_pencil, segment, sgplus_generate, sgplus_pencil,
+    BoxPerimeter, analytic_ci_pencil, embed_2x2, segment, sgplus_generate, sgplus_pencil,
 )
 
 from oracles import signature_from_counts, spd_sqrt, symmetrize
@@ -502,17 +502,48 @@ def test_refine_box_validation():
             refine_box(analytic_ci_pencil(0.1), (-0.25, 0.0, -0.25, 0.0), pair=pair, depth=3)
 
 
+def _no_trace(*args, **kwargs):
+    raise AssertionError("trace_loop called")
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
 def test_bad_seed_is_refused_before_any_trace(monkeypatch, seed):
-    def no_trace(*args, **kwargs):
-        raise AssertionError("trace_loop called")
-
-    monkeypatch.setattr(detect, "trace_loop", no_trace)
+    monkeypatch.setattr(detect, "trace_loop", _no_trace)
     pen = analytic_ci_pencil(0.0)
     with pytest.raises(ValueError, match="seed"):
         sweep_grid(pen, GridSpec(2, 2, (-1, 1), (-1, 1)), seed=seed)
     with pytest.raises(ValueError, match="seed"):
         refine_box(pen, (-1.0, 1.0, -1.0, 1.0), pair=1, seed=seed)
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
+def test_bad_workers_is_refused_before_any_trace(monkeypatch, workers):
+    monkeypatch.setattr(detect, "trace_loop", _no_trace)
+    with pytest.raises(ValueError, match=r"^workers: "):
+        sweep_grid(analytic_ci_pencil(0.0), GridSpec(2, 2, (-1, 1), (-1, 1)), workers=workers)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("depth", 0, r"depth: 0 is below 1"),
+        ("depth", 2.5, r"depth: 2\.5 is not an integer"),
+        ("depth", "2", r"depth: '2' is not an integer"),
+        ("depth", True, r"depth: True is not an integer"),
+        ("pair", 0, r"pair must be in 1\.\.3, got 0"),
+        ("pair", 4, r"pair must be in 1\.\.3, got 4"),
+        ("pair", 1.5, r"pair: 1\.5 is not an integer"),
+        ("pair", "2", r"pair: '2' is not an integer"),
+        ("pair", True, r"pair: True is not an integer"),
+    ],
+)
+def test_bad_refine_argument_is_refused_before_any_trace(monkeypatch, name, value, message):
+    # on the n = 4 embedded pencil, whose pair 2 coalesces at the origin
+    monkeypatch.setattr(detect, "trace_loop", _no_trace)
+    pen = embed_2x2(analytic_ci_pencil(0.0), 4, 2, (9.0, -7.0))
+    arguments = {"pair": 2, "depth": 3, name: value}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        refine_box(pen, (-0.5, 0.25, -0.5, 0.25), **arguments)
 
 
 def _baseline_pencil(n):

@@ -17,6 +17,7 @@ from pencilci.errors import (
 from pencilci.linalg import gen_eig_ordered
 from pencilci.pencil import (
     BoxPerimeter,
+    Path,
     analytic_ci_pencil,
     circle,
     dispersion_bound,
@@ -206,14 +207,11 @@ def test_unknown_descriptor_kind():
         pencil_from_descriptor({"kind": "nope"})
 
 
-def test_box_perimeter_corners_exact():
+def test_box_perimeter_is_a_closed_loop_of_corners_only():
+    # a box is traced only as its four sides, so it has no parametrization
     p = BoxPerimeter(-1.0, 2.0, 2.0, 6.0)
     assert p.closed
-    assert p.point(0.0) == (-1.0, 2.0)
-    assert p.point(0.25) == (2.0, 2.0)
-    assert p.point(0.5) == (2.0, 6.0)
-    assert p.point(0.75) == (-1.0, 6.0)
-    assert p.point(1.0) == p.point(0.0)
+    assert not isinstance(p, Path) and not hasattr(p, "point")
 
 
 def test_circle_closure_exact():
@@ -226,14 +224,11 @@ def test_circle_closure_exact():
 
 
 def test_paths_counterclockwise():
-    # positive shoelace area for both closed path kinds
-    for path in (BoxPerimeter(0.0, 0.0, 1.0, 2.0), circle(0.0, 0.0, 1.0)):
-        ts = np.linspace(0.0, 1.0, 201)
-        pts = np.array([path.point(t) for t in ts])
-        area = 0.5 * np.sum(
-            pts[:-1, 0] * pts[1:, 1] - pts[1:, 0] * pts[:-1, 1]
-        )
-        assert area > 0
+    # positive shoelace area for the closed path kind
+    ts = np.linspace(0.0, 1.0, 201)
+    pts = np.array([circle(0.0, 0.0, 1.0).point(t) for t in ts])
+    area = 0.5 * np.sum(pts[:-1, 0] * pts[1:, 1] - pts[1:, 0] * pts[:-1, 1])
+    assert area > 0
 
 
 def test_segment_path():
