@@ -36,7 +36,6 @@ __all__ = [
     "ExperimentSpec",
     "PowerLawFit",
     "CensusReport",
-    "GOE_REFERENCE_EXPONENTS",
     "cell_seed",
     "run_census",
     "write_report",
@@ -46,10 +45,6 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
-
-# Fixed reference exponents for Gaussian orthogonal ensemble pencils; not
-# recomputed here, used only for side-by-side context in summaries.
-GOE_REFERENCE_EXPONENTS = {"full": 2.00, "5": 2.55, "4": 2.66, "3": 2.73}
 
 _SEED_NAMESPACE = "pencilci-census"
 

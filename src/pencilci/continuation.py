@@ -49,7 +49,7 @@ from .errors import (
 )
 from .fields import write_csv
 from .linalg import gen_eig_ordered
-from .pencil import BoxPerimeter, Path, evaluate, segment
+from .pencil import BoxPerimeter, evaluate, segment
 
 __all__ = [
     "EigenPoint",
@@ -691,7 +691,7 @@ def _trace(pencil, path, start: EigenPoint, h_max: float) -> tuple[TraceResult, 
     return TraceResult(points=points, veering_events=events, step_stats=stats), B_state
 
 
-def _pieces(loop) -> list[tuple[Path, int, int]]:
+def _pieces(loop) -> list[tuple]:
     """The (path, start corner, end corner) pieces a closed loop is traced as, in order.
 
     A box is its four sides, each a segment in the +x or +y direction from
@@ -806,7 +806,7 @@ def trace_loop(pencil, loop, sides: dict | None = None, traces: dict | None = No
     return LoopResult(D=D, signature_raw=d, step_stats=stats)
 
 
-def _where(path: Path, loop) -> str:
+def _where(path, loop) -> str:
     """The side a cause happened on; empty for a loop traced as one piece."""
     if path is loop:
         return ""

@@ -187,11 +187,13 @@ class SweepResult:
         return dict(c)
 
     def summary(self) -> dict:
-        """Box counts, per-pair totals, attempts, unresolved boxes and causes, step_stats.
+        """Box counts, per-pair totals, attempts, unresolved boxes and causes, step_stats,
+        and the counts of coarser levels and their tail (see _levels and _tail).
 
         sweep_summary.json holds it after the grid, and each census cell
         file after the cell's identity.
         """
+        levels = _levels(self)
         return {
             "n_boxes": len(self.boxes),
             "n_flagged_boxes": len(self.flagged),
@@ -201,6 +203,8 @@ class SweepResult:
             "attempts": max(b.attempts for b in self.boxes),
             "unresolved_boxes": [[b.row, b.col, b.message] for b in self.unresolved],
             "step_stats": self.step_stats,
+            "levels": levels,
+            "tail": _tail(levels),
         }
 
     def rect_of(self, box: BoxResult) -> tuple[float, float, float, float]:
@@ -210,6 +214,45 @@ class SweepResult:
         original inner grid line lies strictly inside it.
         """
         return box.rect
+
+
+def _levels(sweep: SweepResult) -> list[dict]:
+    """{"rows", "cols", "total_count", "n_unknown"} of the sweep's grid and of
+    each coarser grid that halves rows and cols while both stay whole, finest first.
+
+    A coarse box is a block of the tiling's boxes and its signature the product
+    of theirs, so it flags a pair exactly when an odd number of them do. One
+    holding an unresolved box is unknown: it adds no flags and counts in n_unknown.
+    """
+    flags = [(b.row, b.col, p) for b in sweep.boxes for p in b.pairs]
+    unresolved = [(b.row, b.col) for b in sweep.unresolved]
+    rows, cols, levels = sweep.grid.rows, sweep.grid.cols, []
+    for shift in range(max(rows, cols).bit_length()):
+        if rows % (1 << shift) or cols % (1 << shift):
+            break
+        unknown = {(r >> shift, c >> shift) for r, c in unresolved}
+        odd = Counter((r >> shift, c >> shift, p) for r, c, p in flags)
+        count = sum(k % 2 for (r, c, _), k in odd.items() if (r, c) not in unknown)
+        levels.append({"rows": rows >> shift, "cols": cols >> shift, "total_count": count,
+                       "n_unknown": len(unknown)})
+    return levels
+
+
+def _tail(levels: list[dict]):
+    """The count extrapolated from the increments finer and coarser of the three
+    finest levels: the finest count when finer is 0, plus finer^2 / (coarser - finer),
+    the sum of later increments that shrink by finer / coarser each, when
+    0 < finer < coarser; else None, as with fewer than three levels or an unknown box.
+    """
+    if len(levels) < 3 or any(level["n_unknown"] for level in levels):
+        return None
+    finest, mid, coarse = (level["total_count"] for level in levels[:3])
+    finer, coarser = finest - mid, mid - coarse
+    if finer == 0:
+        return finest
+    if 0 < finer < coarser:
+        return finest + finer * finer / (coarser - finer)
+    return None
 
 
 def _trace_box(pencil, rect, sides: dict, traces: dict | None = None):
@@ -455,7 +498,7 @@ def _model_roots(pencil, traces: dict, pair: int) -> list:
     traces maps side paths to TraceResults. At each of the _MODEL_ANCHORS
     distinct points with the smallest relative gap of the pair, W holds the
     pair's two eigenvector columns, and the model at (x, y) is the 2x2
-    pencil (W.T A W, W.T B W), whose eigenvalues coincide where eig2x2_pencil's
+    pencil (W.T A W, W.T B W), whose eigenvalues coincide where pair_terms'
     ah and bh both vanish. Each anchor's root is Newton's on (ah, bh) from
     the anchor; an anchor whose Newton step meets a singular or non-finite
     Jacobian, or a pencil error, gives no root.
@@ -511,10 +554,11 @@ def _jump(rect, roots: list, levels: int):
     """(sub-rectangle, its levels below rect) of a jump to the model roots, or None.
 
     The sub-rectangle is the one bisection reaches when every split keeps
-    the half holding the roots, with _bisect's unshifted split arithmetic,
-    so it is bitwise a rectangle bisection can reach. It is the deepest one,
-    _MIN_JUMP to levels down, that holds all the roots, at least two of
-    them, with their spread within 1/_JUMP_MARGIN of each of its sides.
+    the half holding the roots, built by _halves unshifted, as _bisect's
+    first try is, so it is bitwise a rectangle bisection can reach. It is
+    the deepest one, _MIN_JUMP to levels down, that holds all the roots, at
+    least two of them, with their spread within 1/_JUMP_MARGIN of each of
+    its sides.
     """
     if len(roots) < 2 or levels < _MIN_JUMP:
         return None
@@ -523,23 +567,36 @@ def _jump(rect, roots: list, levels: int):
         return None
     coords = tuple(zip(*roots))
     spread = [max(c) - min(c) for c in coords]
-    sub = list(rect)
+    sub = rect
     best = None
     for level in range(1, levels + 1):
         for axis in (0, 1):
-            lo, hi = sub[2 * axis], sub[2 * axis + 1]
-            cut = lo + 0.5 * (hi - lo)
+            lower, upper = _halves(sub, axis)
+            cut = upper[2 * axis]
             if min(coords[axis]) >= cut:
-                sub[2 * axis] = cut
+                sub = upper
             elif max(coords[axis]) < cut:
-                sub[2 * axis + 1] = cut
+                sub = lower
             else:
                 return best
         if any(spread[a] * _JUMP_MARGIN > sub[2 * a + 1] - sub[2 * a] for a in (0, 1)):
             return best
         if level >= _MIN_JUMP:
-            best = (tuple(sub), level)
+            best = (sub, level)
     return best
+
+
+def _halves(rect, axis, shift=0.0):
+    """(lower, upper) halves of rect split in axis at its midpoint moved by shift.
+
+    The cut is lo + 0.5 * (hi - lo) + shift; a shift of 0.0 leaves it bitwise
+    unmoved, since the cut is never -0.0.
+    """
+    lo, hi = rect[2 * axis], rect[2 * axis + 1]
+    cut = lo + 0.5 * (hi - lo) + shift
+    lower, upper = list(rect), list(rect)
+    lower[2 * axis + 1] = upper[2 * axis] = cut
+    return tuple(lower), tuple(upper)
 
 
 def _bisect(pencil, rect, axis, pair, seed, level, known, traces):
@@ -548,22 +605,16 @@ def _bisect(pencil, rect, axis, pair, seed, level, known, traces):
     collects the traces of the sides it traces."""
     half = (0.5 * (rect[1] - rect[0]), 0.5 * (rect[3] - rect[2]))
     for attempt in range(_SWEEP_ATTEMPTS):
-        cut = rect[2 * axis] + half[axis] + _retry_shift(seed, attempt, *half)[axis]
-        upper = list(rect)
-        upper[2 * axis] = cut
-        pairs, cause, _ = _trace_box(pencil, tuple(upper), known, traces)
+        lower, upper = _halves(rect, axis, _retry_shift(seed, attempt, *half)[axis])
+        pairs, cause, _ = _trace_box(pencil, upper, known, traces)
         if pairs is not None:
             break
     else:
         raise RefinementInconsistent(
             f"level {level}: the upper half of {_show(rect)} split in {'xy'[axis]} at "
-            f"{cut:.6g} stays unresolved after {_SWEEP_ATTEMPTS} attempts: {cause}"
+            f"{upper[2 * axis]:.6g} stays unresolved after {_SWEEP_ATTEMPTS} attempts: {cause}"
         )
-    if pair in pairs:
-        return tuple(upper)
-    lower = list(rect)
-    lower[2 * axis + 1] = cut
-    return tuple(lower)
+    return upper if pair in pairs else lower
 
 
 def _show(rect) -> str:

@@ -29,10 +29,6 @@ class BandwidthOutOfRange(PencilError, ValueError):
     """Bandwidth outside the admissible range 1..n-1."""
 
 
-class SpectrumOverlap(PencilError):
-    """Embedding spectrum not separated from the inner block's eigenvalues."""
-
-
 class DegenerateStart(PencilError):
     """Eigenvalues tie at the starting point of a trace."""
 

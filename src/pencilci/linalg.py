@@ -1,7 +1,7 @@
 """Dense symmetric-definite kernels.
 
 Ordered generalized eigendecompositions with B-orthonormal eigenvectors, and
-closed-form treatment of 2x2 pencils, including a pair's 2x2 model.
+the terms of a pair's 2x2 model, whose eigenvalues coincide where both vanish.
 
 Matrices are plain float ndarrays.
 """
@@ -20,7 +20,6 @@ from .errors import NonFiniteInput, NotPositiveDefinite
 __all__ = [
     "EigenPair",
     "gen_eig_ordered",
-    "eig2x2_pencil",
     "pair_terms",
 ]
 
@@ -74,35 +73,8 @@ def gen_eig_ordered(A: np.ndarray, B: np.ndarray) -> EigenPair:
     return EigenPair(values=w[::-1].copy(), vectors=V[:, ::-1].copy())
 
 
-def eig2x2_pencil(
-    a: float, b: float, c: float, alpha: float, beta: float, gamma: float
-) -> tuple[float, float, float, float]:
-    """Closed-form eigenvalues of the 2x2 pencil ([[a,b],[b,c]], [[alpha,beta],[beta,gamma]]).
-
-    Rescales to at = a/alpha, ct = c/gamma, bt = b/sqrt(alpha*gamma),
-    dt = beta/sqrt(alpha*gamma) and solves the shifted quadratic through
-    ah = (at - ct)/2 and bh = bt - dt*(at + ct)/2:
-
-        mu = (-bh*dt +- sqrt(bh^2 + (1 - dt^2) ah^2)) / (1 - dt^2),
-        lam = mu + (at + ct)/2.
-
-    Returns (mu1, mu2, lam1, lam2) with lam1 >= lam2.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If [[alpha, beta], [beta, gamma]] is not positive definite.
-    """
-    ah, bh, dt, shift = _pencil2x2_terms(a, b, c, alpha, beta, gamma)
-    denom = 1.0 - dt * dt
-    disc = math.sqrt(bh * bh + denom * ah * ah)
-    mu1 = (-bh * dt + disc) / denom
-    mu2 = (-bh * dt - disc) / denom
-    return mu1, mu2, mu1 + shift, mu2 + shift
-
-
 def pair_terms(A: np.ndarray, B: np.ndarray, W: np.ndarray) -> tuple[float, float]:
-    """(ah, bh) of :func:`eig2x2_pencil` for the 2x2 pencil (W.T A W, W.T B W).
+    """(ah, bh) of :func:`_pencil2x2_terms` for the 2x2 pencil (W.T A W, W.T B W).
 
     With W two eigenvector columns of a pair, this is the pair's model: its
     eigenvalues coincide exactly where ah = bh = 0.
@@ -124,9 +96,13 @@ def pair_terms(A: np.ndarray, B: np.ndarray, W: np.ndarray) -> tuple[float, floa
 def _pencil2x2_terms(
     a: float, b: float, c: float, alpha: float, beta: float, gamma: float
 ) -> tuple[float, float, float, float]:
-    """(ah, bh, dt, shift) of :func:`eig2x2_pencil`'s rescaled pencil.
+    """(ah, bh, dt, shift) of the 2x2 pencil ([[a,b],[b,c]], [[alpha,beta],[beta,gamma]]).
 
-    The eigenvalues coincide exactly when ah = bh = 0, since 1 - dt^2 > 0.
+    Rescales to at = a/alpha, ct = c/gamma, bt = b/sqrt(alpha*gamma),
+    dt = beta/sqrt(alpha*gamma), with ah = (at - ct)/2,
+    bh = bt - dt*(at + ct)/2 and shift = (at + ct)/2. The eigenvalues are
+    shift + (-bh*dt +- sqrt(bh^2 + (1 - dt^2) ah^2)) / (1 - dt^2), so they
+    coincide exactly when ah = bh = 0, since 1 - dt^2 > 0.
 
     Raises
     ------

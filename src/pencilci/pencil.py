@@ -5,12 +5,14 @@ and B symmetric positive definite. Built-in families:
 
 * the SG+ random ensemble (banded Gaussian lower-triangular factors with
   Gamma-distributed positive diagonals),
-* a 2x2 analytic test pencil with one conical intersection at a known point,
-* block-diagonal embeddings that plant a 2x2 pencil at a chosen pair index
-  inside a larger constant-diagonal pencil.
+* a 2x2 analytic test pencil with one conical intersection at a known point.
 
-Paths map a scalar t in [0, 1] to parameter points; a circle, the closed
-kind, satisfies point(0) == point(1) exactly. A box perimeter is no path:
+Pencils are duck-typed: the pipeline needs only the contract that
+:func:`evaluate` states.
+
+Paths map a scalar t in [0, 1] to parameter points through point(t), and
+say by closed whether they are loops; a circle, the closed kind, satisfies
+point(0) == point(1) exactly. A box perimeter is no path:
 continuation.trace_loop traces it as its four sides, each a segment.
 """
 
@@ -21,28 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BandwidthOutOfRange, DispersionOutOfRange, EvaluationFailed, PencilError, SpectrumOverlap,
-)
+from .errors import BandwidthOutOfRange, DispersionOutOfRange, EvaluationFailed, PencilError
 from .fields import (
-    read_array, read_bandwidth, read_int, read_json, read_kind, read_number, read_seed, write_json,
+    read_bandwidth, read_int, read_json, read_kind, read_number, read_seed, write_json,
 )
-from .linalg import eig2x2_pencil
 
 __all__ = [
-    "ParametricPencil",
     "SGPlusRealization",
     "SGPlusPencil",
     "AnalyticCIPencil",
-    "EmbeddedPencil",
     "evaluate",
     "sgplus_generate",
     "sgplus_pencil",
     "analytic_ci_pencil",
-    "embed_2x2",
     "dispersion_bound",
     "sgplus_bandwidth",
-    "Path",
     "BoxPerimeter",
     "CirclePath",
     "SegmentPath",
@@ -54,25 +49,15 @@ __all__ = [
 ]
 
 
-class ParametricPencil:
-    """Base class: a deterministic map (x, y) -> (A, B), A symmetric, B SPD.
-
-    Subclasses set ``n`` and implement :meth:`eval` as a pure function
-    (identical inputs give bitwise-identical matrices) and :meth:`descriptor`
-    returning a JSON-serializable reconstruction recipe.
-    """
-
-    n: int
-
-    def eval(self, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def descriptor(self) -> dict:
-        raise NotImplementedError
-
-
 def evaluate(pencil, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
     """A and B of pencil at (x, y).
+
+    A pencil is any object with an integer ``n``, an ``eval(x, y)`` that
+    returns (A, B), A symmetric and B symmetric positive definite, as a pure
+    function (identical inputs give bitwise-identical matrices, which boxes
+    that share a side rely on), and a ``descriptor()`` that returns a
+    JSON-serializable recipe for :func:`pencil_from_descriptor`, needed only
+    by :func:`save_pencil`.
 
     Any exception from the pencil's own eval that is not a PencilError is
     raised again as EvaluationFailed, so a bad evaluation fails one trace
@@ -165,7 +150,7 @@ def sgplus_generate(n: int, b, delta: float, seed: int) -> SGPlusRealization:
 
 
 @dataclass(frozen=True, eq=False)
-class SGPlusPencil(ParametricPencil):
+class SGPlusPencil:
     """Trigonometric SG+ pencil, 2*pi-periodic in each parameter.
 
     A(x, y) = L(x, y) L(x, y)^T with
@@ -211,7 +196,7 @@ def sgplus_pencil(realization: SGPlusRealization) -> SGPlusPencil:
 
 
 @dataclass(frozen=True)
-class AnalyticCIPencil(ParametricPencil):
+class AnalyticCIPencil:
     """2x2 test pencil with a single conical intersection at a known point.
 
     A(x, y) = [[4x + 3y, 5y], [5y, -4x + 3y]] + eps * [[1, 1], [1, -1]],
@@ -250,128 +235,29 @@ def analytic_ci_pencil(eps: float = 0.0) -> AnalyticCIPencil:
     return AnalyticCIPencil(eps=eps)
 
 
-@dataclass(frozen=True)
-class EmbeddedPencil(ParametricPencil):
-    """Block-diagonal n x n pencil with a 2x2 inner pencil at rows j, j+1.
-
-    The remaining diagonal of A carries the constant outer spectrum (first
-    j-1 values above the inner block, the rest below); B is the identity
-    outside the inner block. Pair index j is 1-based, matching reported pair
-    indices.
-    """
-
-    inner: ParametricPencil
-    dim: int
-    j: int
-    outer_spectrum: tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return self.dim
-
-    def eval(self, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-        A_in, B_in = self.inner.eval(x, y)
-        n, j = self.dim, self.j
-        A = np.zeros((n, n))
-        B = np.eye(n)
-        above = self.outer_spectrum[: j - 1]
-        below = self.outer_spectrum[j - 1 :]
-        for k, val in enumerate(above):
-            A[k, k] = val
-        for k, val in enumerate(below):
-            A[j + 1 + k, j + 1 + k] = val
-        A[j - 1 : j + 1, j - 1 : j + 1] = A_in
-        B[j - 1 : j + 1, j - 1 : j + 1] = B_in
-        return A, B
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "embedded",
-            "inner": self.inner.descriptor(),
-            "n": self.dim,
-            "j": self.j,
-            "outer_spectrum": list(self.outer_spectrum),
-        }
-
-
-def embed_2x2(
-    inner: ParametricPencil,
-    n: int,
-    j: int,
-    outer_spectrum: tuple[float, ...],
-) -> EmbeddedPencil:
-    """Embed a 2x2 pencil at pair index j (1-based) of an n x n pencil.
-
-    The deterministic outer spectrum must stay strictly separated from the
-    inner pencil's eigenvalue range so that sorting places the inner pair at
-    positions j, j+1: exactly j-1 outer values above it and n-j-1 below it.
-    Separation is verified on a 9 x 9 sample grid over [-2, 2]^2.
-
-    Raises
-    ------
-    SpectrumOverlap
-        If separation fails at any sampled point.
-    """
-    if inner.n != 2:
-        raise ValueError("inner pencil must be 2x2")
-    if not (2 <= n and 1 <= j <= n - 1):
-        raise ValueError(f"need 2 <= n and 1 <= j <= n-1, got n={n}, j={j}")
-    if len(outer_spectrum) != n - 2:
-        raise ValueError(f"outer_spectrum must have {n - 2} values")
-    above = outer_spectrum[: j - 1]
-    below = outer_spectrum[j - 1 :]
-    sample = np.linspace(-2.0, 2.0, 9)
-    for x in sample:
-        for y in sample:
-            A_in, B_in = inner.eval(x, y)
-            _, _, lam1, lam2 = eig2x2_pencil(
-                A_in[0, 0], A_in[0, 1], A_in[1, 1],
-                B_in[0, 0], B_in[0, 1], B_in[1, 1],
-            )
-            if any(v <= lam1 for v in above) or any(v >= lam2 for v in below):
-                raise SpectrumOverlap(
-                    f"outer spectrum not separated from inner range "
-                    f"[{lam2:.6g}, {lam1:.6g}] at (x, y) = ({x:.6g}, {y:.6g})"
-                )
-    return EmbeddedPencil(inner=inner, dim=n, j=j, outer_spectrum=tuple(outer_spectrum))
-
-
 _DESCRIPTOR_KEYS = {
     "sgplus": ("n", "b", "delta", "seed"),
     "analytic_ci": ("eps",),
-    "embedded": ("inner", "n", "j", "outer_spectrum"),
 }
 
 
-def pencil_from_descriptor(desc: dict) -> ParametricPencil:
-    """Reconstruct a pencil from its descriptor dictionary."""
+def pencil_from_descriptor(desc: dict):
+    """Reconstruct a pencil from its descriptor dictionary: kind sgplus or analytic_ci."""
     kind, get = read_kind(desc, "pencil descriptor", _DESCRIPTOR_KEYS)
     if kind == "sgplus":
         n, b, delta = get("n", read_int), get("b", read_bandwidth), get("delta", read_number)
         return sgplus_pencil(sgplus_generate(n, b, delta, get("seed", read_seed)))
-    if kind == "analytic_ci":
-        return analytic_ci_pencil(get("eps", read_number, 0.0))
-    inner, outer = pencil_from_descriptor(desc.get("inner")), get("outer_spectrum", read_array)
-    return embed_2x2(inner, get("n", read_int), get("j", read_int), outer)
+    return analytic_ci_pencil(get("eps", read_number, 0.0))
 
 
-def save_pencil(pencil: ParametricPencil, path) -> None:
+def save_pencil(pencil, path) -> None:
     """Write a pencil descriptor as JSON. Matrices are regenerated, not stored."""
     write_json(path, pencil.descriptor())
 
 
-def load_pencil(path) -> ParametricPencil:
+def load_pencil(path):
     """Reconstruct a pencil from a descriptor JSON file."""
     return pencil_from_descriptor(read_json(path))
-
-
-class Path:
-    """Base class for parameter paths t in [0, 1] -> (x, y)."""
-
-    closed: bool = False
-
-    def point(self, t: float) -> tuple[float, float]:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -397,7 +283,7 @@ class BoxPerimeter:
 
 
 @dataclass(frozen=True)
-class CirclePath(Path):
+class CirclePath:
     """Counterclockwise circle; t taken mod 1 so the loop closes exactly."""
 
     cx: float
@@ -417,7 +303,7 @@ class CirclePath(Path):
 
 
 @dataclass(frozen=True)
-class SegmentPath(Path):
+class SegmentPath:
     """Straight open segment from (x0, y0) at t=0 to (x1, y1) at t=1.
 
     Both ends are returned exactly, so segments that share an end meet there
@@ -428,6 +314,7 @@ class SegmentPath(Path):
     y0: float
     x1: float
     y1: float
+    closed = False
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.x0, self.y0, self.x1, self.y1))):

@@ -1,10 +1,15 @@
-"""Reference functions that only the tests call.
+"""Reference functions and pencils that only the tests call.
 
 The paper reduces A - lambda B to standard form through B^{1/2}. The package
 never forms B^{1/2} (every solve is LAPACK dsygvd), so the SPD square root,
 its series cross-check and the Lyapunov derivative of the square root live
 here, as oracles for acceptance criterion 6 and the linalg tests, next to the
 signature that a loop enclosing given coalescence counts must carry.
+
+The closed-form eigenvalues of a 2x2 pencil, and the block-diagonal
+embedding that plants a 2x2 pencil at a chosen pair index of a larger
+pencil (acceptance criterion 2), are here too: the pipeline roots a pair's
+2x2 model through linalg.pair_terms and never needs either.
 
 Matrices are plain float ndarrays; the symmetric ones are kept exactly
 symmetric by construction via :func:`symmetrize`.
@@ -13,11 +18,13 @@ symmetric by construction via :func:`symmetrize`.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from pencilci.errors import NotPositiveDefinite, PencilError
+from pencilci.linalg import _pencil2x2_terms
 
 _EPS = np.finfo(float).eps
 
@@ -37,6 +44,10 @@ class SeriesDiverged(PencilError):
     Raised when the scaling precondition gamma > ||B|| is violated, or when
     term norms fail to decrease monotonically after the third term.
     """
+
+
+class SpectrumOverlap(PencilError):
+    """Embedding spectrum not separated from the inner block's eigenvalues."""
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
@@ -149,3 +160,107 @@ def signature_from_counts(counts) -> np.ndarray:
     exponents[:-1] += d
     exponents[1:] += d
     return np.where(exponents % 2 == 0, 1, -1).astype(int)
+
+
+def eig2x2_pencil(
+    a: float, b: float, c: float, alpha: float, beta: float, gamma: float
+) -> tuple[float, float, float, float]:
+    """Closed-form eigenvalues of the 2x2 pencil ([[a,b],[b,c]], [[alpha,beta],[beta,gamma]]).
+
+    Rescales to at = a/alpha, ct = c/gamma, bt = b/sqrt(alpha*gamma),
+    dt = beta/sqrt(alpha*gamma) and solves the shifted quadratic through
+    ah = (at - ct)/2 and bh = bt - dt*(at + ct)/2:
+
+        mu = (-bh*dt +- sqrt(bh^2 + (1 - dt^2) ah^2)) / (1 - dt^2),
+        lam = mu + (at + ct)/2.
+
+    Returns (mu1, mu2, lam1, lam2) with lam1 >= lam2.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If [[alpha, beta], [beta, gamma]] is not positive definite.
+    """
+    ah, bh, dt, shift = _pencil2x2_terms(a, b, c, alpha, beta, gamma)
+    denom = 1.0 - dt * dt
+    disc = math.sqrt(bh * bh + denom * ah * ah)
+    mu1 = (-bh * dt + disc) / denom
+    mu2 = (-bh * dt - disc) / denom
+    return mu1, mu2, mu1 + shift, mu2 + shift
+
+
+@dataclass(frozen=True)
+class EmbeddedPencil:
+    """Block-diagonal n x n pencil with a 2x2 inner pencil at rows j, j+1.
+
+    The remaining diagonal of A carries the constant outer spectrum (first
+    j-1 values above the inner block, the rest below); B is the identity
+    outside the inner block. Pair index j is 1-based, matching reported pair
+    indices.
+    """
+
+    inner: object  # a 2x2 pencil
+    dim: int
+    j: int
+    outer_spectrum: tuple[float, ...]
+
+    @property
+    def n(self) -> int:
+        return self.dim
+
+    def eval(self, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
+        A_in, B_in = self.inner.eval(x, y)
+        n, j = self.dim, self.j
+        A = np.zeros((n, n))
+        B = np.eye(n)
+        above = self.outer_spectrum[: j - 1]
+        below = self.outer_spectrum[j - 1 :]
+        for k, val in enumerate(above):
+            A[k, k] = val
+        for k, val in enumerate(below):
+            A[j + 1 + k, j + 1 + k] = val
+        A[j - 1 : j + 1, j - 1 : j + 1] = A_in
+        B[j - 1 : j + 1, j - 1 : j + 1] = B_in
+        return A, B
+
+
+def embed_2x2(
+    inner,
+    n: int,
+    j: int,
+    outer_spectrum: tuple[float, ...],
+) -> EmbeddedPencil:
+    """Embed a 2x2 pencil at pair index j (1-based) of an n x n pencil.
+
+    The deterministic outer spectrum must stay strictly separated from the
+    inner pencil's eigenvalue range so that sorting places the inner pair at
+    positions j, j+1: exactly j-1 outer values above it and n-j-1 below it.
+    Separation is verified on a 9 x 9 sample grid over [-2, 2]^2.
+
+    Raises
+    ------
+    SpectrumOverlap
+        If separation fails at any sampled point.
+    """
+    if inner.n != 2:
+        raise ValueError("inner pencil must be 2x2")
+    if not (2 <= n and 1 <= j <= n - 1):
+        raise ValueError(f"need 2 <= n and 1 <= j <= n-1, got n={n}, j={j}")
+    if len(outer_spectrum) != n - 2:
+        raise ValueError(f"outer_spectrum must have {n - 2} values")
+    above = outer_spectrum[: j - 1]
+    below = outer_spectrum[j - 1 :]
+    sample = np.linspace(-2.0, 2.0, 9)
+    for x in sample:
+        for y in sample:
+            A_in, B_in = inner.eval(x, y)
+            _, _, lam1, lam2 = eig2x2_pencil(
+                A_in[0, 0], A_in[0, 1], A_in[1, 1],
+                B_in[0, 0], B_in[0, 1], B_in[1, 1],
+            )
+            if any(v <= lam1 for v in above) or any(v >= lam2 for v in below):
+                raise SpectrumOverlap(
+                    f"outer spectrum not separated from inner range "
+                    f"[{lam2:.6g}, {lam1:.6g}] at (x, y) = ({x:.6g}, {y:.6g})"
+                )
+    return EmbeddedPencil(inner=inner, dim=n, j=j, outer_spectrum=tuple(outer_spectrum))

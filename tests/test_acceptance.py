@@ -11,16 +11,17 @@ import time
 import numpy as np
 
 from conftest import rand_spd, rand_sym
-from oracles import signature_from_counts, spd_sqrt, spd_sqrt_series, sqrt_derivative
+from oracles import (
+    eig2x2_pencil, embed_2x2, signature_from_counts, spd_sqrt, spd_sqrt_series, sqrt_derivative,
+)
 from pencilci.census import ExperimentSpec, fit_power_law, run_census, write_report
 from pencilci.continuation import init_decomposition, predict, trace, trace_loop
 from pencilci.detect import GridSpec, decode_signature, refine_box, sweep_grid
 from pencilci.errors import LoopUnresolvable
-from pencilci.linalg import eig2x2_pencil, gen_eig_ordered
+from pencilci.linalg import gen_eig_ordered
 from pencilci.pencil import (
     analytic_ci_pencil,
     circle,
-    embed_2x2,
     segment,
     sgplus_generate,
     sgplus_pencil,

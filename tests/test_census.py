@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from pencilci.census import (
-    GOE_REFERENCE_EXPONENTS,
     CensusReport,
     ExperimentSpec,
     cell_seed,
@@ -425,7 +424,3 @@ def test_write_report_files(tmp_path):
         lines = fh.read().splitlines()
     assert lines[0] == "b,delta,n,realization,count,n_unresolved"
     assert lines[1].split(",") == ["full", "0.45000000000000001", "4", "0", "4", "0"]
-
-
-def test_goe_reference_exponents():
-    assert GOE_REFERENCE_EXPONENTS == {"full": 2.00, "5": 2.55, "4": 2.66, "3": 2.73}

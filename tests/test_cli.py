@@ -382,25 +382,20 @@ def _sweep_error_line(tmp_path, pencil, *ranges):
         ('{"kind": "sgplus", "n": 4, "b": 3, "delta": NaN, "seed": 0}', "delta"),
         (
             '{"kind": "embedded", "inner": {"kind": "analytic_ci"}, "n": 3, "j": 1,'
-            ' "outer_spectrum": [Infinity]}',
-            "outer_spectrum",
+            ' "outer_spectrum": [9.0]}',
+            "unknown pencil descriptor kind: 'embedded'",
         ),
         ('{"kind": "sgplus", "n": 4, "b": 2.7, "delta": 0.4, "seed": 0}', "'b'"),
         ('{"kind": "sgplus", "n": 4, "b": 3, "delta": 0.4, "seed": 1.9}', "'seed'"),
         ('{"kind": "sgplus", "n": "4", "b": 3, "delta": 0.4, "seed": 0}', "'n'"),
         ('{"kind": "analytic_ci", "eps": true}', "'eps'"),
-        (
-            '{"kind": "embedded", "inner": {"kind": "analytic_ci"}, "n": 3, "j": 2,'
-            ' "outer_spectrum": "9"}',
-            "'outer_spectrum'",
-        ),
         ('{"kind": "sgplus", "n": 4, "b": 3, "delta": 0.4, "seed": -1}', "'seed'"),
         ('{"kind": "analytic_ci", "esp": 0.1}', "esp"),
         ('{"kind": "sgplus", "n": 4, "b": 3, "delta": 0.4, "seed": 0, "eps": 0}', "eps"),
     ],
     ids=[
-        "list", "n-null", "b-word", "eps-nan", "delta-nan", "outer-infinity",
-        "b-fraction", "seed-fraction", "n-string", "eps-bool", "outer-string",
+        "list", "n-null", "b-word", "eps-nan", "delta-nan", "embedded-kind",
+        "b-fraction", "seed-fraction", "n-string", "eps-bool",
         "seed-negative", "analytic-misspelt-key", "sgplus-stray-key",
     ],
 )
@@ -409,6 +404,13 @@ def test_sweep_malformed_pencil_descriptor_is_one_line(tmp_path, text, problem):
     pencil.write_text(text)
     line = _sweep_error_line(tmp_path, pencil, "--x-range", 0, 1, "--y-range", 0, 1)
     assert problem in line
+
+
+def test_descriptor_kinds_are_the_generate_kinds():
+    # a descriptor kind that generate cannot write is one that nothing writes
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (kind,) = [a for a in sub.choices["generate"]._actions if "--kind" in a.option_strings]
+    assert set(pencilci.pencil._DESCRIPTOR_KEYS) == set(kind.choices)
 
 
 def test_sweep_full_bandwidth_descriptor(tmp_path):
@@ -466,8 +468,10 @@ def test_census_rejects_spec_list_that_is_not_an_array(tmp_path):
 def test_fit_matches_library(tmp_path, capfd):
     rc = run("fit", "--data", DATA, "--out-dir", tmp_path)
     assert rc == 0
-    printed = capfd.readouterr().out
-    assert "reference p 2.73" in printed and "reference p 2.0" in printed
+    printed = capfd.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == [
+        "bandwidth=3", "bandwidth=4", "bandwidth=5", "bandwidth=full"
+    ]
 
     with open(DATA, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -487,14 +491,15 @@ def test_fit_matches_library(tmp_path, capfd):
         assert int(row["n_points"]) == 8
 
 
-def test_fit_prints_reference_only_where_known(tmp_path, capfd):
+def test_fit_prints_p_c_and_rmsd_only(tmp_path, capfd):
+    # no reference exponent follows a fit: the package holds none with a source
     data = tmp_path / "counts.csv"
     data.write_text("bandwidth,n,count\n2,50,100\n2,60,150\n3,50,110\n3,60,160\n")
     assert run("fit", "--data", data, "--out-dir", tmp_path) == 0
     lines = capfd.readouterr().out.splitlines()
     assert len(lines) == 2
-    assert lines[0].startswith("bandwidth=2: p = ") and "reference p" not in lines[0]
-    assert lines[1].startswith("bandwidth=3: p = ") and lines[1].endswith("(reference p 2.73)")
+    for line, token in zip(lines, ("2", "3")):
+        assert re.fullmatch(rf"bandwidth={token}: p = \S+, c = \S+, rmsd = \S+", line), line
 
 
 def test_fit_quotes_a_group_key(tmp_path):

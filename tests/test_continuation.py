@@ -25,25 +25,22 @@ from pencilci.errors import DegenerateStart, GapTooSmall, LoopUnresolvable, Trip
 from pencilci.linalg import gen_eig_ordered
 from pencilci.pencil import (
     BoxPerimeter,
-    ParametricPencil,
-    Path,
     analytic_ci_pencil,
     circle,
-    embed_2x2,
     segment,
     sgplus_generate,
     sgplus_pencil,
 )
 
 from conftest import rand_spd
-from oracles import symmetrize
+from oracles import embed_2x2, symmetrize
 
 
 def _sg_pencil(n=6, seed=2024):
     return sgplus_pencil(sgplus_generate(n, n - 1, 0.45, seed))
 
 
-class ClosedCurve(Path):
+class ClosedCurve:
     closed = True
 
     def __init__(self, fn):
@@ -517,7 +514,7 @@ def test_write_trace_csv_roundtrip(tmp_path):
     assert all(r[-1] in ("0", "1") for r in rows[1:])
 
 
-class _CountingPencil(ParametricPencil):
+class _CountingPencil:
     def __init__(self, pencil, counts):
         self.n = pencil.n
         self._pencil = pencil
@@ -638,7 +635,7 @@ def test_eigensolve_accounting_with_veering(monkeypatch):
     _assert_one_eval_per_solve_and_probe(counts)
 
 
-class _DiagonalPencil(ParametricPencil):
+class _DiagonalPencil:
     """A = diag(spectrum(x)), B = I; the eigenvalues are the spectrum."""
 
     def __init__(self, spectrum, n):

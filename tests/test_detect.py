@@ -25,10 +25,10 @@ from pencilci.census import cell_seed
 from pencilci.continuation import trace_loop
 from pencilci.errors import OddSignCount, RefinementInconsistent
 from pencilci.pencil import (
-    BoxPerimeter, analytic_ci_pencil, embed_2x2, segment, sgplus_generate, sgplus_pencil,
+    BoxPerimeter, analytic_ci_pencil, segment, sgplus_generate, sgplus_pencil,
 )
 
-from oracles import signature_from_counts, spd_sqrt, symmetrize
+from oracles import embed_2x2, signature_from_counts, spd_sqrt, symmetrize
 
 
 def test_decode_signature_examples():
@@ -808,3 +808,61 @@ def test_n30_full_block_flags_are_pinned():
     assert count == 43
     assert (0, 6, (9, 20)) in flags and (1, 1, (25,)) in flags
     assert digest == "89106e3065a51ca4"
+
+
+@pytest.mark.parametrize("n, counts, tail", [(20, [14, 14, 8], 14), (30, [39, 37, 19], 39.25)])
+def test_levels_equal_direct_sweeps_on_nested_grids(n, counts, tail):
+    # halving rows and cols of the perfbench block keeps every coarse line
+    # bitwise a line of the block, so a direct sweep at a coarse size traces
+    # exactly the coarse boxes whose flags the levels read by parity
+    pencil = _baseline_pencil(n)
+    summary = sweep_grid(pencil, _PERFBENCH_BLOCK, seed=0).summary()
+    levels = summary["levels"]
+    assert [(lv["rows"], lv["cols"]) for lv in levels] == [(4, 8), (2, 4), (1, 2)]
+    assert [lv["total_count"] for lv in levels] == counts
+    assert all(lv["n_unknown"] == 0 for lv in levels)
+    ranges = (_PERFBENCH_BLOCK.x_range, _PERFBENCH_BLOCK.y_range)
+    for lv in levels[1:]:
+        direct = sweep_grid(pencil, GridSpec(lv["rows"], lv["cols"], *ranges), seed=0)
+        assert not direct.unresolved and direct.total_count == lv["total_count"]
+    assert summary["tail"] == tail
+
+
+def test_levels_count_the_tiling_a_retry_kept():
+    # the intersection sits on a vertex of every level at first, so the kept
+    # tiling is a moved one, and each of its coarse boxes holds it once
+    grid = GridSpec(rows=4, cols=4, x_range=(-1.0, 1.0), y_range=(-1.0, 1.0))
+    summary = sweep_grid(analytic_ci_pencil(0.0), grid, seed=0).summary()
+    assert summary["attempts"] > 1
+    assert [(lv["rows"], lv["total_count"], lv["n_unknown"]) for lv in summary["levels"]] == [
+        (4, 1, 0), (2, 1, 0), (1, 1, 0)
+    ]
+    assert summary["tail"] == 1
+
+
+def test_an_unresolved_box_makes_its_coarse_boxes_unknown():
+    # boxes (1, 3) and (2, 3) stay unresolved; the intersection is in box
+    # (1, 1), whose 2x2 box (0, 0) holds no unresolved box, but the 1x1 box does
+    grid = GridSpec(rows=4, cols=4, x_range=(-1.0, 1.0), y_range=(-1.0, 1.0))
+    summary = sweep_grid(_FaultyPencil(_raise_value_error), grid, seed=0).summary()
+    assert summary["levels"] == [
+        {"rows": 4, "cols": 4, "total_count": 1, "n_unknown": 2},
+        {"rows": 2, "cols": 2, "total_count": 1, "n_unknown": 2},
+        {"rows": 1, "cols": 1, "total_count": 0, "n_unknown": 1},
+    ]
+    assert summary["tail"] is None
+
+
+def _as_levels(*counts, unknown=0):
+    return [{"rows": 0, "cols": 0, "total_count": c, "n_unknown": unknown} for c in counts]
+
+
+def test_tail_arithmetic():
+    # the ROADMAP's n = 50, b = 3 counts at 64x128, 32x64 and 16x32
+    assert detect._tail(_as_levels(3261, 3085, 2621)) == 3261 + 176**2 / 288
+    assert detect._tail(_as_levels(14, 14, 8)) == 14
+    assert detect._tail(_as_levels(7, 7, 9)) == 7  # the finer increment alone decides
+    assert detect._tail(_as_levels(39, 37, 19, 5)) == 39.25  # the three finest only
+    for counts in [(10, 12, 8), (12, 8, 6), (12, 10, 8), (5, 5)]:
+        assert detect._tail(_as_levels(*counts)) is None, counts
+    assert detect._tail(_as_levels(6, 6, 6, unknown=1)) is None

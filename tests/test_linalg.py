@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pencilci.errors import NonFiniteInput, NotPositiveDefinite
-from pencilci.linalg import eig2x2_pencil, gen_eig_ordered
+from pencilci.linalg import gen_eig_ordered
 
 from conftest import rand_spd, rand_sym
-from oracles import SeriesDiverged, spd_sqrt, spd_sqrt_series, sqrt_derivative, symmetrize
+from oracles import (
+    SeriesDiverged, eig2x2_pencil, spd_sqrt, spd_sqrt_series, sqrt_derivative, symmetrize,
+)
 
 
 @given(st.integers(0, 2**32 - 1))
