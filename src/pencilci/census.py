@@ -121,9 +121,6 @@ class ExperimentSpec:
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         return cls(**read_object(d, "experiment spec", [f.name for f in fields(cls)]))
 
-    def to_json(self, path) -> None:
-        write_json(path, asdict(self))
-
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
         return cls.from_dict(read_json(path))

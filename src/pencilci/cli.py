@@ -28,7 +28,7 @@ from .fields import (
     flag, parse_text, read_array, read_bandwidth, read_int, read_json, read_kind, read_number,
     read_seed, write_json,
 )
-from .pencil import BoxPerimeter, circle, load_pencil, pencil_from_descriptor, save_pencil, segment
+from .pencil import BoxPerimeter, circle, load_pencil, pencil_from_descriptor, segment
 
 log = logging.getLogger("pencilci")
 
@@ -85,15 +85,16 @@ def _print_fits(fits: dict, columns) -> None:
 
 
 def _cmd_generate(args) -> int:
-    if args.kind == "analytic_ci":
-        desc = {"kind": "analytic_ci", "eps": args.eps}
-    elif args.n is None or args.b is None or args.delta is None:
-        raise ValueError("generate --kind sgplus requires --n, --b and --delta")
-    else:
-        desc = {"kind": "sgplus", "n": args.n, "b": args.b, "delta": args.delta, "seed": args.seed}
-    pencil = pencil_from_descriptor(desc)
+    """Write pencil.json as kind plus the flags given, once they build a pencil.
+
+    pencil_from_descriptor refuses a flag the kind does not read as it does
+    that key in a hand-written pencil.json.
+    """
+    skip = ("func", "command", "out_dir", "log_level")
+    desc = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+    pencil_from_descriptor(desc)
     out = os.path.join(args.out_dir, "pencil.json")
-    save_pencil(pencil, out)
+    write_json(out, desc)
     _write_manifest(args, ["pencil.json"])
     log.info("wrote %s", out)
     return 0
@@ -179,8 +180,6 @@ def _cmd_fit(args) -> int:
 
 
 def _build_parser() -> _Parser:
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=flag(read_seed), default=0, help="master seed (default 0)")
     pooled = argparse.ArgumentParser(add_help=False)
     pooled.add_argument(
         "--workers",
@@ -201,12 +200,13 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"pencilci {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("generate", parents=[common, seeded], help="write a pencil descriptor")
+    p = sub.add_parser("generate", parents=[common], help="write a pencil descriptor")
     p.add_argument("--kind", default="sgplus", choices=["sgplus", "analytic_ci"])
-    p.add_argument("--n", type=int, help="dimension")
-    p.add_argument("--b", type=flag(read_bandwidth), help="bandwidth (integer or 'full')")
-    p.add_argument("--delta", type=float, help="dispersion")
-    p.add_argument("--eps", type=float, default=0.0, help="offset of the analytic family")
+    p.add_argument("--n", type=int, help="sgplus: dimension")
+    p.add_argument("--b", type=flag(read_bandwidth), help="sgplus: bandwidth (integer or 'full')")
+    p.add_argument("--delta", type=float, help="sgplus: dispersion")
+    p.add_argument("--seed", type=flag(read_seed), help="sgplus: seed (default 0)")
+    p.add_argument("--eps", type=float, help="analytic_ci: offset (default 0.0)")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("trace", parents=[common], help="trace a path, report the signature")
@@ -214,9 +214,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--loop", required=True, help="loop spec JSON (inline or @file)")
     p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser(
-        "sweep", parents=[common, seeded, pooled], help="sweep a box grid for coalescences"
-    )
+    p = sub.add_parser("sweep", parents=[common, pooled], help="sweep a box grid for coalescences")
+    p.add_argument("--seed", type=flag(read_seed), default=0, help="master seed (default 0)")
     p.add_argument("--pencil", required=True, help="pencil descriptor JSON")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)

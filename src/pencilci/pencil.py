@@ -7,8 +7,11 @@ and B symmetric positive definite. Built-in families:
   Gamma-distributed positive diagonals),
 * a 2x2 analytic test pencil with one conical intersection at a known point.
 
-Pencils are duck-typed: the pipeline needs only the contract that
-:func:`evaluate` states.
+Pencils are duck-typed: the pipeline needs only the integer n and the pure
+eval(x, y) that :func:`evaluate` states. A pencil JSON file holds a
+descriptor, a kind and the fields that kind reads, from which
+:func:`pencil_from_descriptor` builds the pencil again; matrices are never
+stored.
 
 Paths map a scalar t in [0, 1] to parameter points through point(t), and
 say by closed whether they are loops; a circle, the closed kind, satisfies
@@ -24,9 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandwidthOutOfRange, DispersionOutOfRange, EvaluationFailed, PencilError
-from .fields import (
-    read_bandwidth, read_int, read_json, read_kind, read_number, read_seed, write_json,
-)
+from .fields import read_bandwidth, read_int, read_json, read_kind, read_number, read_seed
 
 __all__ = [
     "SGPlusRealization",
@@ -45,19 +46,16 @@ __all__ = [
     "segment",
     "pencil_from_descriptor",
     "load_pencil",
-    "save_pencil",
 ]
 
 
 def evaluate(pencil, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
     """A and B of pencil at (x, y).
 
-    A pencil is any object with an integer ``n``, an ``eval(x, y)`` that
+    A pencil is any object with an integer ``n`` and an ``eval(x, y)`` that
     returns (A, B), A symmetric and B symmetric positive definite, as a pure
-    function (identical inputs give bitwise-identical matrices, which boxes
-    that share a side rely on), and a ``descriptor()`` that returns a
-    JSON-serializable recipe for :func:`pencil_from_descriptor`, needed only
-    by :func:`save_pencil`.
+    function: identical inputs give bitwise-identical matrices, which boxes
+    that share a side rely on.
 
     Any exception from the pencil's own eval that is not a PencilError is
     raised again as EvaluationFailed, so a bad evaluation fails one trace
@@ -80,7 +78,10 @@ def dispersion_bound(n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SGPlusRealization:
-    """One draw of the SG+ ensemble, reproducible from (n, b, delta, seed).
+    """One draw of the SG+ ensemble: n and the matrices, nothing else.
+
+    :func:`sgplus_generate` draws it again from (n, b, delta, seed); the
+    realization keeps none of b, delta and seed, which only a descriptor holds.
 
     factors, of shape (4, 2, n, n), holds the strictly-lower-triangular
     banded factors (entries only where 0 < i - j <= b): factors[k-1] is the
@@ -89,9 +90,6 @@ class SGPlusRealization:
     """
 
     n: int
-    b: int
-    delta: float
-    seed: int
     factors: np.ndarray
     diags: np.ndarray
 
@@ -146,7 +144,7 @@ def sgplus_generate(n: int, b, delta: float, seed: int) -> SGPlusRealization:
     diags = np.zeros((2, n, n))
     for d in diags:
         d.flat[:: n + 1] = sigma * np.sqrt(2.0 * rng.standard_gamma(a))
-    return SGPlusRealization(n=n, b=b, delta=delta, seed=seed, factors=factors, diags=diags)
+    return SGPlusRealization(n=n, factors=factors, diags=diags)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,16 +176,6 @@ class SGPlusPencil:
         # numpy computes X @ X.T with syrk, so A and B come out exactly symmetric.
         AB = L @ L.transpose(0, 2, 1)
         return AB[0], AB[1]
-
-    def descriptor(self) -> dict:
-        r = self.realization
-        return {
-            "kind": "sgplus",
-            "n": r.n,
-            "b": r.b,
-            "delta": r.delta,
-            "seed": r.seed,
-        }
 
 
 def sgplus_pencil(realization: SGPlusRealization) -> SGPlusPencil:
@@ -222,13 +210,6 @@ class AnalyticCIPencil:
         B = np.array([[5.0, 3.0], [3.0, 5.0]])
         return A, B
 
-    def ci_location(self) -> tuple[float, float]:
-        """Parameter point where the two eigenvalues coalesce."""
-        return (-self.eps / 4.0, -5.0 * self.eps / 16.0)
-
-    def descriptor(self) -> dict:
-        return {"kind": "analytic_ci", "eps": self.eps}
-
 
 def analytic_ci_pencil(eps: float = 0.0) -> AnalyticCIPencil:
     """The 2x2 analytic test pencil with perturbation eps."""
@@ -242,17 +223,16 @@ _DESCRIPTOR_KEYS = {
 
 
 def pencil_from_descriptor(desc: dict):
-    """Reconstruct a pencil from its descriptor dictionary: kind sgplus or analytic_ci."""
+    """Build a pencil from its descriptor dictionary: kind sgplus or analytic_ci.
+
+    An sgplus descriptor needs n, b and delta, and seed defaults to 0; an
+    analytic_ci descriptor's eps defaults to 0.0.
+    """
     kind, get = read_kind(desc, "pencil descriptor", _DESCRIPTOR_KEYS)
     if kind == "sgplus":
         n, b, delta = get("n", read_int), get("b", read_bandwidth), get("delta", read_number)
-        return sgplus_pencil(sgplus_generate(n, b, delta, get("seed", read_seed)))
+        return sgplus_pencil(sgplus_generate(n, b, delta, get("seed", read_seed, 0)))
     return analytic_ci_pencil(get("eps", read_number, 0.0))
-
-
-def save_pencil(pencil, path) -> None:
-    """Write a pencil descriptor as JSON. Matrices are regenerated, not stored."""
-    write_json(path, pencil.descriptor())
 
 
 def load_pencil(path):

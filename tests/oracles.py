@@ -9,7 +9,9 @@ signature that a loop enclosing given coalescence counts must carry.
 The closed-form eigenvalues of a 2x2 pencil, and the block-diagonal
 embedding that plants a 2x2 pencil at a chosen pair index of a larger
 pencil (acceptance criterion 2), are here too: the pipeline roots a pair's
-2x2 model through linalg.pair_terms and never needs either.
+2x2 model through linalg.pair_terms and never needs either. So is the known
+intersection point of the analytic test pencil, which the localization
+tests measure their estimates against.
 
 Matrices are plain float ndarrays; the symmetric ones are kept exactly
 symmetric by construction via :func:`symmetrize`.
@@ -187,6 +189,11 @@ def eig2x2_pencil(
     mu1 = (-bh * dt + disc) / denom
     mu2 = (-bh * dt - disc) / denom
     return mu1, mu2, mu1 + shift, mu2 + shift
+
+
+def ci_location(eps: float) -> tuple[float, float]:
+    """Parameter point where the two eigenvalues of analytic_ci_pencil(eps) coalesce."""
+    return (-eps / 4.0, -5.0 * eps / 16.0)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ import numpy as np
 
 from conftest import rand_spd, rand_sym
 from oracles import (
-    eig2x2_pencil, embed_2x2, signature_from_counts, spd_sqrt, spd_sqrt_series, sqrt_derivative,
+    ci_location, eig2x2_pencil, embed_2x2, signature_from_counts, spd_sqrt, spd_sqrt_series,
+    sqrt_derivative,
 )
 from pencilci.census import ExperimentSpec, fit_power_law, run_census, write_report
 from pencilci.continuation import init_decomposition, predict, trace, trace_loop
@@ -62,7 +63,7 @@ def test_criterion_1_analytic_localization():
     ok = True
     for eps in (0.0, 0.1):
         pen = analytic_ci_pencil(eps)
-        cx, cy = pen.ci_location()
+        cx, cy = ci_location(eps)
         grid = GridSpec(rows=8, cols=8, x_range=(-1.0, 1.0), y_range=(-1.0, 1.0))
         sw = sweep_grid(pen, grid, seed=0)
         one_box = len(sw.flagged) == 1 and not sw.unresolved

@@ -21,6 +21,7 @@ from pencilci.census import (
 from pencilci.census import _cell_filename, _cell_identity, sweep_grid
 from pencilci.cli import main
 from pencilci.errors import NonPositiveCount
+from pencilci.fields import write_json
 from pencilci.pencil import sgplus_generate, sgplus_pencil
 from test_acceptance import DESK_CENSUS_SPEC
 
@@ -100,10 +101,10 @@ def test_spec_json_roundtrip(tmp_path):
         rows=4,
         cols=8,
     )
-    spec.to_json(tmp_path / "spec.json")
+    write_json(tmp_path / "spec.json", asdict(spec))
     assert ExperimentSpec.from_json(tmp_path / "spec.json") == spec
     spec2 = ExperimentSpec(**TINY_SGPLUS)
-    spec2.to_json(tmp_path / "spec2.json")
+    write_json(tmp_path / "spec2.json", asdict(spec2))
     assert ExperimentSpec.from_json(tmp_path / "spec2.json") == spec2
     assert ExperimentSpec.from_dict(asdict(spec2)) == spec2
 
@@ -111,8 +112,8 @@ def test_spec_json_roundtrip(tmp_path):
 def test_desk_census_spec_file_matches_acceptance(tmp_path):
     path = os.path.join(os.path.dirname(__file__), "..", "scripts", "desk_census.json")
     assert ExperimentSpec.from_json(path) == DESK_CENSUS_SPEC
-    # byte for byte what to_json writes, so no stale key stays in the file
-    DESK_CENSUS_SPEC.to_json(tmp_path / "desk_census.json")
+    # byte for byte what write_json writes of the spec, so no stale key stays in the file
+    write_json(tmp_path / "desk_census.json", asdict(DESK_CENSUS_SPEC))
     with open(path, "rb") as fh:
         assert fh.read() == (tmp_path / "desk_census.json").read_bytes()
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,12 +16,12 @@ from pencilci.census import ExperimentSpec, fit_power_law
 from pencilci.cli import _build_parser, _parse_loop, main
 import pencilci.continuation as continuation
 from pencilci.continuation import trace, trace_loop
+from pencilci.fields import write_json
 from pencilci.pencil import (
     BoxPerimeter,
     analytic_ci_pencil,
     circle,
     load_pencil,
-    save_pencil,
     sgplus_generate,
     sgplus_pencil,
 )
@@ -36,7 +37,7 @@ def run(*argv):
 @pytest.fixture
 def analytic_descriptor(tmp_path):
     path = tmp_path / "analytic.json"
-    save_pencil(analytic_ci_pencil(0.1), path)
+    write_json(path, {"kind": "analytic_ci", "eps": 0.1})
     return str(path)
 
 
@@ -63,9 +64,38 @@ def test_generate_full_bandwidth_token(tmp_path):
         "--out-dir", tmp_path,
     )
     assert rc == 0
+    # pencil.json holds the flags as given: "full" stays the token, and no --seed means no seed
+    with open(tmp_path / "pencil.json") as fh:
+        assert json.load(fh) == {"kind": "sgplus", "n": 5, "b": "full", "delta": 0.4}
     pencil = load_pencil(tmp_path / "pencil.json")
     direct = sgplus_pencil(sgplus_generate(5, 4, 0.4, 0))
-    np.testing.assert_array_equal(pencil.eval(0.7, 0.2)[0], direct.eval(0.7, 0.2)[0])
+    for x, y in [(0.7, 0.2), (-2.3, 4.1)]:
+        for M1, M2 in zip(pencil.eval(x, y), direct.eval(x, y)):
+            np.testing.assert_array_equal(M1, M2)
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (("--kind", "analytic_ci", "--n", 4), "unknown pencil descriptor keys: n"),
+        (("--kind", "analytic_ci", "--b", 3), "unknown pencil descriptor keys: b"),
+        (("--kind", "analytic_ci", "--delta", 0.4), "unknown pencil descriptor keys: delta"),
+        (("--kind", "analytic_ci", "--seed", 1), "unknown pencil descriptor keys: seed"),
+        (("--n", 6, "--b", 3, "--delta", 0.4, "--eps", 0.1), "unknown pencil descriptor keys: eps"),
+        (("--b", 3, "--delta", 0.4), "pencil descriptor 'n'"),
+        (("--n", 6, "--delta", 0.4), "pencil descriptor 'b'"),
+        (("--n", 6, "--b", 3), "pencil descriptor 'delta'"),
+    ],
+    ids=[
+        "analytic_ci-n", "analytic_ci-b", "analytic_ci-delta", "analytic_ci-seed", "sgplus-eps",
+        "sgplus-no-n", "sgplus-no-b", "sgplus-no-delta",
+    ],
+)
+def test_generate_refuses_flags_the_kind_does_not_read_or_needs(tmp_path, caplog, argv, problem):
+    out = tmp_path / "out"
+    assert run("generate", *argv, "--out-dir", out) == 1
+    assert problem in caplog.text
+    assert not os.listdir(out)
 
 
 def test_generate_rejects_bad_bandwidth(tmp_path):
@@ -266,7 +296,7 @@ def test_sweep_matches_single_loop(tmp_path, analytic_descriptor):
 
 def test_sweep_outputs_deterministic(tmp_path):
     desc = tmp_path / "pencil.json"
-    save_pencil(sgplus_pencil(sgplus_generate(6, 5, 0.45, 2)), desc)
+    write_json(desc, {"kind": "sgplus", "n": 6, "b": 5, "delta": 0.45, "seed": 2})
     blobs = []
     for name in ("one", "two"):
         out = tmp_path / name
@@ -285,7 +315,7 @@ def test_sweep_outputs_deterministic(tmp_path):
 def test_census_cli(tmp_path, capfd):
     spec = ExperimentSpec(n_list=(4,), rows=3, cols=3)
     spec_path = tmp_path / "spec.json"
-    spec.to_json(spec_path)
+    write_json(spec_path, asdict(spec))
     out = tmp_path / "census"
     rc = run("census", "--spec", spec_path, "--workers", 1, "--out-dir", out)
     assert rc == 0
@@ -303,7 +333,7 @@ def test_census_cli(tmp_path, capfd):
 def test_census_no_resume_reruns_valid_cells(tmp_path):
     spec = ExperimentSpec(n_list=(4,), rows=1, cols=1)
     spec_path = tmp_path / "spec.json"
-    spec.to_json(spec_path)
+    write_json(spec_path, asdict(spec))
     out = tmp_path / "census"
     argv = ("census", "--spec", spec_path, "--workers", 1, "--out-dir", out)
     assert run(*argv) == 0
@@ -411,6 +441,14 @@ def test_descriptor_kinds_are_the_generate_kinds():
     (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     (kind,) = [a for a in sub.choices["generate"]._actions if "--kind" in a.option_strings]
     assert set(pencilci.pencil._DESCRIPTOR_KEYS) == set(kind.choices)
+
+
+def test_generate_flags_are_the_descriptor_keys():
+    # generate writes each flag given as the descriptor key of its name
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in sub.choices["generate"]._actions}
+    keys = set().union(*pencilci.pencil._DESCRIPTOR_KEYS.values())
+    assert dests - {"help", "kind", "out_dir", "log_level"} == keys
 
 
 def test_sweep_full_bandwidth_descriptor(tmp_path):

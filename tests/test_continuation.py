@@ -33,7 +33,7 @@ from pencilci.pencil import (
 )
 
 from conftest import rand_spd
-from oracles import embed_2x2, symmetrize
+from oracles import ci_location, embed_2x2, symmetrize
 
 
 def _sg_pencil(n=6, seed=2024):
@@ -591,7 +591,7 @@ def test_near_miss_steps_the_close_pair_as_a_cluster(monkeypatch, miss):
     # miss 8e-3): no veering, clustered steps, the signature of plain
     # column-wise stepping, and fewer eigensolves
     pen = embed_2x2(analytic_ci_pencil(0.1), 5, 2, (9.0, -7.0, -8.0))
-    cx, cy = pen.inner.ci_location()
+    cx, cy = ci_location(pen.inner.eps)
     for x0, D in ((cx + miss, [1] * 5), (cx - 1.0 + miss, [1, -1, -1, 1, 1])):
         loop = BoxPerimeter(x0, cy - 0.5, x0 + 1.0, cy - 0.5 + 1.0)
         with monkeypatch.context() as m:

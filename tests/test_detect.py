@@ -28,7 +28,7 @@ from pencilci.pencil import (
     BoxPerimeter, analytic_ci_pencil, segment, sgplus_generate, sgplus_pencil,
 )
 
-from oracles import embed_2x2, signature_from_counts, spd_sqrt, symmetrize
+from oracles import ci_location, embed_2x2, signature_from_counts, spd_sqrt, symmetrize
 
 
 def test_decode_signature_examples():
@@ -115,7 +115,7 @@ def test_sweep_flags_single_interior_box():
     assert box.pairs == (1,)
     assert box.attempts == 1 and box.rect == grid.box(box.row, box.col)
     x0, x1, y0, y1 = grid.box(box.row, box.col)
-    cx, cy = pen.ci_location()
+    cx, cy = ci_location(pen.eps)
     assert x0 < cx < x1 and y0 < cy < y1
     assert sw.total_count == 1
     assert sw.pair_counts() == {1: 1}
@@ -325,7 +325,7 @@ def test_unresolved_box_has_no_step_stats():
 def test_refine_box_converges():
     pen = analytic_ci_pencil(0.1)
     est = refine_box(pen, (-0.25, 0.0, -0.25, 0.0), pair=1, depth=6, seed=0)
-    cx, cy = pen.ci_location()
+    cx, cy = ci_location(pen.eps)
     assert math.hypot(est.x - cx, est.y - cy) <= est.uncertainty
     x0, x1, y0, y1 = est.rect
     assert est.uncertainty == pytest.approx(0.5 * math.hypot(x1 - x0, y1 - y0))

