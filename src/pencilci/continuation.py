@@ -1,11 +1,12 @@
 """Smooth ordered eigendecomposition along a 1-D parameter path.
 
 Predictor-corrector continuation for symmetric-definite pencils (A(t), B(t)):
-Euler predictors for eigenvalues and B-orthonormal eigenvectors, per-column
-sign correction against the prediction, stepsize control driven by prediction
-errors, a secant guard against imminent ordering violations, and a dedicated
-traversal mode for veering intervals where two eigenvalues nearly coalesce
-and their eigenvectors rotate rapidly.
+an Euler predictor for the eigenvalues and a second-order one for the
+B-orthonormal eigenvectors between clusters, per-column sign correction
+against the prediction, stepsize control driven by prediction errors, a
+secant guard against imminent ordering violations, and a dedicated traversal
+mode for veering intervals where two eigenvalues nearly coalesce and their
+eigenvectors rotate rapidly.
 
 Eigenvectors lose smoothness where eigenvalues come close, while the
 projectors onto their joint invariant subspaces stay smooth. Adjacent
@@ -14,11 +15,13 @@ point or at the solved candidate) form a cluster, which a step follows on its
 projector: the predictor leaves out the in-cluster rotation, step control
 measures the cluster's subspace and eigenvalue sum instead of its single
 columns, and the fresh eigenvectors, signed by overlap, may rotate inside the
-cluster by up to about 41 degrees per step. A step with no cluster is the
-plain column-wise step. 3e-2 is the largest gap scanned at which the steps
-of n = 30 SG+ loops stay sized by their error estimate; above it clusters
-grow and the stepsize cap H_MAX_FRAC becomes the step rule (scanned with
-H_MAX_FRAC = 1/16).
+cluster by up to about 41 degrees per step. Between clusters the columns are
+smooth, and the predictor follows them to second order, so there the error
+is third order and the eigenvalues and the columns' normalization size the
+steps. A step with no cluster is the plain column-wise step. 3e-2 is the
+largest gap scanned at which the steps of n = 30 SG+ loops stay sized by
+their error estimate; above it clusters grow and the stepsize cap H_MAX_FRAC
+becomes the step rule (scanned with H_MAX_FRAC = 1/16).
 
 Closed loops additionally yield the sign signature D, the diagonal +-1 matrix
 with V(1) = V(0) D; its -1 entries betray eigenvalue coalescences enclosed by
@@ -75,8 +78,9 @@ _EPS = np.finfo(float).eps
 TOLSTEP = 1e-2
 # Accept a step when rho = max(rho_lambda, rho_V) / TOLSTEP stays below this.
 RHO_ACCEPT = 1.5
-# The predictors' local error grows as h^2: a step of h_new would have rho
-# near rho * (h_new/h)^2, so the next step h * STEP_SAFETY / sqrt(rho) aims
+# The eigenvalues' and the normalization's local error grows as h^2 (the
+# error between clusters as h^3): a step of h_new would have rho near
+# rho * (h_new/h)^2, so the next step h * STEP_SAFETY / sqrt(rho) aims
 # at rho = STEP_SAFETY^2, just under 1.
 STEP_SAFETY = 0.9
 # h never grows by more than this factor per step (the rule diverges as rho -> 0).
@@ -221,14 +225,6 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
-@functools.cache
-def _off_diagonal(n: int) -> np.ndarray:
-    """The n x n mask of off-diagonal entries, built once per n and read-only."""
-    mask = ~np.eye(n, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 def init_decomposition(pencil, path, t: float) -> EigenPoint:
     """Ordered decomposition at a path parameter, with deterministic signs.
 
@@ -273,27 +269,89 @@ def _anchor(V, lam, gaps, solved_at: float, t: float = 0.0) -> EigenPoint:
     return EigenPoint(t=t, V=V * np.where(peak < 0.0, -1.0, 1.0), lam=lam, gaps=gaps)
 
 
+class _Expansion(NamedTuple):
+    """The next point's decomposition in the current one's basis; see :func:`_expand`."""
+
+    lam_pred: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    m: np.ndarray
+    Y1: np.ndarray
+    Y2: np.ndarray
+    bY1: np.ndarray
+    aY1: np.ndarray
+    diff: np.ndarray
+
+
+def _expand(
+    state: EigenPoint, A: np.ndarray, B: np.ndarray, clusters: np.ndarray | None
+) -> _Expansion:
+    """The terms of :func:`predict`'s expansion from state to where the
+    pencil is (A, B), for the columns grouped by clusters (a label per
+    column, or None); this is the one place that forms them.
+
+    Returns lam_pred, a, b, m = lam_pred - Lambda, Y1 and Y2 as predict's
+    docstring defines them, and for :func:`_rho_estimate` the products
+    bY1 = b Y1 and aY1 = a Y1 and the divisor diff: lambda_i - lambda_k
+    where columns i and k are in different clusters, and inf elsewhere, so
+    that a division by it gives the zeros there.
+    """
+    V, lam = state.V, state.lam
+    n = lam.size
+    A_V = V.T @ A @ V
+    A_V = 0.5 * (A_V + A_V.T)
+    B_V = V.T @ B @ V
+    B_V = 0.5 * (B_V + B_V.T)
+    lam_pred = A_V.diagonal() - lam * (B_V.diagonal() - 1.0)
+    col = lam[:, None]
+    diff = col - lam
+    if clusters is None:
+        diff.flat[:: n + 1] = math.inf
+    else:
+        diff[clusters[:, None] == clusters] = math.inf
+    eye = _eye(n)
+    Y1 = 0.5 * (eye - B_V) + (0.5 * (col + lam) * B_V - A_V) / diff
+    # in place, from here on: a = A_V - Lambda and b = B_V - I
+    a, b = A_V, B_V
+    a.flat[:: n + 1] -= lam
+    b.flat[:: n + 1] -= 1.0
+    m = lam_pred - lam
+    bY1 = b @ Y1
+    aY1 = a @ Y1
+    Y2 = ((Y1 + b) * m + bY1 * lam - aY1) / diff
+    return _Expansion(lam_pred, a, b, m, Y1, Y2, bY1, aY1, diff)
+
+
 def predict(
     state: EigenPoint,
     A_next: np.ndarray,
     B_next: np.ndarray,
     clusters: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Euler predictors for the decomposition at the next parameter value.
+    """Predictors for the decomposition at the next parameter value.
 
-    With A_V = V.T A(t+h) V and B_V = V.T B(t+h) V (V, Lambda from the
-    current state), the predictions are
+    With A_V = V.T A(t+h) V and B_V = V.T B(t+h) V, each symmetrized, and
+    a = A_V - Lambda, b = B_V - I (V, Lambda from the current state), the
+    predictions are
 
-        Lambda_pred = diag(A_V) - Lambda (diag(B_V) - I),
-        V_pred = V (I + P + H),   P = (I - B_V)/2,
-        H_ik = ((lambda_i + lambda_k)/2 B_V[i,k] - A_V[i,k]) / (lambda_i - lambda_k)
+        Lambda_pred = diag(A_V) - Lambda (diag(B_V) - I),   m = Lambda_pred - Lambda,
+        V_pred = V (I + Y1 + Y2),   Y1 = P + H,   P = (I - B_V)/2,
+        H_ik = ((lambda_i + lambda_k)/2 B_V[i,k] - A_V[i,k]) / (lambda_i - lambda_k),
+        Y2_ik = ((Y1 + b)_ik m_k + lambda_k (b Y1)_ik - (a Y1)_ik) / (lambda_i - lambda_k)
 
-    for i != k, H_ii = 0. H is skew-symmetric; the finite differences of A
-    and B across the step replace the time derivatives of the underlying
-    first-order system, so both predictions carry O(h^2) local error.
+    for i != k, H_ii = Y2_ii = 0. Y1 is the Euler term, H skew-symmetric;
+    Y2 is the next term of the expansion between columns. The finite
+    differences of A and B across the step replace the time derivatives of
+    the underlying first-order system. So the eigenvalues and the columns'
+    normalization (the diagonal of V^-1 V_pred) carry O(h^2) local error,
+    which step_control's h^2 rule sizes, and the error between columns is
+    O(h^3). The diagonal's second-order term is left out on purpose: with
+    it, and the eigenvalues' second-order term, the error would be O(h^3)
+    everywhere and the h^2 rule would overshoot (on the n = 30 benchmark
+    block of SG+ boxes, rejected steps rose from 38 to 56).
 
-    clusters, a label per column (see _clusters), also sets H_ik = 0 for i
-    and k with one label, without dividing by their small gap: the
+    clusters, a label per column (see _clusters), also sets H_ik = Y2_ik = 0
+    for i and k with one label, without dividing by their small gap: the
     prediction then follows each cluster's subspace but not the rotation
     inside it.
 
@@ -301,29 +359,15 @@ def predict(
     ------
     GapTooSmall
         If some adjacent relative gap (state.gaps) is at or below
-        MIN_REL_GAP; the divided differences in H are then meaningless.
+        MIN_REL_GAP; the divided differences are then meaningless.
         Only direct callers meet this: :func:`trace` starts veering traversal
         at gaps below TOLDIST, and its start has passed this test.
     """
-    V = state.V
-    lam = state.lam
-    n = lam.size
-    if n > 1 and np.minimum.reduce(state.gaps) <= MIN_REL_GAP:
+    if state.lam.size > 1 and np.minimum.reduce(state.gaps) <= MIN_REL_GAP:
         raise GapTooSmall(f"adjacent eigenvalues closer than 10*eps at t = {state.t:.12g}")
-    A_V = V.T @ A_next @ V
-    A_V = 0.5 * (A_V + A_V.T)
-    B_V = V.T @ B_next @ V
-    B_V = 0.5 * (B_V + B_V.T)
-    lam_pred = A_V.diagonal() - lam * (B_V.diagonal() - 1.0)
-    eye = _eye(n)
-    col = lam[:, None]
-    # H is zero on the diagonal and inside clusters, the divided difference elsewhere
-    outside = _off_diagonal(n) if clusters is None else clusters[:, None] != clusters
-    H = np.divide(
-        0.5 * (col + lam) * B_V - A_V, col - lam, out=np.zeros((n, n)), where=outside
-    )
-    V_pred = V @ (eye + 0.5 * (eye - B_V) + H)
-    return lam_pred, V_pred
+    x = _expand(state, A_next, B_next, clusters)
+    V_pred = state.V @ (_eye(state.lam.size) + x.Y1 + x.Y2)
+    return x.lam_pred, V_pred
 
 
 def sign_correct(
@@ -360,9 +404,10 @@ def step_control(
     rho_lambda = max_i |lam_new_i - lam_pred_i| / (|lam_new_i| + 1) and
     rho_V = sqrt(tr[(V_new - V_pred).T B_new (V_new - V_pred)] / n) measure
     prediction quality; rho = max(rho_lambda, rho_V) / TOLSTEP. The step is
-    accepted when rho <= RHO_ACCEPT. Both predictors carry O(h^2) local
-    error, so the new stepsize is h * STEP_SAFETY / sqrt(rho), with growth
-    capped at GROWTH_CAP * h (also at rho = 0).
+    accepted when rho <= RHO_ACCEPT. The predictors' error is O(h^2) in
+    the eigenvalues and the columns' normalization (see :func:`predict`),
+    so the new stepsize is h * STEP_SAFETY / sqrt(rho), with growth capped
+    at GROWTH_CAP * h (also at rho = 0).
 
     Each cluster c of clusters (a label per column, as passed to
     :func:`predict`) is measured on its projector. With BV_pred = B_new @
@@ -412,39 +457,67 @@ def step_control(
     )
 
 
-def _rho_estimate(state: EigenPoint, A: np.ndarray, B: np.ndarray) -> float:
+def _rho_estimate(state: EigenPoint, x: _Expansion) -> float:
     """The rho that :func:`step_control` would give the step from state to
-    the point where the pencil is (A, B), estimated without a solve.
+    the point of the expansion x (:func:`_expand`, with the clusters that
+    state's gaps link), estimated without a solve.
 
-    In state's basis, a = V.T A V - Lambda and b = V.T B V - I. The solved
-    basis there is V (I + Y1 + Y2 + ...), and Y1, as :func:`predict` takes
-    it (P + H), is (lambda_k b_ik - a_ik) / (lambda_i - lambda_k) for i and
-    k in different clusters of state (CLUSTER_GAP) and -b_ik / 2 elsewhere.
-    The predictor's error is then mostly the second-order term
+    The predictor V (I + Y1 + Y2) leaves out the diagonal's second-order
+    normalization term and every third-order term. With m_k = a_kk -
+    lambda_k b_kk, those are
 
-        Y2_ik = ((Y1_ik + b_ik) m_k + lambda_k (b Y1)_ik - (a Y1)_ik) / (lambda_i - lambda_k),
-        m_k = a_kk - lambda_k b_kk,
+        d_k = -(b Y1)_kk - sum_j Y1_jk^2 / 2,
+        mu2_k = (a Y1)_kk - lambda_k (b Y1)_kk - (Y1_kk + b_kk) m_k,
+        Y3_ik = (Y2_ik m_k + (Y1 + b)_ik mu2_k + lambda_k (b Y2)_ik
+                 + m_k (b Y1)_ik - (a Y2)_ik) / (lambda_i - lambda_k)
 
-    for i and k in different clusters, 0 elsewhere; the estimate is
-    ||Y2||_F / (sqrt(n) TOLSTEP), the eigenvector term of rho. Its ratio to
-    the solved step's rho has a median near 1 on the first steps of SG+ box
-    sides (n = 10-30).
+    for i and k in different clusters, with Y2's diagonal set to d (mu2 is
+    the eigenvalues' second-order term). The estimate is
+    ||offdiag(Y3) + diag(d)||_F / (sqrt(n) TOLSTEP), the eigenvector term of
+    rho. Its median ratio to the solved step's rho, on the half-side first
+    steps of the 4x8 benchmark blocks of SG+ boxes, is about 1.0 / 1.1 / 1.2
+    at n = 10 / 20 / 30.
     """
-    V, lam = state.V, state.lam
+    lam = state.lam
     n = lam.size
-    a = V.T @ A @ V
-    a.flat[:: n + 1] -= lam
-    b = V.T @ B @ V
-    b.flat[:: n + 1] -= 1.0
-    clusters = _clusters(state.gaps < CLUSTER_GAP)
-    outside = _off_diagonal(n) if clusters is None else clusters[:, None] != clusters
-    diff = lam[:, None] - lam
-    Y1 = np.divide(lam * b - a, diff, out=-0.5 * b, where=outside)
-    m = a.diagonal() - lam * b.diagonal()
-    Y2 = np.divide(
-        (Y1 + b) * m + b @ (Y1 * lam) - a @ Y1, diff, out=np.zeros((n, n)), where=outside
-    )
-    return math.sqrt(float(np.vdot(Y2, Y2)) / n) / TOLSTEP
+    b_Y1 = x.bY1.diagonal()
+    d = -b_Y1 - 0.5 * np.einsum("jk,jk->k", x.Y1, x.Y1)
+    mu2 = x.aY1.diagonal() - lam * b_Y1 - (x.Y1.diagonal() + x.b.diagonal()) * x.m
+    Y2 = x.Y2.copy()
+    Y2.flat[:: n + 1] = d
+    Y3 = (Y2 * x.m + (x.Y1 + x.b) * mu2 + (x.b @ Y2) * lam + x.bY1 * x.m - x.a @ Y2) / x.diff
+    Y3.flat[:: n + 1] = d
+    return math.sqrt(float(np.vdot(Y3, Y3)) / n) / TOLSTEP
+
+
+def _rotation_estimate(state: EigenPoint, x: _Expansion) -> float:
+    """The smallest cluster diagonal of M that :func:`step_control` would
+    see on the step from state to the point of the expansion x, estimated
+    without a solve; inf when state links no pair.
+
+    A pair k linked at state (gaps_k < CLUSTER_GAP) is followed on its
+    subspace, and the fresh eigenvectors rotate inside it by about the angle
+    that diagonalizes the pair's block of C = V.T A V - lambda_bar V.T B V,
+    lambda_bar = (lambda_k + lambda_k+1) / 2:
+
+        theta = atan2(2 |C_k,k+1|, C_kk - C_k+1,k+1) / 2,
+
+    with C formed from x as a + Lambda - lambda_bar (b + I). The estimate is
+    the smallest cos(theta); below _PAIR_DIAG_MIN, step_control would reject
+    the step with rotation_ok False. On the 228 half-side first steps of the
+    three 4x8 benchmark blocks (n = 10, 20, 30), it foresaw 64 such
+    rejections against 65, with 5 missed and 4 false alarms.
+    """
+    k = np.flatnonzero(state.gaps < CLUSTER_GAP)
+    if not k.size:
+        return math.inf
+    lam = state.lam
+    mid = 0.5 * (lam[k] + lam[k + 1])
+    a, b = x.a.diagonal(), x.b.diagonal()
+    d = a[k] - a[k + 1] + (lam[k] - lam[k + 1]) - mid * (b[k] - b[k + 1])
+    off = x.a[k, k + 1] - mid * x.b[k, k + 1]
+    theta = 0.5 * np.arctan2(2.0 * np.abs(off), d)
+    return float(np.minimum.reduce(np.cos(theta)))
 
 
 def secant_guard(
@@ -576,9 +649,11 @@ def trace(pencil, path) -> TraceResult:
     TOLDIST) and delegated to :func:`veering_traverse`. Every step is at
     most H_MAX_FRAC, and the first step is H_MAX_FRAC unless the probe
     shortens it: before the first solve the pencil is evaluated at the first
-    step's end, unsolved, and a step whose estimated rho
-    (:func:`_rho_estimate`) is over RHO_ACCEPT is shortened to
-    h * STEP_SAFETY / sqrt(rho), as a rejection would shorten it; so a trace
+    step's end, unsolved, and the step is shortened where it foresees either
+    cause of a rejection by :func:`step_control`, as that rejection would
+    shorten it: a rho over RHO_ACCEPT (:func:`_rho_estimate`) to
+    h * STEP_SAFETY / sqrt(rho), and a cluster rotation past _PAIR_DIAG_MIN
+    (:func:`_rotation_estimate`) to at most H_MAX_FRAC / 2. So a trace
     evaluates the pencil once more than it solves, and the steps are still
     judged by :func:`step_control`. This is the one source of decompositions
     along a path, open or closed; :func:`trace_loop` gives a closed loop's
@@ -615,11 +690,15 @@ def _trace(pencil, path, start: EigenPoint, h_max: float) -> tuple[TraceResult, 
     step_stats["eigensolves"] counts the steps' solves only, not the start's.
     """
     state, h = start, h_max
-    # the pencil at the first step's end, unsolved, shortens a step whose
-    # estimated rho would reject it; an unusable estimate keeps h
-    rho = _rho_estimate(state, *evaluate(pencil, *path.point(state.t + h)))
+    # the pencil at the first step's end, unsolved, shortens a step that it
+    # expects rejected, as the rejection would; an unusable estimate keeps h
+    probe = evaluate(pencil, *path.point(state.t + h))
+    x = _expand(state, *probe, _clusters(state.gaps < CLUSTER_GAP))
+    rho = _rho_estimate(state, x)
     if RHO_ACCEPT < rho < math.inf:
         h *= STEP_SAFETY / math.sqrt(rho)
+    if _rotation_estimate(state, x) < _PAIR_DIAG_MIN:
+        h = min(h, h_max / 2.0)
     points = [state]
     events: list[tuple[float, float, int]] = []
     eigensolves = clustered = secant_caps = by_rho = ambiguous = rotation = 0

@@ -70,28 +70,49 @@ def test_init_decomposition_degenerate_start():
             init_decomposition(pen, segment((x0, 0.0), (1.0, 0.0)), 0.0)
 
 
-def test_predict_local_orders():
-    # eigenvalue and eigenvector predictors are both locally second order
+def _predict_errors():
+    """predict's eigenvalue and eigenvector errors, and the diagonal and
+    off-diagonal parts of the eigenvector error in V's basis,
+    V^-1 (V_pred - V_ref), for h = 0.04 and three halvings of it."""
     pen = _sg_pencil()
     path = segment((0.3, 0.9), (1.1, 1.7))
     state = init_decomposition(pen, path, 0.2)
-    lam_errs, vec_errs = [], []
+    errs = {"lam": [], "vec": [], "diag": [], "off": []}
     for k in range(4):
         h = 0.04 / 2**k
-        x, y = path.point(0.2 + h)
-        A, B = pen.eval(x, y)
+        A, B = pen.eval(*path.point(0.2 + h))
         lam_pred, V_pred = predict(state, A, B)
         ref = gen_eig_ordered(A, B)
         V_ref, _, _ = sign_correct(ref.vectors, B @ V_pred)
-        lam_errs.append(np.linalg.norm(lam_pred - ref.values))
-        vec_errs.append(np.linalg.norm(V_pred - V_ref))
-    for errs in (lam_errs, vec_errs):
-        for a, b in zip(errs, errs[1:]):
+        E = np.linalg.solve(state.V, V_pred - V_ref)
+        errs["lam"].append(np.linalg.norm(lam_pred - ref.values))
+        errs["vec"].append(np.linalg.norm(V_pred - V_ref))
+        errs["diag"].append(np.linalg.norm(np.diag(E)))
+        errs["off"].append(np.linalg.norm(E - np.diag(np.diag(E))))
+    return errs
+
+
+def test_predict_local_orders():
+    # the eigenvalue predictor and the eigenvectors' normalization are
+    # locally second order, so the whole eigenvector error is too
+    errs = _predict_errors()
+    for name in ("lam", "vec"):
+        for a, b in zip(errs[name], errs[name][1:]):
             assert 3.0 <= a / b <= 5.0
 
 
-def _documented_predict(state, A_next, B_next, clusters=None):
-    """predict's docstring formula, one numpy step at a time."""
+def test_predict_is_third_order_between_columns():
+    # Y2 takes the second-order term out of the error between columns: each
+    # halving of h divides it by 8, while the diagonal stays second order
+    errs = _predict_errors()
+    for name, (lo, hi) in (("off", (6.0, 10.0)), ("diag", (3.0, 5.0))):
+        for a, b in zip(errs[name], errs[name][1:]):
+            assert lo <= a / b <= hi
+
+
+def _documented_terms(state, A_next, B_next, clusters=None):
+    """predict's docstring formula, one numpy step at a time: Lambda_pred,
+    b, Y1 and Y2."""
     V, lam = state.V, state.lam
     n = lam.size
     A_V = symmetrize(V.T @ A_next @ V)
@@ -100,13 +121,25 @@ def _documented_predict(state, A_next, B_next, clusters=None):
     P = 0.5 * (np.eye(n) - B_V)
     denom = np.subtract.outer(lam, lam)
     np.fill_diagonal(denom, 1.0)
-    H = (0.5 * np.add.outer(lam, lam) * B_V - A_V) / denom
-    np.fill_diagonal(H, 0.0)
+    # H and Y2 are zero on the diagonal and inside each cluster
+    inside = np.eye(n, dtype=bool)
     if clusters is not None:
-        for label in np.unique(clusters):
-            inside = np.flatnonzero(clusters == label)
-            H[np.ix_(inside, inside)] = 0.0
-    return lam_pred, V @ (np.eye(n) + P + H)
+        inside |= np.equal.outer(clusters, clusters)
+    H = (0.5 * np.add.outer(lam, lam) * B_V - A_V) / denom
+    H[inside] = 0.0
+    Y1 = P + H
+    a = A_V - np.diag(lam)
+    b = B_V - np.eye(n)
+    m = lam_pred - lam
+    Y2 = ((Y1 + b) * m + (b @ Y1) * lam - a @ Y1) / denom
+    Y2[inside] = 0.0
+    return lam_pred, b, Y1, Y2
+
+
+def _documented_predict(state, A_next, B_next, clusters=None):
+    """predict's docstring formula: Lambda_pred and V (I + Y1 + Y2)."""
+    lam_pred, _, Y1, Y2 = _documented_terms(state, A_next, B_next, clusters)
+    return lam_pred, state.V @ (np.eye(lam_pred.size) + Y1 + Y2)
 
 
 def _split_labels(n):
@@ -136,25 +169,30 @@ def test_predict_is_bitwise_the_documented_formula(n, labels):
 
 
 def test_predict_drops_only_the_in_cluster_rotation():
-    # clusters zero H inside each cluster and leave every other entry of the
-    # documented formula as it was
+    # clusters zero H = Y1 + b/2 and Y2 inside each cluster, and leave Y1
+    # as it was everywhere else
     pen = _sg_pencil(8)
     path = segment((0.3, 0.9), (1.1, 1.7))
     state = init_decomposition(pen, path, 0.2)
     A, B = pen.eval(*path.point(0.25))
-    lam_ref, V_ref = predict(state, A, B)
     clusters = np.array([0, 1, 1, 2, 3, 3, 3, 4])  # columns 1..2 and 4..6
-    lam_pred, V_pred = predict(state, A, B, clusters)
-    assert np.array_equal(lam_pred, lam_ref)
-    # V_pred = V (I + P + H), so V^-1 (V_ref - V_pred) is the part of H dropped
-    dropped = np.linalg.solve(state.V, V_ref - V_pred)
     inside = np.zeros((8, 8), dtype=bool)
     for a, b in ((1, 3), (4, 7)):
         inside[a:b, a:b] = True
     np.fill_diagonal(inside, False)
-    assert np.abs(dropped[~inside]).max() <= 1e-12
-    assert np.abs(dropped[inside]).min() > 1e-8
-    assert np.allclose(dropped, -dropped.T, atol=1e-12)
+    lam_ref, b, Y1_ref, Y2_ref = _documented_terms(state, A, B)
+    _, _, Y1, Y2 = _documented_terms(state, A, B, clusters)
+    H_ref = Y1_ref + 0.5 * b
+    assert np.allclose(H_ref, -H_ref.T, atol=1e-12)
+    assert np.abs(H_ref[inside]).min() > 1e-8 and np.abs(Y2_ref[inside]).min() > 1e-12
+    lam_pred, V_pred = predict(state, A, B, clusters)
+    assert np.array_equal(lam_pred, lam_ref)
+    # V_pred = V (I + Y1 + Y2): inside a cluster only Y1's normalization
+    # term -b/2 is left
+    kept = np.linalg.solve(state.V, V_pred) - np.eye(8)
+    assert np.abs(kept[inside] + 0.5 * b[inside]).max() <= 1e-12
+    assert np.array_equal(Y1[~inside], Y1_ref[~inside])
+    assert np.allclose(kept, Y1 + Y2, atol=1e-12)
 
 
 def test_clusters_are_maximal_runs_of_linked_pairs():
@@ -327,6 +365,27 @@ def test_trace_invariants_and_determinism():
     )
 
 
+def _first_steps(monkeypatch, rho, cos):
+    """The first step of a free path's trace and of a box's first side, as
+    fractions of their caps, with the probe's estimates fixed at rho and cos."""
+    steps = []
+    step = continuation._step
+
+    def recording_step(pencil, path, t, h, *args):
+        steps.append(h)
+        return step(pencil, path, t, h, *args)
+
+    monkeypatch.setattr(continuation, "_rho_estimate", lambda state, x: rho)
+    monkeypatch.setattr(continuation, "_rotation_estimate", lambda state, x: cos)
+    monkeypatch.setattr(continuation, "_step", recording_step)
+    # a trace's first step is its cap: 1/8 of a free path, half a box side
+    trace(_sg_pencil(), segment((0.0, 0.0), (1.0, 1.0)))
+    first = steps[0] / continuation.H_MAX_FRAC
+    steps.clear()
+    trace_loop(_sg_pencil(), BoxPerimeter(0.3, 0.9, 0.3 + 0.8, 0.9 + 0.8))
+    return first, steps[0] / (4 * continuation.H_MAX_FRAC)
+
+
 @pytest.mark.parametrize(
     "rho, factor",
     [
@@ -338,21 +397,25 @@ def test_trace_invariants_and_determinism():
     ],
 )
 def test_probe_shortens_a_first_step_it_expects_rejected(monkeypatch, rho, factor):
-    steps = []
-    step = continuation._step
+    # no rotation rejection foreseen: only the rho estimate sizes the step
+    first = _first_steps(monkeypatch, rho, math.inf)
+    assert first == pytest.approx((factor, factor))
 
-    def recording_step(pencil, path, t, h, *args):
-        steps.append(h)
-        return step(pencil, path, t, h, *args)
 
-    monkeypatch.setattr(continuation, "_rho_estimate", lambda state, A, B: rho)
-    monkeypatch.setattr(continuation, "_step", recording_step)
-    # a trace's first step is its cap: 1/8 of a free path, half a box side
-    trace(_sg_pencil(), segment((0.0, 0.0), (1.0, 1.0)))
-    assert steps[0] == pytest.approx(continuation.H_MAX_FRAC * factor)
-    steps.clear()
-    trace_loop(_sg_pencil(), BoxPerimeter(0.3, 0.9, 0.3 + 0.8, 0.9 + 0.8))
-    assert steps[0] == pytest.approx(4 * continuation.H_MAX_FRAC * factor)
+@pytest.mark.parametrize(
+    "rho, cos, factor",
+    [
+        (0.01, 0.5, 0.5),  # a rotation rejection's retry: half the cap
+        (2.0, 0.5, 0.5),  # shorter than the rho estimate's 0.9 / sqrt(2)
+        (6.0, 0.5, 0.9 / math.sqrt(6.0)),  # the rho estimate's step is shorter
+        (0.01, continuation._PAIR_DIAG_MIN, 1.0),  # at the limit: no rejection
+        (0.01, math.inf, 1.0),  # no linked pair
+        (0.01, math.nan, 1.0),
+    ],
+)
+def test_probe_halves_a_first_step_it_expects_to_rotate_too_far(monkeypatch, rho, cos, factor):
+    first = _first_steps(monkeypatch, rho, cos)
+    assert first == pytest.approx((factor, factor))
 
 
 def test_loop_signature_shapes_around_origin():

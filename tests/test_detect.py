@@ -653,8 +653,8 @@ def test_side_end_anchor_is_the_fresh_solve_at_its_corner(monkeypatch):
 
 def test_probed_first_steps_save_rejected_solves():
     # a side's first step, shortened where the probe at half the side
-    # estimates a rejection, keeps every flag; with half the side as the
-    # first step these blocks take 1,624 eigensolves and reject 278 steps
+    # foresees a rejection, keeps every flag; with half the side as the
+    # first step these blocks take 1,258 eigensolves and reject 223 steps
     pins = {10: (6, "5723fd39897f11f6"), 20: (14, "c871d145de02c686"), 30: (39, "8d06117ede0992bb")}
     stats = Counter()
     for n, pin in pins.items():
@@ -663,32 +663,55 @@ def test_probed_first_steps_save_rejected_solves():
         count, _, digest = _flags(sw)
         assert (count, digest) == pin
         stats.update(sw.step_stats)
-    assert stats["eigensolves"] <= 1450
+    assert stats["eigensolves"] <= 1150
     assert stats["rejected"] <= 80
 
 
-def test_rho_estimate_tracks_the_first_steps_rho(monkeypatch):
-    # the probe's estimate against step_control's rho for the same step: the
-    # estimate is returned as 0, so every side takes its half-side first step
-    estimates, rhos = [], []
-    estimate, control = continuation._rho_estimate, continuation.step_control
+def _first_step_estimates(monkeypatch, name, ns):
+    """Each side's estimate by the probe's function name, paired with
+    step_control's decision on the side's first step, over the benchmark
+    blocks at each n. Both estimates are neutralized (rho 0, no rotation
+    rejection), so every side takes its half-side first step."""
+    estimates, decisions = [], []
+    neutral = {"_rho_estimate": 0.0, "_rotation_estimate": math.inf}
+    original, control = getattr(continuation, name), continuation.step_control
 
-    def recording_estimate(*args):
-        estimates.append(estimate(*args))
-        return 0.0
+    def recording(*args):
+        estimates.append(original(*args))
+        return neutral[name]
 
     def recording_control(*args):
         dec = control(*args)
-        if len(rhos) < len(estimates):
-            rhos.append(dec.rho)
+        if len(decisions) < len(estimates):
+            decisions.append(dec)
         return dec
 
-    monkeypatch.setattr(continuation, "_rho_estimate", recording_estimate)
+    for other, value in neutral.items():
+        monkeypatch.setattr(continuation, other, lambda state, x, value=value: value)
+    monkeypatch.setattr(continuation, name, recording)
     monkeypatch.setattr(continuation, "step_control", recording_control)
-    sw = sweep_grid(_baseline_pencil(20), _PERFBENCH_BLOCK, seed=0)
-    assert not sw.unresolved
-    assert len(estimates) == len(rhos) == 4 * 9 + 5 * 8
+    for n in ns:
+        sw = sweep_grid(_baseline_pencil(n), _PERFBENCH_BLOCK, seed=0)
+        assert not sw.unresolved
+    assert len(estimates) == len(decisions) == len(ns) * (4 * 9 + 5 * 8)
+    return estimates, decisions
+
+
+def test_rho_estimate_tracks_the_first_steps_rho(monkeypatch):
+    # the probe's estimate against step_control's rho for the same step
+    estimates, decisions = _first_step_estimates(monkeypatch, "_rho_estimate", (20,))
+    rhos = [dec.rho for dec in decisions]
     assert 0.8 <= float(np.median(np.divide(estimates, rhos))) <= 1.4
+
+
+def test_rotation_estimate_foresees_the_first_steps_rotation_rejections(monkeypatch):
+    # a rotation rejection foreseen where step_control finds one, and none
+    # where it finds none, on nearly all first steps of the three blocks
+    estimates, decisions = _first_step_estimates(monkeypatch, "_rotation_estimate", (10, 20, 30))
+    foreseen = np.less(estimates, continuation._PAIR_DIAG_MIN)
+    rejected = np.array([not dec.rotation_ok for dec in decisions])
+    assert rejected.sum() >= 40  # the blocks do have rotation rejections to foresee
+    assert np.count_nonzero(foreseen == rejected) >= 0.9 * len(decisions)
 
 
 def test_shared_sides_change_no_result():
