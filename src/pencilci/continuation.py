@@ -16,12 +16,13 @@ projector: the predictor leaves out the in-cluster rotation, step control
 measures the cluster's subspace and eigenvalue sum instead of its single
 columns, and the fresh eigenvectors, signed by overlap, may rotate inside the
 cluster by up to about 41 degrees per step. Between clusters the columns are
-smooth, and the predictor follows them to second order, so there the error
-is third order and the eigenvalues and the columns' normalization size the
-steps. A step with no cluster is the plain column-wise step. 3e-2 is the
-largest gap scanned at which the steps of n = 30 SG+ loops stay sized by
-their error estimate; above it clusters grow and the stepsize cap H_MAX_FRAC
-becomes the step rule (scanned with H_MAX_FRAC = 1/16).
+smooth, and on a step where at most two thirds of the columns are clustered
+the predictor follows them to second order, so there the error is third
+order and the eigenvalues and the columns' normalization size the steps. A
+step with no cluster is the plain column-wise step. 3e-2 is the largest gap
+scanned at which the steps of n = 30 SG+ loops stay sized by their error
+estimate; above it clusters grow and the stepsize cap H_MAX_FRAC becomes the
+step rule (scanned with H_MAX_FRAC = 1/16).
 
 Closed loops additionally yield the sign signature D, the diagonal +-1 matrix
 with V(1) = V(0) D; its -1 entries betray eigenvalue coalescences enclosed by
@@ -98,6 +99,18 @@ TOLDIST = 1e6 * _EPS
 # 727 at 5e-2, where the largest cluster also grows from 5 to 15 columns
 # (measured with H_MAX_FRAC = 1/16).
 CLUSTER_GAP = 3e-2
+# predict adds its second-order term Y2 only on a step where at most this
+# share of the columns is clustered. Y2 lengthens the steps that the error
+# between clusters sizes, for two more n x n products a step; where most
+# columns are clustered, secant_guard and the rotation cap size the steps
+# instead. On 4x8 blocks of SG+ boxes, Y2 on every step saved 24% / 22% /
+# 17% / 9% of the solves at n = 10 / 20 / 30 / 40 (full band), but 1% at
+# n = 50 full band and none at n = 50, b = 3, both then slower than without
+# it. At this share Y2 is on every step of the n <= 20 blocks, on 95% at
+# n = 30, 30% at n = 40 and 3% at n = 50 (full band), and on 0-8% at b = 3
+# and 5; so n = 40 full band and n = 30, b = 5 forgo 10% and 8% of their
+# solves.
+_SECOND_ORDER_SHARE = 2.0 / 3.0
 # A relative gap at or below this makes the divided differences of predict
 # meaningless; a trace can neither start nor predict from such a point.
 MIN_REL_GAP = 10.0 * _EPS
@@ -225,6 +238,14 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
+@functools.cache
+def _off_diagonal(n: int) -> np.ndarray:
+    """The n x n mask of the off-diagonal entries, built once per n and read-only."""
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def init_decomposition(pencil, path, t: float) -> EigenPoint:
     """Ordered decomposition at a path parameter, with deterministic signs.
 
@@ -277,49 +298,72 @@ class _Expansion(NamedTuple):
     b: np.ndarray
     m: np.ndarray
     Y1: np.ndarray
-    Y2: np.ndarray
-    bY1: np.ndarray
-    aY1: np.ndarray
+    Y2: np.ndarray | None
+    bY1: np.ndarray | None
+    aY1: np.ndarray | None
     diff: np.ndarray
+    outside: np.ndarray
+
+
+def _project(
+    state: EigenPoint, A: np.ndarray, B: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pencil (A, B) in state's basis, for :func:`predict`: Lambda_pred,
+    a = V.T A V - Lambda and b = V.T B V - I. It does not depend on the
+    clusters, so one projection serves any of them."""
+    V, lam = state.V, state.lam
+    n = lam.size
+    a = V.T @ A @ V
+    b = V.T @ B @ V
+    lam_pred = a.diagonal() - lam * (b.diagonal() - 1.0)
+    a.ravel()[:: n + 1] -= lam
+    b.ravel()[:: n + 1] -= 1.0
+    return lam_pred, a, b
+
+
+def _second_order(clusters: np.ndarray | None, n: int) -> bool:
+    """Whether :func:`predict` adds Y2 on a step of n columns grouped by
+    clusters: when at most _SECOND_ORDER_SHARE of them are clustered."""
+    if clusters is None:
+        return True
+    # the columns that share their label, n less those of one-column labels
+    return n - np.count_nonzero(np.bincount(clusters) == 1) <= _SECOND_ORDER_SHARE * n
 
 
 def _expand(
-    state: EigenPoint, A: np.ndarray, B: np.ndarray, clusters: np.ndarray | None
+    state: EigenPoint,
+    projected: tuple[np.ndarray, np.ndarray, np.ndarray],
+    clusters: np.ndarray | None,
+    second_order: bool = True,
 ) -> _Expansion:
-    """The terms of :func:`predict`'s expansion from state to where the
-    pencil is (A, B), for the columns grouped by clusters (a label per
-    column, or None); this is the one place that forms them.
+    """The terms of :func:`predict`'s expansion from state to the point
+    :func:`_project` projected, for the columns grouped by clusters (a label
+    per column, or None); this is the one place that forms them.
 
     Returns lam_pred, a, b, m = lam_pred - Lambda, Y1 and Y2 as predict's
     docstring defines them, and for :func:`_rho_estimate` the products
-    bY1 = b Y1 and aY1 = a Y1 and the divisor diff: lambda_i - lambda_k
-    where columns i and k are in different clusters, and inf elsewhere, so
-    that a division by it gives the zeros there.
+    bY1 = b Y1 and aY1 = a Y1, the divisor diff = lambda_i - lambda_k and
+    outside, True where columns i and k are in different clusters: the
+    entries where a term divides by diff. Without second_order, Y2, bY1
+    and aY1 are None.
     """
-    V, lam = state.V, state.lam
+    lam_pred, a, b = projected
+    lam = state.lam
     n = lam.size
-    A_V = V.T @ A @ V
-    A_V = 0.5 * (A_V + A_V.T)
-    B_V = V.T @ B @ V
-    B_V = 0.5 * (B_V + B_V.T)
-    lam_pred = A_V.diagonal() - lam * (B_V.diagonal() - 1.0)
-    col = lam[:, None]
-    diff = col - lam
-    if clusters is None:
-        diff.flat[:: n + 1] = math.inf
-    else:
-        diff[clusters[:, None] == clusters] = math.inf
-    eye = _eye(n)
-    Y1 = 0.5 * (eye - B_V) + (0.5 * (col + lam) * B_V - A_V) / diff
-    # in place, from here on: a = A_V - Lambda and b = B_V - I
-    a, b = A_V, B_V
-    a.flat[:: n + 1] -= lam
-    b.flat[:: n + 1] -= 1.0
+    outside = _off_diagonal(n) if clusters is None else clusters[:, None] != clusters
+    diff = lam[:, None] - lam
     m = lam_pred - lam
+    Y1 = np.divide(b * lam - a, diff, out=-0.5 * b, where=outside)
+    if not second_order:
+        return _Expansion(lam_pred, a, b, m, Y1, None, None, None, diff, outside)
     bY1 = b @ Y1
     aY1 = a @ Y1
-    Y2 = ((Y1 + b) * m + bY1 * lam - aY1) / diff
-    return _Expansion(lam_pred, a, b, m, Y1, Y2, bY1, aY1, diff)
+    Y2 = Y1 + b
+    Y2 *= m
+    Y2 += bY1 * lam
+    Y2 -= aY1
+    Y2 = np.divide(Y2, diff, out=np.zeros((n, n)), where=outside)
+    return _Expansion(lam_pred, a, b, m, Y1, Y2, bY1, aY1, diff, outside)
 
 
 def predict(
@@ -327,33 +371,39 @@ def predict(
     A_next: np.ndarray,
     B_next: np.ndarray,
     clusters: np.ndarray | None = None,
+    projected: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predictors for the decomposition at the next parameter value.
 
-    With A_V = V.T A(t+h) V and B_V = V.T B(t+h) V, each symmetrized, and
-    a = A_V - Lambda, b = B_V - I (V, Lambda from the current state), the
-    predictions are
+    With A_V = V.T A(t+h) V and B_V = V.T B(t+h) V, a = A_V - Lambda and
+    b = B_V - I (V, Lambda from the current state), the predictions are
 
         Lambda_pred = diag(A_V) - Lambda (diag(B_V) - I),   m = Lambda_pred - Lambda,
-        V_pred = V (I + Y1 + Y2),   Y1 = P + H,   P = (I - B_V)/2,
-        H_ik = ((lambda_i + lambda_k)/2 B_V[i,k] - A_V[i,k]) / (lambda_i - lambda_k),
+        V_pred = V (I + Y1 + Y2),   Y1 = P + H,   P = -b/2,
+        H_ik = ((lambda_i + lambda_k)/2 b_ik - a_ik) / (lambda_i - lambda_k),
         Y2_ik = ((Y1 + b)_ik m_k + lambda_k (b Y1)_ik - (a Y1)_ik) / (lambda_i - lambda_k)
 
-    for i != k, H_ii = Y2_ii = 0. Y1 is the Euler term, H skew-symmetric;
-    Y2 is the next term of the expansion between columns. The finite
-    differences of A and B across the step replace the time derivatives of
-    the underlying first-order system. So the eigenvalues and the columns'
-    normalization (the diagonal of V^-1 V_pred) carry O(h^2) local error,
-    which step_control's h^2 rule sizes, and the error between columns is
-    O(h^3). The diagonal's second-order term is left out on purpose: with
-    it, and the eigenvalues' second-order term, the error would be O(h^3)
-    everywhere and the h^2 rule would overshoot (on the n = 30 benchmark
-    block of SG+ boxes, rejected steps rose from 38 to 56).
+    for i != k, H_ii = Y2_ii = 0; so Y1_ik = (lambda_k b_ik - a_ik) /
+    (lambda_i - lambda_k) where H_ik divides, and -b_ik / 2 where H_ik = 0.
+    Y1 is the Euler term, H skew-symmetric; Y2 is the next term of the
+    expansion between columns. The finite differences of A and B across the
+    step replace the time derivatives of the underlying first-order system.
+    So the eigenvalues and the columns' normalization (the diagonal of
+    V^-1 V_pred) carry O(h^2) local error, which step_control's h^2 rule
+    sizes, and the error between columns is O(h^3). The diagonal's
+    second-order term is left out on purpose: with it, and the eigenvalues'
+    second-order term, the error would be O(h^3) everywhere and the h^2 rule
+    would overshoot (on the n = 30 benchmark block of SG+ boxes, rejected
+    steps rose from 38 to 56).
 
     clusters, a label per column (see _clusters), also sets H_ik = Y2_ik = 0
     for i and k with one label, without dividing by their small gap: the
     prediction then follows each cluster's subspace but not the rotation
-    inside it.
+    inside it. Where more than _SECOND_ORDER_SHARE of the columns are
+    clustered, Y2 is left out (V_pred = V (I + Y1)): there the clusters size
+    the steps, and Y2's products cost more than the solves they save.
+    projected, when given, is :func:`_project` (state, A_next, B_next),
+    formed by the caller; predict then does not form it again.
 
     Raises
     ------
@@ -365,9 +415,14 @@ def predict(
     """
     if state.lam.size > 1 and np.minimum.reduce(state.gaps) <= MIN_REL_GAP:
         raise GapTooSmall(f"adjacent eigenvalues closer than 10*eps at t = {state.t:.12g}")
-    x = _expand(state, A_next, B_next, clusters)
-    V_pred = state.V @ (_eye(state.lam.size) + x.Y1 + x.Y2)
-    return x.lam_pred, V_pred
+    n = state.lam.size
+    if projected is None:
+        projected = _project(state, A_next, B_next)
+    x = _expand(state, projected, clusters, _second_order(clusters, n))
+    Y = _eye(n) + x.Y1
+    if x.Y2 is not None:
+        Y += x.Y2
+    return x.lam_pred, state.V @ Y
 
 
 def sign_correct(
@@ -457,14 +512,15 @@ def step_control(
     )
 
 
-def _rho_estimate(state: EigenPoint, x: _Expansion) -> float:
+def _rho_estimate(state: EigenPoint, x: _Expansion, second_order: bool) -> float:
     """The rho that :func:`step_control` would give the step from state to
-    the point of the expansion x (:func:`_expand`, with the clusters that
-    state's gaps link), estimated without a solve.
+    the point of the expansion x (:func:`_expand` with Y2, and with the
+    clusters that state's gaps link), estimated without a solve, for the
+    predictor with Y2 (second_order) or without it.
 
-    The predictor V (I + Y1 + Y2) leaves out the diagonal's second-order
-    normalization term and every third-order term. With m_k = a_kk -
-    lambda_k b_kk, those are
+    Both predictors leave out the diagonal's second-order normalization
+    term; without Y2 the error between clusters is Y2, and with it the
+    third-order term Y3. With m_k = a_kk - lambda_k b_kk, those are
 
         d_k = -(b Y1)_kk - sum_j Y1_jk^2 / 2,
         mu2_k = (a Y1)_kk - lambda_k (b Y1)_kk - (Y1_kk + b_kk) m_k,
@@ -472,21 +528,25 @@ def _rho_estimate(state: EigenPoint, x: _Expansion) -> float:
                  + m_k (b Y1)_ik - (a Y2)_ik) / (lambda_i - lambda_k)
 
     for i and k in different clusters, with Y2's diagonal set to d (mu2 is
-    the eigenvalues' second-order term). The estimate is
-    ||offdiag(Y3) + diag(d)||_F / (sqrt(n) TOLSTEP), the eigenvector term of
-    rho. Its median ratio to the solved step's rho, on the half-side first
-    steps of the 4x8 benchmark blocks of SG+ boxes, is about 1.0 / 1.1 / 1.2
-    at n = 10 / 20 / 30.
+    the eigenvalues' second-order term). The estimate is the eigenvector
+    term of rho, ||E||_F / (sqrt(n) TOLSTEP), with E = offdiag(Y3) + diag(d)
+    or offdiag(Y2) + diag(d). With Y2, its median ratio to the solved step's
+    rho, on the half-side first steps of the 4x8 benchmark blocks of SG+
+    boxes, is about 1.0 / 1.1 / 1.2 at n = 10 / 20 / 30.
     """
     lam = state.lam
     n = lam.size
     b_Y1 = x.bY1.diagonal()
     d = -b_Y1 - 0.5 * np.einsum("jk,jk->k", x.Y1, x.Y1)
-    mu2 = x.aY1.diagonal() - lam * b_Y1 - (x.Y1.diagonal() + x.b.diagonal()) * x.m
     Y2 = x.Y2.copy()
     Y2.flat[:: n + 1] = d
-    Y3 = (Y2 * x.m + (x.Y1 + x.b) * mu2 + (x.b @ Y2) * lam + x.bY1 * x.m - x.a @ Y2) / x.diff
-    Y3.flat[:: n + 1] = d
+    if not second_order:
+        return math.sqrt(float(np.vdot(Y2, Y2)) / n) / TOLSTEP
+    mu2 = x.aY1.diagonal() - lam * b_Y1 - (x.Y1.diagonal() + x.b.diagonal()) * x.m
+    Y3 = np.divide(
+        (Y2 + x.bY1) * x.m + (x.Y1 + x.b) * mu2 + (x.b @ Y2) * lam - x.a @ Y2,
+        x.diff, out=np.diag(d), where=x.outside,
+    )
     return math.sqrt(float(np.vdot(Y3, Y3)) / n) / TOLSTEP
 
 
@@ -508,16 +568,16 @@ def _rotation_estimate(state: EigenPoint, x: _Expansion) -> float:
     three 4x8 benchmark blocks (n = 10, 20, 30), it foresaw 64 such
     rejections against 65, with 5 missed and 4 false alarms.
     """
-    k = np.flatnonzero(state.gaps < CLUSTER_GAP)
-    if not k.size:
+    linked = state.gaps < CLUSTER_GAP
+    if not np.logical_or.reduce(linked):
         return math.inf
     lam = state.lam
-    mid = 0.5 * (lam[k] + lam[k + 1])
+    mid = 0.5 * (lam[:-1] + lam[1:])
     a, b = x.a.diagonal(), x.b.diagonal()
-    d = a[k] - a[k + 1] + (lam[k] - lam[k + 1]) - mid * (b[k] - b[k + 1])
-    off = x.a[k, k + 1] - mid * x.b[k, k + 1]
-    theta = 0.5 * np.arctan2(2.0 * np.abs(off), d)
-    return float(np.minimum.reduce(np.cos(theta)))
+    d = a[:-1] - a[1:] + (lam[:-1] - lam[1:]) - mid * (b[:-1] - b[1:])
+    off = x.a.diagonal(1) - mid * x.b.diagonal(1)
+    cos = np.cos(0.5 * np.arctan2(2.0 * np.abs(off), d))
+    return float(np.minimum.reduce(cos, where=linked, initial=math.inf))
 
 
 def secant_guard(
@@ -542,17 +602,18 @@ def secant_guard(
     return min(h, 0.9 * crossing)
 
 
-def _step(pencil, path, t: float, h: float, pair: int = -1):
+def _step(pencil, path, t: float, h: float, pair: int = -1, at=None):
     """Evaluate and solve at t + h, the step clamped to end at t = 1.
 
     Returns (t_new, h_step, A, B, ep, gaps, close), close being the 0-based
     pair whose relative gap is below TOLDIST, or -1. Only the pair being
     traversed (pair; -1 outside veering) or about to be may be that close;
-    any other raises TripleDegeneracy.
+    any other raises TripleDegeneracy. at, when given, is the pencil's
+    (A, B) at t_new, evaluated by the caller.
     """
     h_step = min(h, 1.0 - t)
     t_new = 1.0 if h_step == 1.0 - t else t + h_step
-    A, B = evaluate(pencil, *path.point(t_new))
+    A, B = evaluate(pencil, *path.point(t_new)) if at is None else at
     ep = gen_eig_ordered(A, B)
     gaps = _rel_gaps(ep.values)
     close = -1
@@ -653,11 +714,14 @@ def trace(pencil, path) -> TraceResult:
     cause of a rejection by :func:`step_control`, as that rejection would
     shorten it: a rho over RHO_ACCEPT (:func:`_rho_estimate`) to
     h * STEP_SAFETY / sqrt(rho), and a cluster rotation past _PAIR_DIAG_MIN
-    (:func:`_rotation_estimate`) to at most H_MAX_FRAC / 2. So a trace
-    evaluates the pencil once more than it solves, and the steps are still
-    judged by :func:`step_control`. This is the one source of decompositions
-    along a path, open or closed; :func:`trace_loop` gives a closed loop's
-    signature, and traces a box, which is no path, as its four sides.
+    (:func:`_rotation_estimate`) to at most H_MAX_FRAC / 2. A first step
+    that the probe keeps solves the probe's pencil and predicts from its
+    projection (:func:`_project`); one that it shortens evaluates again, so
+    that trace evaluates the pencil once more than it solves. The steps are
+    still judged by :func:`step_control`. This is the one source of
+    decompositions along a path, open or closed; :func:`trace_loop` gives a
+    closed loop's signature, and traces a box, which is no path, as its four
+    sides.
 
     step_stats counts eigensolves (the start, every predictor step and every
     veering substep), accepted predictor and veering steps (accepted), the
@@ -693,20 +757,26 @@ def _trace(pencil, path, start: EigenPoint, h_max: float) -> tuple[TraceResult, 
     # the pencil at the first step's end, unsolved, shortens a step that it
     # expects rejected, as the rejection would; an unusable estimate keeps h
     probe = evaluate(pencil, *path.point(state.t + h))
-    x = _expand(state, *probe, _clusters(state.gaps < CLUSTER_GAP))
-    rho = _rho_estimate(state, x)
+    projected = _project(state, *probe)
+    clusters = _clusters(state.gaps < CLUSTER_GAP)
+    x = _expand(state, projected, clusters)
+    rho = _rho_estimate(state, x, _second_order(clusters, state.lam.size))
     if RHO_ACCEPT < rho < math.inf:
         h *= STEP_SAFETY / math.sqrt(rho)
     if _rotation_estimate(state, x) < _PAIR_DIAG_MIN:
         h = min(h, h_max / 2.0)
+    # a first step the probe kept ends where the probe evaluated and projected
+    if h != h_max:
+        probe = projected = None
     points = [state]
     events: list[tuple[float, float, int]] = []
     eigensolves = clustered = secant_caps = by_rho = ambiguous = rotation = 0
 
     while state.t < 1.0:
-        solved = _step(pencil, path, state.t, h)
+        solved = _step(pencil, path, state.t, h, at=probe)
         eigensolves += 1
         t_next, h_try, A_next, B_next, ep, gaps, close = solved
+        reused, probe, projected = projected, None, None
         if close >= 0:
             vr = veering_traverse(state, pencil, path, solved, h_max)
             eigensolves += vr.substeps
@@ -717,7 +787,7 @@ def _trace(pencil, path, start: EigenPoint, h_max: float) -> tuple[TraceResult, 
             continue
         # fmin, not minimum: a NaN gap at one end must not hide the other end's link
         clusters = _clusters(np.fmin(state.gaps, gaps) < CLUSTER_GAP)
-        lam_pred, V_pred = predict(state, A_next, B_next, clusters)
+        lam_pred, V_pred = predict(state, A_next, B_next, clusters, reused)
         BV_pred = B_next @ V_pred
         if clusters is None:
             V_corr, _, min_overlap = sign_correct(ep.vectors, BV_pred)

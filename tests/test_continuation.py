@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
@@ -112,27 +113,30 @@ def test_predict_is_third_order_between_columns():
 
 def _documented_terms(state, A_next, B_next, clusters=None):
     """predict's docstring formula, one numpy step at a time: Lambda_pred,
-    b, Y1 and Y2."""
+    b, Y1 and Y2, which is 0 where more than _SECOND_ORDER_SHARE of the
+    columns are clustered."""
     V, lam = state.V, state.lam
     n = lam.size
-    A_V = symmetrize(V.T @ A_next @ V)
-    B_V = symmetrize(V.T @ B_next @ V)
+    A_V = V.T @ A_next @ V
+    B_V = V.T @ B_next @ V
     lam_pred = np.diag(A_V) - lam * (np.diag(B_V) - 1.0)
-    P = 0.5 * (np.eye(n) - B_V)
-    denom = np.subtract.outer(lam, lam)
-    np.fill_diagonal(denom, 1.0)
-    # H and Y2 are zero on the diagonal and inside each cluster
-    inside = np.eye(n, dtype=bool)
-    if clusters is not None:
-        inside |= np.equal.outer(clusters, clusters)
-    H = (0.5 * np.add.outer(lam, lam) * B_V - A_V) / denom
-    H[inside] = 0.0
-    Y1 = P + H
     a = A_V - np.diag(lam)
     b = B_V - np.eye(n)
     m = lam_pred - lam
+    denom = np.subtract.outer(lam, lam)
+    np.fill_diagonal(denom, 1.0)
+    # H and Y2 are zero on the diagonal and inside each cluster, where
+    # Y1 = P + H is P = -b/2; elsewhere it is (lambda_k b_ik - a_ik) / denom
+    inside = np.eye(n, dtype=bool)
+    if clusters is not None:
+        inside |= np.equal.outer(clusters, clusters)
+    Y1 = (b * lam - a) / denom
+    Y1[inside] = -0.5 * b[inside]
     Y2 = ((Y1 + b) * m + (b @ Y1) * lam - a @ Y1) / denom
     Y2[inside] = 0.0
+    clustered = np.count_nonzero(inside.sum(axis=0) > 1)
+    if clustered > continuation._SECOND_ORDER_SHARE * n:
+        Y2 = np.zeros((n, n))
     return lam_pred, b, Y1, Y2
 
 
@@ -147,6 +151,11 @@ def _split_labels(n):
     return np.array([0, 1, 1, 2, 3, 3, 3] + list(range(4, n - 3)))
 
 
+def _one_cluster(size, n):
+    """Columns 0..size-1 clustered, every other column alone."""
+    return np.array([0] * size + list(range(1, n - size + 1)))
+
+
 @pytest.mark.parametrize(
     "n, labels",
     [
@@ -154,6 +163,7 @@ def _split_labels(n):
         pytest.param(30, None, id="30"),
         pytest.param(10, _split_labels, id="10-clusters"),
         pytest.param(30, _split_labels, id="30-clusters"),
+        pytest.param(10, lambda n: _one_cluster(8, n), id="10-mostly-clustered"),
     ],
 )
 def test_predict_is_bitwise_the_documented_formula(n, labels):
@@ -193,6 +203,24 @@ def test_predict_drops_only_the_in_cluster_rotation():
     assert np.abs(kept[inside] + 0.5 * b[inside]).max() <= 1e-12
     assert np.array_equal(Y1[~inside], Y1_ref[~inside])
     assert np.allclose(kept, Y1 + Y2, atol=1e-12)
+
+
+@pytest.mark.parametrize("size, second_order", [(6, True), (7, False)])
+def test_predict_adds_y2_only_where_at_most_two_thirds_are_clustered(
+    monkeypatch, size, second_order
+):
+    # one cluster of 6 of 10 columns: V (I + Y1 + Y2); of 7: V (I + Y1)
+    pen = _sg_pencil(10)
+    path = segment((0.3, 0.9), (1.1, 1.7))
+    state = init_decomposition(pen, path, 0.2)
+    A, B = pen.eval(*path.point(0.25))
+    clusters = _one_cluster(size, 10)
+    _, V_pred = predict(state, A, B, clusters)
+    monkeypatch.setattr(continuation, "_SECOND_ORDER_SHARE", 1.0)  # the oracle's Y2, ungated
+    _, _, Y1, Y2 = _documented_terms(state, A, B, clusters)
+    assert np.abs(Y2).max() > 1e-6
+    kept = np.linalg.solve(state.V, V_pred) - np.eye(10)
+    assert np.allclose(kept, Y1 + Y2 if second_order else Y1, rtol=0.0, atol=1e-12)
 
 
 def test_clusters_are_maximal_runs_of_linked_pairs():
@@ -371,12 +399,12 @@ def _first_steps(monkeypatch, rho, cos):
     steps = []
     step = continuation._step
 
-    def recording_step(pencil, path, t, h, *args):
+    def recording_step(pencil, path, t, h, *args, **kwargs):
         steps.append(h)
-        return step(pencil, path, t, h, *args)
+        return step(pencil, path, t, h, *args, **kwargs)
 
-    monkeypatch.setattr(continuation, "_rho_estimate", lambda state, x: rho)
-    monkeypatch.setattr(continuation, "_rotation_estimate", lambda state, x: cos)
+    monkeypatch.setattr(continuation, "_rho_estimate", lambda *args: rho)
+    monkeypatch.setattr(continuation, "_rotation_estimate", lambda *args: cos)
     monkeypatch.setattr(continuation, "_step", recording_step)
     # a trace's first step is its cap: 1/8 of a free path, half a box side
     trace(_sg_pencil(), segment((0.0, 0.0), (1.0, 1.0)))
@@ -416,6 +444,25 @@ def test_probe_shortens_a_first_step_it_expects_rejected(monkeypatch, rho, facto
 def test_probe_halves_a_first_step_it_expects_to_rotate_too_far(monkeypatch, rho, cos, factor):
     first = _first_steps(monkeypatch, rho, cos)
     assert first == pytest.approx((factor, factor))
+
+
+def test_a_kept_first_step_reuses_the_probes_pencil_and_projection(monkeypatch):
+    # where the probe keeps the first step, the step solves the pencil the
+    # probe evaluated and predicts from the probe's projection: one eval
+    # fewer, and the same trace, bitwise, as evaluating and projecting again
+    pen, path = _sg_pencil(), segment((0.0, 0.0), (0.5, 0.5))
+    counts = {"evals": 0}
+    kept = trace(_CountingPencil(pen, counts), path)
+    steps = kept.step_stats["accepted"] + kept.step_stats["rejected"]
+    assert kept.points[1].h == continuation.H_MAX_FRAC  # the probe kept the first step
+    assert counts["evals"] == 1 + steps  # the start, then one per step
+    step, prediction = continuation._step, continuation.predict
+    monkeypatch.setattr(continuation, "_step", lambda *args, at=None: step(*args))
+    monkeypatch.setattr(continuation, "predict", lambda *args: prediction(*args[:4]))
+    again = trace(pen, path)
+    assert again.step_stats == kept.step_stats
+    for p, q in zip(again.points, kept.points, strict=True):
+        assert p.t == q.t and np.array_equal(p.V, q.V) and np.array_equal(p.lam, q.lam)
 
 
 def test_loop_signature_shapes_around_origin():
@@ -586,6 +633,7 @@ class _CountingPencil:
     def eval(self, x, y):
         self._counts["evals"] += 1
         self._counts["evaluated_at"] = (x, y)
+        self._counts.setdefault("events", []).append("e")
         return self._pencil.eval(x, y)
 
 
@@ -593,6 +641,7 @@ def _count_eigensolves(monkeypatch, pencil, box):
     """trace_loop of a box with its evals and eigensolves counted, solves
     split by veering traversal, and the (x, y) of each solve recorded."""
     counts = {"evals": 0, "solves": 0, "entries": 0, "substeps": 0, "veer_points": 0}
+    counts["events"] = []  # "e" per eval, "s" per solve, in order
     counts["solved_at"] = []
     inside_veering = [False]
     solve = continuation.gen_eig_ordered
@@ -600,6 +649,7 @@ def _count_eigensolves(monkeypatch, pencil, box):
 
     def counting_solve(A, B):
         counts["solves"] += 1
+        counts["events"].append("s")
         counts["substeps"] += inside_veering[0]
         counts["solved_at"].append(counts["evaluated_at"])
         return solve(A, B)
@@ -621,9 +671,14 @@ def _count_eigensolves(monkeypatch, pencil, box):
 
 def _assert_one_eval_per_solve_and_probe(counts):
     # each side's sign check reuses its last solve's B, and veering starts
-    # from the solved entry point; the four evals left over are the probes
-    # that size each side's first step
-    assert counts["evals"] == counts["solves"] + 4
+    # from the solved entry point; every solve is of the pencil just
+    # evaluated, and the evals left over are the probes that shortened
+    # their side's first step (a first step the probe kept solves the
+    # probe's pencil)
+    events = "".join(counts["events"])
+    assert events.startswith("e") and "ss" not in events
+    shortened = len(re.findall("(?=ee)", events))
+    assert shortened <= 4 and counts["evals"] == counts["solves"] + shortened
     points = counts["solved_at"]
     assert all(a != b for a, b in zip(points, points[1:]))
 
