@@ -393,8 +393,8 @@ def predict(
     sizes, and the error between columns is O(h^3). The diagonal's
     second-order term is left out on purpose: with it, and the eigenvalues'
     second-order term, the error would be O(h^3) everywhere and the h^2 rule
-    would overshoot (on the n = 30 benchmark block of SG+ boxes, rejected
-    steps rose from 38 to 56).
+    would overshoot (on the n = 30 benchmark block of SG+ boxes, with Y2 on
+    every step, rejected steps rose from 38 to 56).
 
     clusters, a label per column (see _clusters), also sets H_ik = Y2_ik = 0
     for i and k with one label, without dividing by their small gap: the
